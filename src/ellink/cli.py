@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .efun import EFun, ell_class, evaluate, random_point
+from .efun import RESAMPLE_CAP, EFun, ell_class, evaluate, random_point
 from .identities import SUITE_ORDER, SUITES, run_all, run_suite
 from .linkpattern import (
     PatternError,
@@ -49,7 +49,6 @@ class RunConfig:
     tol: float = 1e-8
     samples: int = 64
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         if self.tau.imag < 0.3:
@@ -76,7 +75,7 @@ def _sample_values(f: EFun, config: RunConfig) -> list[dict]:
     rng = Random(config.seed)
     out = []
     for _ in range(config.samples):
-        for _ in range(101):
+        for _ in range(RESAMPLE_CAP + 1):
             pt = random_point(f.space, rng, config.params)
             try:
                 val = evaluate(f, pt)
@@ -273,7 +272,6 @@ def main(argv=None) -> int:
             tol=args.tol,
             samples=args.samples,
             seed=args.seed,
-            out=out_path,
         )
         if args.command == "compute":
             _emit(cmd_compute(args.pattern, config), out_path)

@@ -12,14 +12,20 @@ derivative at 1 is 1, so a delta leaf is literally
 theta(a+b)/(theta(a) theta(b)) of its theta-leaf expansion and the two
 representations can be exchanged without any constant bookkeeping.
 
-Permutation nodes accumulate lazily; evaluation threads the composed
-permutation down to the leaves and memoises (node, permutation) pairs,
-which keeps deep operator composites polynomial to evaluate.
+Permutation nodes accumulate lazily.  The first evaluation of an EFun
+compiles it into a tape: one walk threads the composed permutation down to
+the leaves, visits each (node, permutation) pair once, and records a
+straight-line program in which equal leaves, products, sums and scales
+share one slot and each distinct leaf argument is one sparse linear form.
+The tape stays on the EFun, and every evaluation replays it at the point:
+the forms first, then the ops in the order of the walk, so deep operator
+composites cost one pass over their distinct operations per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from random import Random
 from typing import Callable, Sequence
 
@@ -97,10 +103,14 @@ class XPermuted:
 
 @dataclass(frozen=True)
 class EFun:
-    """An expression tree together with its exact bundle type."""
+    """An expression tree together with its exact bundle type.
+
+    ``_tape`` holds the compiled evaluation program once the first
+    evaluation has built it; it takes no part in equality."""
 
     node: object
     qtype: QForm
+    _tape: "_Tape | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def space(self) -> VarSpace:
@@ -399,83 +409,207 @@ def random_point(space: VarSpace, rng: Random, params: ModularParams) -> PointAs
     return PointAssignment(vals, params)
 
 
-class _Evaluator:
-    def __init__(self, space: VarSpace, pt: PointAssignment):
-        self.m = space.m
-        self.values = pt.values
-        self.params = pt.params
-        self.theta_cache: dict[complex, complex] = {}
-        self.memo: dict[tuple[int, tuple[int, ...]], complex] = {}
-        self.floor = pt.params.pole_threshold
+# Opcodes of the evaluation tape.  Every op is a triple (code, a, b); the
+# binary forms are split out because demazure steps build binary nodes.
+_PRODUCT2, _SUM2, _DELTA, _INV_THETA, _THETA, _SCALE, _PRODUCT, _SUM = range(8)
 
-    def theta(self, x: complex) -> complex:
-        v = self.theta_cache.get(x)
-        if v is None:
-            v = _theta_product(x, self.params)
-            self.theta_cache[x] = v
-        return v
+# id(node) * stride + permutation number keys the compile memo.  It is unique
+# while there are fewer permutations than the stride, and the odd stride
+# spreads the 16-byte aligned ids over the dict's hash bits.
+_PERM_STRIDE = (1 << 32) + 1
 
-    def form(self, lf: LinearForm, perm: tuple[int, ...]) -> complex:
-        acc = 0j
-        values = self.values
+
+@dataclass(frozen=True, eq=False)
+class _Tape:
+    """A straight-line program computing one expression at any point.
+
+    ``forms`` are the distinct linear forms of the leaf arguments, each a
+    tuple of (value index, coefficient) pairs with the x-permutation already
+    applied.  ``ops`` run in the order the recursive walk over (node,
+    x-permutation) pairs first reaches them, so a replay performs the same
+    floating-point operations, and the same theta calls, as that walk.
+    ``leaves`` maps the slot of each leaf op to the first node that produced
+    it, for the PoleProximity message.
+    """
+
+    forms: tuple[tuple[tuple[int, float], ...], ...]
+    ops: tuple[tuple, ...]
+    leaves: dict[int, object]
+    root: int
+
+    def run(self, pt: PointAssignment, cache: dict[complex, complex]) -> complex:
+        """The value at pt; ``cache`` maps theta arguments to values."""
+        values = pt.values
+        params = pt.params
+        norm = params.mult_norm
+        floor = params.pole_threshold
+        theta = _theta_product
+        forms = []
+        for terms in self.forms:
+            acc = 0j
+            for i, c in terms:
+                acc += c * values[i]
+            forms.append(acc)
+        out: list[complex] = []
+        push = out.append
+        # products start from 1 + 0j and sums from 0j, as the accumulators of
+        # the recursive walk did; dropping them can flip the sign of a zero
+        one = 1.0 + 0j
+        for code, a, b in self.ops:
+            if code == _PRODUCT2:
+                push(one * out[a] * out[b])
+            elif code == _SUM2:
+                push(0j + out[a] + out[b])
+            elif code == _DELTA:
+                x = forms[a]
+                y = forms[b]
+                tx = cache.get(x)
+                if tx is None:
+                    tx = cache[x] = theta(x, params)
+                ty = cache.get(y)
+                if ty is None:
+                    ty = cache[y] = theta(y, params)
+                if abs(tx) < floor or abs(ty) < floor:
+                    leaf = self.leaves[len(out)]
+                    raise PoleProximity(
+                        f"delta leaf ({leaf.a}, {leaf.b}) too close to a theta zero"
+                    )
+                xy = x + y
+                txy = cache.get(xy)
+                if txy is None:
+                    txy = cache[xy] = theta(xy, params)
+                push(norm * txy / (tx * ty))
+            elif code == _INV_THETA:
+                x = forms[a]
+                t = cache.get(x)
+                if t is None:
+                    t = cache[x] = theta(x, params)
+                if abs(t) < floor:
+                    leaf = self.leaves[len(out)]
+                    raise PoleProximity(
+                        f"1/theta leaf ({leaf.a}) too close to a theta zero"
+                    )
+                push(norm / t)
+            elif code == _THETA:
+                x = forms[a]
+                t = cache.get(x)
+                if t is None:
+                    t = cache[x] = theta(x, params)
+                push(t / norm)
+            elif code == _SCALE:
+                push(a * out[b])
+            elif code == _PRODUCT:
+                v = one
+                for s in a:
+                    v *= out[s]
+                push(v)
+            else:
+                v = 0j
+                for s in a:
+                    v += out[s]
+                push(v)
+        return out[self.root]
+
+
+class _Compiler:
+    """One walk over the (node, x-permutation) pairs of an expression.
+
+    Composite pairs are memoised under (node id, interned permutation
+    number), leaves under the images of the x-indices their forms use.
+    Ops and leaf arguments (forms) are hash-consed, so equal ops share one
+    slot however many pairs reach them."""
+
+    def __init__(self, m: int):
+        self.m = m
+        self.perm_ids: dict[tuple[int, ...], int] = {}
+        self.memo: dict[int, int] = {}
+        self.leaf_memo: dict[int, tuple[Callable, dict] | None] = {}
+        self.forms: dict[tuple, int] = {}
+        self.ops: dict[tuple, int] = {}
+        self.leaves: dict[int, object] = {}
+
+    def form(self, lf: LinearForm, perm: tuple[int, ...]) -> int:
         m = self.m
-        for i, c in lf.float_terms:
-            acc += c * values[perm[i] - 1 if i < m else i]
-        return acc
+        terms = tuple([(perm[i] - 1 if i < m else i, c) for i, c in lf.float_terms])
+        return self.forms.setdefault(terms, len(self.forms))
 
-    def eval(self, node, perm: tuple[int, ...]) -> complex:
-        key = (id(node), perm)
-        found = self.memo.get(key)
-        if found is not None:
-            return found
-        if isinstance(node, DeltaLeaf):
-            a = self.form(node.a, perm)
-            b = self.form(node.b, perm)
-            ta, tb = self.theta(a), self.theta(b)
-            if abs(ta) < self.floor or abs(tb) < self.floor:
-                raise PoleProximity(
-                    f"delta leaf ({node.a}, {node.b}) too close to a theta zero"
-                )
-            out = self.params.mult_norm * self.theta(a + b) / (ta * tb)
-        elif isinstance(node, ThetaLeaf):
-            out = self.theta(self.form(node.a, perm)) / self.params.mult_norm
-        elif isinstance(node, InvThetaLeaf):
-            t = self.theta(self.form(node.a, perm))
-            if abs(t) < self.floor:
-                raise PoleProximity(
-                    f"1/theta leaf ({node.a}) too close to a theta zero"
-                )
-            out = self.params.mult_norm / t
-        elif isinstance(node, Scale):
-            out = node.factor * self.eval(node.child, perm)
-        elif isinstance(node, Product):
-            out = 1.0 + 0j
-            for c in node.children:
-                out *= self.eval(c, perm)
-        elif isinstance(node, Sum):
-            out = 0j
-            for c in node.children:
-                out += self.eval(c, perm)
-        elif isinstance(node, XPermuted):
-            out = self.eval(node.child, compose(perm, node.w))
+    def leaf_op(self, node, perm: tuple[int, ...]) -> int:
+        kind = type(node)
+        if kind is DeltaLeaf:
+            op = (_DELTA, self.form(node.a, perm), self.form(node.b, perm))
+        else:
+            op = (_INV_THETA if kind is InvThetaLeaf else _THETA, self.form(node.a, perm), None)
+        slot = self.ops.setdefault(op, len(self.ops))
+        self.leaves.setdefault(slot, node)
+        return slot
+
+    def leaf(self, node, perm: tuple[int, ...]) -> int:
+        # A leaf of an unfolded tree is reached once, so the memo for a leaf
+        # is only built when the walk reaches it a second time.
+        key = id(node)
+        if key not in self.leaf_memo:
+            self.leaf_memo[key] = None
+            return self.leaf_op(node, perm)
+        entry = self.leaf_memo[key]
+        if entry is None:
+            args = (node.a, node.b) if type(node) is DeltaLeaf else (node.a,)
+            xs = sorted({i for lf in args for i, _ in lf.float_terms if i < self.m})
+            pick = itemgetter(*xs) if xs else (lambda perm: ())
+            entry = self.leaf_memo[key] = (pick, {})
+        pick, memo = entry
+        images = pick(perm)
+        slot = memo.get(images)
+        if slot is None:
+            slot = memo[images] = self.leaf_op(node, perm)
+        return slot
+
+    def visit(self, node, perm: tuple[int, ...], pid: int) -> int:
+        kind = type(node)
+        if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
+            return self.leaf(node, perm)
+        if kind is XPermuted:
+            inner = compose(perm, node.w)
+            return self.visit(node.child, inner, self.perm_ids.setdefault(inner, len(self.perm_ids)))
+        key = id(node) * _PERM_STRIDE + pid
+        slot = self.memo.get(key)
+        if slot is not None:
+            return slot
+        if kind is Product or kind is Sum:
+            kids = tuple([self.visit(c, perm, pid) for c in node.children])
+            if len(kids) == 2:
+                op = (_PRODUCT2 if kind is Product else _SUM2, *kids)
+            else:
+                op = (_PRODUCT if kind is Product else _SUM, kids, None)
+        elif kind is Scale:
+            op = (_SCALE, node.factor, self.visit(node.child, perm, pid))
         else:
             raise TypeError(f"unknown node {node!r}")
-        self.memo[key] = out
-        return out
+        slot = self.memo[key] = self.ops.setdefault(op, len(self.ops))
+        return slot
+
+    def tape(self, node) -> _Tape:
+        ident = identity_perm(self.m)
+        root = self.visit(node, ident, self.perm_ids.setdefault(ident, 0))
+        return _Tape(tuple(self.forms), tuple(self.ops), self.leaves, root)
+
+
+def _compiled(f: EFun) -> _Tape:
+    tape = f._tape
+    if tape is None:
+        tape = _Compiler(f.space.m).tape(f.node)
+        object.__setattr__(f, "_tape", tape)
+    return tape
 
 
 def evaluate(f: EFun, pt: PointAssignment) -> complex:
     """Evaluate the expression at a point; PoleProximity asks for a resample."""
-    ev = _Evaluator(f.space, pt)
-    return ev.eval(f.node, identity_perm(f.space.m))
+    return _compiled(f).run(pt, {})
 
 
 def evaluate_many(fs: Sequence[EFun], pt: PointAssignment) -> list[complex]:
-    """Evaluate several expressions at one shared point, sharing caches."""
-    space = fs[0].space
-    ev = _Evaluator(space, pt)
-    ident = identity_perm(space.m)
-    return [ev.eval(f.node, ident) for f in fs]
+    """Evaluate several expressions at one shared point, sharing theta values."""
+    theta_cache: dict[complex, complex] = {}
+    return [_compiled(f).run(pt, theta_cache) for f in fs]
 
 
 RESAMPLE_CAP = 100
@@ -511,21 +645,6 @@ def sample_agreement(
                 scale = max(abs(vals[i]), abs(vals[j]), floor)
                 worst = max(worst, abs(vals[i] - vals[j]) / scale)
     return worst, resamples
-
-
-def efuns_numerically_equal(
-    f: EFun,
-    g: EFun,
-    params: ModularParams,
-    rng: Random,
-    samples: int = 32,
-    tol: float = 1e-8,
-) -> bool:
-    """Exact type equality plus pointwise agreement on a random sample."""
-    if f.qtype != g.qtype:
-        return False
-    worst, _ = sample_agreement([f, g], params, rng, samples)
-    return worst < tol
 
 
 # --------------------------------------------------------------------------

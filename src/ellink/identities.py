@@ -16,6 +16,7 @@ from random import Random
 from typing import Callable
 
 from .efun import (
+    RESAMPLE_CAP,
     EFun,
     demazure,
     demazure_diamond,
@@ -39,7 +40,6 @@ from .theta import ModularParams, PoleProximity, delta, theta
 from .typecalc import VarSpace
 
 RESIDUAL_FLOOR = 1e-30
-RESAMPLE_CAP = 100
 
 
 @dataclass(frozen=True)

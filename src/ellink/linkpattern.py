@@ -137,10 +137,6 @@ class LinkPattern:
     def arc_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arcs)
 
-    def canonical_labels(self) -> "LinkPattern":
-        """The same arc set with arcs sorted, labels in sorted order."""
-        return LinkPattern(self.m, self.r, tuple(sorted(self.arcs)))
-
     def __str__(self) -> str:
         return format_pattern(self)
 

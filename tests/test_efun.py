@@ -5,11 +5,17 @@ from random import Random
 import pytest
 
 from ellink.efun import (
+    DeltaLeaf,
     EFun,
     ImpurityError,
+    InvThetaLeaf,
     PointAssignment,
+    Product,
     ReducedUndefined,
+    Scale,
     Sum,
+    ThetaLeaf,
+    XPermuted,
     delta_leaf,
     demazure,
     demazure_diamond,
@@ -32,16 +38,20 @@ from ellink.efun import (
     theta_leaf,
     x_permuted,
 )
+from ellink.identities import flip_sides
 from ellink.linkpattern import (
     LinkPattern,
     act_nodes,
     all_minimal_presentations,
+    compose,
+    identity_perm,
     inverse_perm,
     minimal_pattern,
     node_values,
+    parse_pattern,
     transposition,
 )
-from ellink.theta import ModularParams, PoleProximity, delta
+from ellink.theta import ModularParams, PoleProximity, delta, theta
 from ellink.typecalc import (
     TrivialCharacter,
     VarSpace,
@@ -329,3 +339,116 @@ def test_evaluate_many_shares_points():
     a, b = evaluate_many([f, g], pt)
     assert a == evaluate(f, pt)
     assert rel(b, evaluate(g, pt)) < 1e-15
+
+
+class _Evaluator:
+    """Reference: the recursive walk the compiled tape replaces.
+
+    It memoises (node, permutation) pairs per point and caches theta by
+    argument, so the tape must reproduce its values exactly."""
+
+    def __init__(self, space: VarSpace, pt: PointAssignment):
+        self.m = space.m
+        self.values = pt.values
+        self.params = pt.params
+        self.theta_cache: dict[complex, complex] = {}
+        self.memo: dict[tuple[int, tuple[int, ...]], complex] = {}
+        self.floor = pt.params.pole_threshold
+
+    def theta(self, x: complex) -> complex:
+        v = self.theta_cache.get(x)
+        if v is None:
+            v = theta(x, self.params)
+            self.theta_cache[x] = v
+        return v
+
+    def form(self, lf, perm: tuple[int, ...]) -> complex:
+        acc = 0j
+        for i, c in lf.float_terms:
+            acc += c * self.values[perm[i] - 1 if i < self.m else i]
+        return acc
+
+    def eval(self, node, perm: tuple[int, ...]) -> complex:
+        key = (id(node), perm)
+        found = self.memo.get(key)
+        if found is not None:
+            return found
+        if isinstance(node, DeltaLeaf):
+            a = self.form(node.a, perm)
+            b = self.form(node.b, perm)
+            ta, tb = self.theta(a), self.theta(b)
+            if abs(ta) < self.floor or abs(tb) < self.floor:
+                raise PoleProximity(
+                    f"delta leaf ({node.a}, {node.b}) too close to a theta zero"
+                )
+            out = self.params.mult_norm * self.theta(a + b) / (ta * tb)
+        elif isinstance(node, ThetaLeaf):
+            out = self.theta(self.form(node.a, perm)) / self.params.mult_norm
+        elif isinstance(node, InvThetaLeaf):
+            t = self.theta(self.form(node.a, perm))
+            if abs(t) < self.floor:
+                raise PoleProximity(f"1/theta leaf ({node.a}) too close to a theta zero")
+            out = self.params.mult_norm / t
+        elif isinstance(node, Scale):
+            out = node.factor * self.eval(node.child, perm)
+        elif isinstance(node, Product):
+            out = 1.0 + 0j
+            for c in node.children:
+                out *= self.eval(c, perm)
+        elif isinstance(node, Sum):
+            out = 0j
+            for c in node.children:
+                out += self.eval(c, perm)
+        elif isinstance(node, XPermuted):
+            out = self.eval(node.child, compose(perm, node.w))
+        else:
+            raise TypeError(f"unknown node {node!r}")
+        self.memo[key] = out
+        return out
+
+
+def _outcome(fn):
+    """The values fn returns, or the message of the PoleProximity it raises."""
+    try:
+        return fn()
+    except PoleProximity as exc:
+        return f"pole: {exc}"
+
+
+def _reference_points(space: VarSpace, seed: int, i: int = 1) -> list[PointAssignment]:
+    """Seeded random points, plus two copies with x_{i+1} := x_i, which put
+    the operator's delta(x_{i+1} - x_i, .) leaves on a pole."""
+    rng = Random(seed)
+    pts = [random_point(space, rng, P) for _ in range(3)]
+    for pt in pts[:2]:
+        vals = list(pt.values)
+        vals[i] = vals[i - 1]
+        pts.append(PointAssignment(tuple(vals), P))
+    return pts
+
+
+@pytest.mark.parametrize(
+    "pattern", ["7,3:1>5,2>6,3>7", "8,3:1>6,5>7,8>4", "6,3:1>5,3>4,6>2"]
+)
+def test_tape_matches_recursive_reference(pattern):
+    f = ell_class(parse_pattern(pattern))
+    ident = identity_perm(f.space.m)
+    poles = 0
+    for pt in _reference_points(f.space, 16):
+        want = _outcome(lambda: _Evaluator(f.space, pt).eval(f.node, ident))
+        assert _outcome(lambda: evaluate(f, pt)) == want
+        poles += isinstance(want, str)
+    assert poles == 2
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_tape_matches_recursive_reference_many(k):
+    fs = flip_sides(6, 3, k)
+    ident = identity_perm(6)
+    poles = 0
+    for pt in _reference_points(fs[0].space, 17 + k, k):
+        ev = _Evaluator(fs[0].space, pt)
+        want = _outcome(lambda: [ev.eval(f.node, ident) for f in fs])
+        assert _outcome(lambda: evaluate_many(fs, pt)) == want
+        poles += isinstance(want, str)
+    assert poles == 2
