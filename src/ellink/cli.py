@@ -16,7 +16,7 @@ from fractions import Fraction
 from random import Random
 
 from .efun import RESAMPLE_CAP, EFun, ell_class, evaluate, random_point
-from .identities import SUITE_ORDER, SUITES, run_all, run_suite
+from .identities import SUITES, run_all, run_suite
 from .linkpattern import (
     PatternError,
     all_minimal_presentations,
@@ -114,7 +114,7 @@ def cmd_verify(suite: str, config: RunConfig) -> tuple[list[dict], bool]:
         reports = run_suite(suite, config.samples, config.tol, config.params, config.seed)
     else:
         raise UsageError(
-            f"unknown suite {suite!r}; known: {', '.join(SUITE_ORDER)}, all"
+            f"unknown suite {suite!r}; known: {', '.join(SUITES)}, all"
         )
     return [r.to_json() for r in reports], all(r.passed for r in reports)
 
@@ -208,7 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tau-im", type=float, default=1.0, metavar="T",
                         help="imaginary part of tau (default 1.0)")
         sp.add_argument("--q-terms", type=int, default=40, metavar="N",
-                        help="q-product truncation order (default 40)")
+                        help="maximum q-product factors per theta value; fewer are "
+                             "used once the rest lie within 2^-64 of 1 (default 40)")
         sp.add_argument("--tol", type=float, default=1e-8,
                         help="residual tolerance (default 1e-8)")
         sp.add_argument("--samples", type=int, default=64,
@@ -223,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
 
     sp = sub.add_parser("verify", help="run identity suites")
-    sp.add_argument("suite", help=f"one of {', '.join(SUITE_ORDER)}, or all")
+    sp.add_argument("suite", help=f"one of {', '.join(SUITES)}, or all")
     add_common(sp)
 
     sp = sub.add_parser("orbits", help="BFS lattice dump (m <= 6)")
@@ -301,6 +302,11 @@ def main(argv=None) -> int:
             {"error": {"kind": type(exc).__name__, "message": str(exc)}},
             out_path,
         )
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # The work outgrew the interpreter; by now its frames are unwound.
+        message = str(exc) or "out of memory"
+        _emit({"error": {"kind": type(exc).__name__, "message": message}}, out_path)
         return 2
 
 

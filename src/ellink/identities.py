@@ -440,8 +440,8 @@ def run_suite(
 
 def run_all(samples=100, tol=1e-8, params=ModularParams(), seed=0) -> list[IdentityReport]:
     out = []
-    for name in SUITE_ORDER:
-        out.extend(SUITES[name](samples, tol, params, seed))
+    for suite in SUITES.values():
+        out.extend(suite(samples, tol, params, seed))
     return out
 
 
@@ -490,6 +490,7 @@ def _suite_vanishing(samples, tol, params, seed):
     return [check_vanishing(max(10, samples // 5), min(tol, 1e-10), params, seed)]
 
 
+# Insertion order is the order in which run_all (``verify all``) runs them.
 SUITES = {
     "theta": _suite_theta,
     "fourterm": _suite_fourterm,
@@ -500,14 +501,3 @@ SUITES = {
     "independence": _suite_independence,
     "vanishing": _suite_vanishing,
 }
-
-SUITE_ORDER = [
-    "theta",
-    "fourterm",
-    "braid",
-    "operators",
-    "monstrous",
-    "flip",
-    "independence",
-    "vanishing",
-]

@@ -259,32 +259,25 @@ class QForm:
 
     def x_permute(self, w: Sequence[int]) -> "QForm":
         """Row/column relabelling induced by x_i := x_{w(i)}."""
-        n = self.space.n_symbols
-        m = self.space.m
-        perm = list(range(n))
-        for i in range(m):
+        perm = list(range(self.space.n_symbols))
+        for i in range(self.space.m):
             perm[i] = w[i] - 1
-        new = [[ZERO] * n for _ in range(n)]
-        for a in range(n):
-            ra = self.rows[a]
-            pa = perm[a]
-            row = new[pa]
-            for b in range(n):
-                if ra[b] != 0:
-                    row[perm[b]] += ra[b]
-        return QForm(self.space, tuple(tuple(r) for r in new))
+        return self._relabel(perm)
 
     def mu_permute(self, sigma: Sequence[int]) -> "QForm":
         """Row/column relabelling induced by mu_j := mu_{sigma(j)}."""
-        n = self.space.n_symbols
-        perm = list(range(n))
+        perm = list(range(self.space.n_symbols))
         for j in range(1, self.space.r + 1):
             perm[self.space.mu_index(j)] = self.space.mu_index(sigma[j - 1])
+        return self._relabel(perm)
+
+    def _relabel(self, perm: list[int]) -> "QForm":
+        """Move entry (a, b) to (perm[a], perm[b]), adding entries that meet."""
+        n = self.space.n_symbols
         new = [[ZERO] * n for _ in range(n)]
         for a in range(n):
             ra = self.rows[a]
-            pa = perm[a]
-            row = new[pa]
+            row = new[perm[a]]
             for b in range(n):
                 if ra[b] != 0:
                     row[perm[b]] += ra[b]

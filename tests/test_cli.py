@@ -125,6 +125,26 @@ def test_out_file(tmp_path):
     assert doc[0]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["RecursionError", "MemoryError"],
+)
+def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, message):
+    def exhausted(pattern_text, config):
+        raise exc
+
+    monkeypatch.setattr("ellink.cli.cmd_compute", exhausted)
+    assert main(["compute", "4,2:3>1,4>2"]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)
+    assert err == {"error": {"kind": type(exc).__name__, "message": message}}
+    assert "Traceback" not in captured.err
+
+
 def test_config_validation():
     assert main(["verify", "fourterm", "--tau-im", "0.1"]) == 2
     assert main(["verify", "fourterm", "--samples", "0"]) == 2

@@ -132,3 +132,69 @@ def test_params_validation():
     # truncation guard: |q|^n_terms must be negligible
     with pytest.raises(ValueError):
         ModularParams(tau=0.05j, n_terms=40)
+
+
+def _theta_fixed_length(x, p):
+    """Reference: the q-product over all n_terms factors, with no cutoff."""
+    z = cmath.exp(2j * math.pi * x)
+    zinv = 1.0 / z
+    prod = 1.0 + 0j
+    qn = 1.0 + 0j
+    for _ in range(p.n_terms):
+        qn *= p.q
+        prod *= (1.0 - qn) * (1.0 - qn * z) * (1.0 - qn * zinv)
+    return 2.0 * p.q_eighth * cmath.sin(math.pi * x) * prod
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ModularParams(tau=0.5j),
+        ModularParams(tau=1j),
+        ModularParams(tau=2j),
+        ModularParams(tau=1j, n_terms=6),
+    ],
+    ids=["tau0.5i", "tau1i", "tau2i", "tau1i_n6"],
+)
+def test_cut_product_equals_fixed_length_product(p):
+    """On the sampling boxes the adaptive cut drops only factors that do not
+    change the value, and it never goes past n_terms (n_terms=6 at tau = i
+    stops before the cutoff would)."""
+    rng = Random(18)
+    for _ in range(4000):
+        x = complex(rng.uniform(-0.8, 0.8), rng.uniform(-1.9, 1.9))
+        assert theta(x, p) == _theta_fixed_length(x, p)
+    for im in (-1.9, -1.0, -0.4, 0.4, 1.0, 1.9):
+        x = complex(rng.uniform(-0.8, 0.8), im)
+        assert theta(x, p) == _theta_fixed_length(x, p)
+
+
+@pytest.mark.parametrize("tau", [0.5j, 1j, 2j])
+def test_cut_product_on_the_real_axis(tau):
+    """Real x with imaginary tau is a case where the cut shows: theta
+    is real there, its imaginary part is rounding noise (about 1e-28), and
+    the dropped factors move that noise.  The real part stays identical,
+    and the change stays below 2^-64 |theta|."""
+    p = ModularParams(tau=tau)
+    rng = Random(20)
+    for _ in range(2000):
+        x = rng.uniform(-0.8, 0.8)
+        got, ref = theta(x, p), _theta_fixed_length(x, p)
+        assert got.real == ref.real
+        assert abs(got - ref) <= 2.0**-64 * abs(ref)
+
+
+@pytest.mark.parametrize("tau", [0.5j, 1j, 2j])
+def test_theta_matches_mpmath_jtheta(tau):
+    """theta(x) = jtheta(1, pi x, e^{i pi tau}) to a few ulps on the box."""
+    mpmath = pytest.importorskip("mpmath")
+    p = ModularParams(tau=tau)
+    rng = Random(19)
+    with mpmath.workdps(40):
+        nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+        for _ in range(150):
+            x = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
+            ref = mpmath.jtheta(1, mpmath.pi * mpmath.mpc(x.real, x.imag), nome)
+            got = theta(x, p)
+            err = abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)
+            assert err < 4e-15, (x, float(err))
