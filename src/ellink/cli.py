@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .efun import RESAMPLE_CAP, EFun, ell_class, evaluate, random_point
+from .efun import EFun, ell_class, evaluate, random_point, sample
 from .identities import SUITES, run_all, run_suite
 from .linkpattern import (
     PatternError,
@@ -34,7 +34,7 @@ from .schubert import (
     restrict_weight,
     weight_function,
 )
-from .theta import ModularParams, PoleProximity
+from .theta import ModularParams
 from .typecalc import VarSpace
 
 
@@ -72,22 +72,15 @@ def _point_json(space: VarSpace, values) -> dict:
 
 
 def _sample_values(f: EFun, config: RunConfig) -> list[dict]:
-    rng = Random(config.seed)
-    out = []
-    for _ in range(config.samples):
-        for _ in range(RESAMPLE_CAP + 1):
-            pt = random_point(f.space, rng, config.params)
-            try:
-                val = evaluate(f, pt)
-            except PoleProximity:
-                continue
-            out.append(
-                {"point": _point_json(f.space, pt.values), "value": _cx(val)}
-            )
-            break
-        else:
-            raise PoleProximity("no pole-free sample point found")
-    return out
+    params = config.params
+
+    def trial(rng: Random) -> dict:
+        pt = random_point(f.space, rng, params)
+        val = evaluate(f, pt)
+        return {"point": _point_json(f.space, pt.values), "value": _cx(val)}
+
+    values, _ = sample(trial, config.samples, Random(config.seed))
+    return values
 
 
 def cmd_compute(pattern_text: str, config: RunConfig) -> dict:

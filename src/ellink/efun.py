@@ -25,6 +25,7 @@ composites cost one pass over their distinct operations per point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter
 from random import Random
 from typing import Callable, Sequence
@@ -400,13 +401,14 @@ class PointAssignment:
     params: ModularParams
 
 
+def draw(rng: Random) -> complex:
+    """One uniform complex draw in the [-0.4, 0.4]² sampling box."""
+    return complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+
+
 def random_point(space: VarSpace, rng: Random, params: ModularParams) -> PointAssignment:
-    """Uniform complex draws in the [-0.4, 0.4] box per symbol."""
-    vals = tuple(
-        complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        for _ in range(space.n_symbols)
-    )
-    return PointAssignment(vals, params)
+    """One draw per symbol."""
+    return PointAssignment(tuple(draw(rng) for _ in range(space.n_symbols)), params)
 
 
 # Opcodes of the evaluation tape.  Every op is a triple (code, a, b); the
@@ -602,7 +604,7 @@ def _compiled(f: EFun) -> _Tape:
 
 
 def evaluate(f: EFun, pt: PointAssignment) -> complex:
-    """Evaluate the expression at a point; PoleProximity asks for a resample."""
+    """Evaluate the expression at a point; PoleProximity asks ``sample`` to draw again."""
     return _compiled(f).run(pt, {})
 
 
@@ -612,7 +614,36 @@ def evaluate_many(fs: Sequence[EFun], pt: PointAssignment) -> list[complex]:
     return [_compiled(f).run(pt, theta_cache) for f in fs]
 
 
+# --------------------------------------------------------------------------
+# sampling: every sampled check and CLI command draws its points through here
+
 RESAMPLE_CAP = 100
+RESIDUAL_FLOOR = 1e-30
+
+def sample(trial: Callable[[Random], object], samples: int, rng: Random) -> tuple[list, int]:
+    """Run ``trial(rng)`` once per sample and collect the results in order.
+
+    A trial that raises PoleProximity has landed on a theta zero; it is run
+    again with fresh draws, at most RESAMPLE_CAP times per sample.  Returns
+    (results, number of redraws)."""
+    tries = RESAMPLE_CAP + 1
+    results = []
+    redraws = 0
+    for _ in range(samples):
+        for _ in range(tries):
+            try:
+                results.append(trial(rng))
+                break
+            except PoleProximity:
+                redraws += 1
+        else:
+            raise PoleProximity(f"no pole-free point found in {tries} draws")
+    return results, redraws
+
+
+def relative_residual(lhs: complex, rhs: complex) -> float:
+    """|lhs - rhs| / max(|lhs|, |rhs|, RESIDUAL_FLOOR)."""
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
 
 
 def sample_agreement(
@@ -620,31 +651,18 @@ def sample_agreement(
     params: ModularParams,
     rng: Random,
     samples: int = 32,
-    floor: float = 1e-30,
 ) -> tuple[float, int]:
-    """Max pairwise relative deviation of the expressions over shared points.
-
-    Resamples the whole point on PoleProximity, up to RESAMPLE_CAP times per
-    point; returns (max residual, number of resamples)."""
+    """Max pairwise relative residual of the expressions over shared points;
+    returns (max residual, number of redraws)."""
     space = fs[0].space
+    points, redraws = sample(
+        lambda r: evaluate_many(fs, random_point(space, r, params)), samples, rng
+    )
     worst = 0.0
-    resamples = 0
-    for _ in range(samples):
-        for _ in range(RESAMPLE_CAP + 1):
-            pt = random_point(space, rng, params)
-            try:
-                vals = evaluate_many(fs, pt)
-            except PoleProximity:
-                resamples += 1
-                continue
-            break
-        else:
-            raise PoleProximity(f"no pole-free point found in {RESAMPLE_CAP} draws")
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                scale = max(abs(vals[i]), abs(vals[j]), floor)
-                worst = max(worst, abs(vals[i] - vals[j]) / scale)
-    return worst, resamples
+    for vals in points:
+        for a, b in combinations(vals, 2):
+            worst = max(worst, relative_residual(a, b))
+    return worst, redraws
 
 
 # --------------------------------------------------------------------------

@@ -1,31 +1,36 @@
 """Numerical verification of the delta-function and operator identities.
 
-Every check draws its own seeded sample stream, evaluates both sides of an
-identity at random points (resampling whole points that land on poles), and
+Every check evaluates both sides of an identity at random points and
 reports the maximal relative residual |LHS - RHS| / max(|LHS|, |RHS|, 1e-30)
-against a tolerance.  Checks are independent and deterministic for a fixed
-seed.
+against a tolerance.  All of them sample through ``efun.sample``: one
+seeded stream per check, points drawn from the [-0.4, 0.4]² box by
+``efun.draw``, and a whole sample drawn again whenever it lands on a theta
+zero, up to ``RESAMPLE_CAP`` times; the report counts those redraws.
+Checks are independent and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from random import Random
 from typing import Callable
 
 from .efun import (
-    RESAMPLE_CAP,
+    RESIDUAL_FLOOR,
     EFun,
     demazure,
     demazure_diamond,
+    draw,
     ell_class,
     ell_class_from_presentation,
     ell_min,
-    evaluate,
+    evaluate_many,
     mu_permuted,
     random_point,
+    relative_residual,
+    sample,
     sample_agreement,
 )
 from .linkpattern import (
@@ -36,10 +41,8 @@ from .linkpattern import (
     orbit_lattice,
     transposition,
 )
-from .theta import ModularParams, PoleProximity, delta, theta
+from .theta import ModularParams, delta, theta
 from .typecalc import VarSpace
-
-RESIDUAL_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -63,41 +66,15 @@ class IdentityReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "max_relative_residual": self.max_relative_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "resamples": self.resamples,
-        }
+        return asdict(self)
 
 
-def _rel(lhs: complex, rhs: complex) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
-
-
-def _draw(rng: Random) -> complex:
-    return complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-
-
-def _max_residual_over_samples(
-    fn: Callable[[Random], float], samples: int, seed: int
-) -> tuple[float, int]:
-    """Run fn per sample, resampling on PoleProximity, and track the worst."""
-    rng = Random(seed)
-    worst = 0.0
-    resamples = 0
-    for _ in range(samples):
-        for _ in range(RESAMPLE_CAP + 1):
-            try:
-                worst = max(worst, fn(rng))
-                break
-            except PoleProximity:
-                resamples += 1
-        else:
-            raise PoleProximity(f"no pole-free sample found in {RESAMPLE_CAP} draws")
-    return worst, resamples
+def _sampled_report(
+    name: str, trial: Callable[[Random], float], samples: int, tol: float, seed: int
+) -> IdentityReport:
+    """Sample the residual trial from Random(seed) and report the worst one."""
+    residuals, redraws = sample(trial, samples, Random(seed))
+    return IdentityReport.make(name, samples, max([0.0, *residuals]), tol, redraws)
 
 
 # --------------------------------------------------------------------------
@@ -113,7 +90,7 @@ def check_fourterm(
     """The four-term delta identity underlying the braid relation."""
 
     def one(rng: Random) -> float:
-        x1, x2, x3, m1, m2, m3, h = (_draw(rng) for _ in range(7))
+        x1, x2, x3, m1, m2, m3, h = (draw(rng) for _ in range(7))
         d = lambda a, b: delta(a, b, params)
         lhs = d(x1 - x2, h) * d(x2 - x1, h) * d(x3 - x1, m3 - m1) + d(
             x2 - x1, m2 - m1
@@ -121,10 +98,9 @@ def check_fourterm(
         rhs = d(x2 - x3, h) * d(x3 - x2, h) * d(x3 - x1, m3 - m1) + d(
             x2 - x1, m3 - m1
         ) * d(x3 - x2, m2 - m1) * d(x3 - x2, m3 - m2)
-        return _rel(lhs, rhs)
+        return relative_residual(lhs, rhs)
 
-    worst, resamples = _max_residual_over_samples(one, samples, seed)
-    return IdentityReport.make("fourterm", samples, worst, tol, resamples)
+    return _sampled_report("fourterm", one, samples, tol, seed)
 
 
 def check_braid_coefficients(
@@ -137,7 +113,7 @@ def check_braid_coefficients(
     plus the antisymmetry-driven coefficient of the quadratic proof."""
 
     def one(rng: Random) -> float:
-        x1, x2, x3, m1, m2, m3, h, mu = (_draw(rng) for _ in range(8))
+        x1, x2, x3, m1, m2, m3, h, mu = (draw(rng) for _ in range(8))
         d = lambda a, b: delta(a, b, params)
         # coefficient of f(x1, x3, x2)
         a = d(x2 - x1, m3 - m2) * d(x3 - x1, m2 - m1)
@@ -155,8 +131,7 @@ def check_braid_coefficients(
         r3 = abs(a1 + a2) / max(abs(a1), abs(a2), RESIDUAL_FLOOR)
         return max(r1, r2, r3)
 
-    worst, resamples = _max_residual_over_samples(one, samples, seed)
-    return IdentityReport.make("braid_coefficients", samples, worst, tol, resamples)
+    return _sampled_report("braid_coefficients", one, samples, tol, seed)
 
 
 def monstrous_sides(
@@ -188,12 +163,11 @@ def check_monstrous(
     """The denominator-cleared form of the basic flip identity."""
 
     def one(rng: Random) -> float:
-        args = [_draw(rng) for _ in range(7)]
+        args = [draw(rng) for _ in range(7)]
         lhs, rhs = monstrous_sides(*args, params)
-        return _rel(lhs, rhs)
+        return relative_residual(lhs, rhs)
 
-    worst, resamples = _max_residual_over_samples(one, samples, seed)
-    return IdentityReport.make("monstrous", samples, worst, tol, resamples)
+    return _sampled_report("monstrous", one, samples, tol, seed)
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +197,7 @@ def check_braid_operator(
     three-variable test function, with random characters."""
 
     def one(rng: Random) -> float:
-        mu, nu, h, c1, c2, c3 = (_draw(rng) for _ in range(6))
+        mu, nu, h, c1, c2, c3 = (draw(rng) for _ in range(6))
 
         def f(xs):
             return (
@@ -235,11 +209,10 @@ def check_braid_operator(
         op = lambda i, m, g: _num_demazure(i, m, h, params, g)
         lhs = op(1, nu, op(2, mu + nu, op(1, mu, f)))
         rhs = op(2, mu, op(1, mu + nu, op(2, nu, f)))
-        xs = (_draw(rng), _draw(rng), _draw(rng))
-        return _rel(lhs(xs), rhs(xs))
+        xs = (draw(rng), draw(rng), draw(rng))
+        return relative_residual(lhs(xs), rhs(xs))
 
-    worst, resamples = _max_residual_over_samples(one, samples, seed)
-    return IdentityReport.make("braid_operator", samples, worst, tol, resamples)
+    return _sampled_report("braid_operator", one, samples, tol, seed)
 
 
 def check_quadratic_operator(
@@ -251,7 +224,7 @@ def check_quadratic_operator(
     """c_i^mu c_i^{1/mu} = delta(h, mu) delta(h, 1/mu) id, m = 2."""
 
     def one(rng: Random) -> float:
-        mu, h, c1, c2 = (_draw(rng) for _ in range(4))
+        mu, h, c1, c2 = (draw(rng) for _ in range(4))
 
         def f(xs):
             return delta(xs[0] - xs[1], c1, params) * theta(
@@ -260,12 +233,11 @@ def check_quadratic_operator(
 
         op = lambda m, g: _num_demazure(1, m, h, params, g)
         lhs = op(mu, op(-mu, f))
-        xs = (_draw(rng), _draw(rng))
+        xs = (draw(rng), draw(rng))
         rv = delta(h, mu, params) * delta(h, -mu, params) * f(xs)
-        return _rel(lhs(xs), rv)
+        return relative_residual(lhs(xs), rv)
 
-    worst, resamples = _max_residual_over_samples(one, samples, seed)
-    return IdentityReport.make("quadratic_operator", samples, worst, tol, resamples)
+    return _sampled_report("quadratic_operator", one, samples, tol, seed)
 
 
 # --------------------------------------------------------------------------
@@ -368,20 +340,19 @@ def check_theta_laws(
     qhalf = cmath.exp(1j * math.pi * params.tau)
 
     def one(rng: Random) -> float:
-        x = _draw(rng)
-        a, b = _draw(rng), _draw(rng)
+        x = draw(rng)
+        a, b = draw(rng), draw(rng)
         tx = theta(x, params)
-        r1 = _rel(theta(x + 1, params), -tx)
-        r2 = _rel(
+        r1 = relative_residual(theta(x + 1, params), -tx)
+        r2 = relative_residual(
             theta(x + params.tau, params),
             -cmath.exp(-2j * math.pi * x) / qhalf * tx,
         )
-        r3 = _rel(delta(a, b, params), delta(b, a, params))
-        r4 = _rel(delta(-a, -b, params), -delta(a, b, params))
+        r3 = relative_residual(delta(a, b, params), delta(b, a, params))
+        r4 = relative_residual(delta(-a, -b, params), -delta(a, b, params))
         return max(r1, r2, r3, r4)
 
-    worst, resamples = _max_residual_over_samples(one, samples, seed)
-    return IdentityReport.make("theta_laws", samples, worst, tol, resamples)
+    return _sampled_report("theta_laws", one, samples, tol, seed)
 
 
 def check_vanishing(
@@ -400,24 +371,17 @@ def check_vanishing(
 
     rng = Random(seed)
     worst = 0.0
-    resamples = 0
+    redraws = 0
     for zero in (zero1, zero2):
         # scale the residual by the first summand of the cancelling pair
-        term = EFun(zero.node.children[0], zero.qtype)
-        for _ in range(samples):
-            for _ in range(RESAMPLE_CAP + 1):
-                pt = random_point(space, rng, params)
-                try:
-                    tv = evaluate(term, pt)
-                    zv = evaluate(zero, pt)
-                except PoleProximity:
-                    resamples += 1
-                    continue
-                worst = max(worst, abs(zv) / max(abs(tv), RESIDUAL_FLOOR))
-                break
-            else:
-                raise PoleProximity("no pole-free point found")
-    return IdentityReport.make("vanishing", 2 * samples, worst, tol, resamples)
+        pair = [EFun(zero.node.children[0], zero.qtype), zero]
+        values, n = sample(
+            lambda r: evaluate_many(pair, random_point(space, r, params)), samples, rng
+        )
+        redraws += n
+        for tv, zv in values:
+            worst = max(worst, abs(zv) / max(abs(tv), RESIDUAL_FLOOR))
+    return IdentityReport.make("vanishing", 2 * samples, worst, tol, redraws)
 
 
 # --------------------------------------------------------------------------

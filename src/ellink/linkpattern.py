@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .typecalc import LinearForm, VarSpace
+from .typecalc import LinearForm, VarSpace, transposition
 
 
 class PatternError(ValueError):
@@ -68,14 +68,6 @@ class PatternSyntaxError(PatternError):
 
 def identity_perm(m: int) -> tuple[int, ...]:
     return tuple(range(1, m + 1))
-
-
-def transposition(m: int, i: int) -> tuple[int, ...]:
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"s_{i} outside 1..{m - 1}")
-    w = list(range(1, m + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
 
 
 def compose(w: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:

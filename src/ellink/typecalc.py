@@ -253,10 +253,6 @@ class QForm:
             self.rows[a][b] == self.rows[b][a] for a in range(n) for b in range(a)
         )
 
-    def x_swap(self, i: int) -> "QForm":
-        """Exchange the x_i and x_{i+1} rows and columns (1-based i)."""
-        return self.x_permute(_transposition(self.space.m, i))
-
     def x_permute(self, w: Sequence[int]) -> "QForm":
         """Row/column relabelling induced by x_i := x_{w(i)}."""
         perm = list(range(self.space.n_symbols))
@@ -353,7 +349,8 @@ class TypeDecomposition:
         return total
 
 
-def _transposition(m: int, i: int) -> tuple[int, ...]:
+def transposition(m: int, i: int) -> tuple[int, ...]:
+    """The simple transposition s_i of 1..m in one-line notation."""
     if not 1 <= i <= m - 1:
         raise ValueError(f"s_{i} outside 1..{m - 1}")
     w = list(range(1, m + 1))
@@ -388,7 +385,7 @@ def qf_of_delta(a: LinearForm, b: LinearForm) -> QForm:
 
 def s_action(i: int, q: QForm) -> QForm:
     """The simple transposition s_i acting on the x-block of q."""
-    return q.x_swap(i)
+    return q.x_permute(transposition(q.space.m, i))
 
 
 def divided_difference(i: int, q: QForm) -> LinearForm:

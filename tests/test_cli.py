@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ellink.cli import main
+from ellink.theta import PoleProximity
 
 
 def run_cli(*args):
@@ -149,3 +150,24 @@ def test_config_validation():
     assert main(["verify", "fourterm", "--tau-im", "0.1"]) == 2
     assert main(["verify", "fourterm", "--samples", "0"]) == 2
     assert main(["verify", "fourterm", "--tol", "-1"]) == 2
+
+
+def test_exhausted_redraws_are_a_structured_error(monkeypatch, capsys):
+    """A class that sits on a pole at every point: compute gives up on its
+    first sample after RESAMPLE_CAP + 1 = 101 trials."""
+    trials = []
+
+    def on_a_pole(f, pt):
+        trials.append(pt)
+        raise PoleProximity("delta leaf too close to a theta zero")
+
+    monkeypatch.setattr("ellink.cli.evaluate", on_a_pole)
+    assert main(["compute", "4,2:3>1,4>2", "--samples", "2"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err == {
+        "error": {
+            "kind": "PoleProximity",
+            "message": "no pole-free point found in 101 draws",
+        }
+    }
+    assert len(trials) == 101

@@ -34,6 +34,7 @@ from ellink.efun import (
     inv_theta_leaf,
     mu_permuted,
     random_point,
+    sample,
     sample_agreement,
     theta_leaf,
     x_permuted,
@@ -452,3 +453,23 @@ def test_tape_matches_recursive_reference_many(k):
         assert _outcome(lambda: evaluate_many(fs, pt)) == want
         poles += isinstance(want, str)
     assert poles == 2
+
+
+def test_sample_redraws_only_the_trials_on_a_pole():
+    """A trial that raises PoleProximity is run again on the same stream;
+    results keep sample order, and the redraws are counted."""
+    poles = {1, 2, 5}
+    calls = []
+
+    def trial(rng):
+        calls.append(rng.random())
+        if len(calls) in poles:
+            raise PoleProximity("on a pole")
+        return len(calls)
+
+    rng = Random(11)
+    results, redraws = sample(trial, 3, rng)
+    assert results == [3, 4, 6] and redraws == 3
+    expected = Random(11)
+    assert calls == [expected.random() for _ in range(6)]
+

@@ -22,8 +22,8 @@ from ellink.identities import (
     run_all,
     run_suite,
 )
-from ellink.efun import PointAssignment, evaluate_many
-from ellink.theta import ModularParams, delta
+from ellink.efun import RESAMPLE_CAP, PointAssignment, evaluate_many, sample_agreement
+from ellink.theta import ModularParams, PoleProximity, delta
 
 P = ModularParams()
 
@@ -236,9 +236,10 @@ def test_report_invariant():
     assert r.passed
     r2 = IdentityReport.make("x", 10, 1e-7, 1e-8)
     assert not r2.passed
-    assert set(r.to_json()) == {
+    # verify prints the reports in this key order
+    assert list(r.to_json()) == [
         "name", "samples", "max_relative_residual", "tolerance", "passed", "resamples",
-    }
+    ]
 
 
 def test_suite_registry():
@@ -251,3 +252,54 @@ def test_suite_registry():
 def test_run_all_passes_quickly():
     reports = run_all(32, 1e-8, P, seed=0)
     assert reports and all(r.passed for r in reports)
+
+
+# Every suite at pole guard 0.05, 40 samples, seed 3: (name, samples, max
+# relative residual, redraws) per report, recorded before the suites' own
+# redraw loops became efun.sample.  At the default guard no suite redraws,
+# so these pin the redraw path: which draws are thrown away, and that the
+# residual folds over the kept samples in order.
+GUARDED = ModularParams(pole_guard=0.05)
+GUARDED_REPORTS = {
+    "theta": [("theta_laws", 40, 2.128380797525865e-15, 1)],
+    "fourterm": [("fourterm", 40, 4.7551031956515405e-15, 2)],
+    "braid": [("braid_coefficients", 40, 1.9518427806809673e-15, 3)],
+    "operators": [
+        ("braid_operator", 40, 5.57519869764428e-15, 2),
+        ("quadratic_operator", 40, 1.7848111826489003e-14, 1),
+    ],
+    "monstrous": [("monstrous", 40, 8.212391384671215e-15, 0)],
+    "flip": [
+        ("flip_4_2_1", 20, 8.796646415546023e-14, 3),
+        ("flip_6_3_1", 20, 5.3327394828206945e-15, 3),
+        ("flip_6_3_2", 20, 3.7650383763106494e-15, 1),
+    ],
+    "independence": [
+        ("word_independence_2_1", 0, 0.0, 0),
+        ("word_independence_3_1", 20, 9.654152661174517e-14, 1),
+        ("word_independence_4_2", 160, 8.796646415546023e-14, 40),
+    ],
+    "vanishing": [("vanishing", 20, 1.0598280823385295e-14, 9)],
+}
+
+
+@pytest.mark.parametrize("suite", list(GUARDED_REPORTS))
+def test_redraws_are_pinned(suite):
+    reports = run_suite(suite, 40, 1e-8, GUARDED, 3)
+    got = [(r.name, r.samples, r.max_relative_residual, r.resamples) for r in reports]
+    assert got == GUARDED_REPORTS[suite]
+    assert all(r.passed for r in reports)
+
+
+def test_sample_agreement_redraws_are_pinned():
+    worst, redraws = sample_agreement(list(flip_sides(6, 3, 1)), GUARDED, Random(5), 20)
+    assert (worst, redraws) == (1.7636480905350162e-14, 4)
+
+
+def test_exhausted_redraws_name_the_draw_count():
+    """Every sample may take RESAMPLE_CAP + 1 draws; at pole guard 0.2 the
+    vanishing classes find no pole-free point in that many."""
+    with pytest.raises(PoleProximity) as info:
+        check_vanishing(8, 1e-10, ModularParams(pole_guard=0.2), 3)
+    assert str(info.value) == f"no pole-free point found in {RESAMPLE_CAP + 1} draws"
+
