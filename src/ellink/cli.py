@@ -16,7 +16,7 @@ from fractions import Fraction
 from random import Random
 
 from .efun import EFun, ell_class, evaluate, random_point, sample
-from .identities import SUITES, run_all, run_suite
+from .identities import SUITES, UnknownSuite, run_all, run_suite
 from .linkpattern import (
     PatternError,
     all_minimal_presentations,
@@ -103,12 +103,11 @@ def cmd_compute(pattern_text: str, config: RunConfig) -> dict:
 def cmd_verify(suite: str, config: RunConfig) -> tuple[list[dict], bool]:
     if suite == "all":
         reports = run_all(config.samples, config.tol, config.params, config.seed)
-    elif suite in SUITES:
-        reports = run_suite(suite, config.samples, config.tol, config.params, config.seed)
     else:
-        raise UsageError(
-            f"unknown suite {suite!r}; known: {', '.join(SUITES)}, all"
-        )
+        try:
+            reports = run_suite(suite, config.samples, config.tol, config.params, config.seed)
+        except UnknownSuite as exc:
+            raise UsageError(exc.args[0]) from None
     return [r.to_json() for r in reports], all(r.passed for r in reports)
 
 

@@ -12,6 +12,12 @@ derivative at 1 is 1, so a delta leaf is literally
 theta(a+b)/(theta(a) theta(b)) of its theta-leaf expansion and the two
 representations can be exchanged without any constant bookkeeping.
 
+Every rewrite of an expression (the label twist, symbol substitution,
+materialising the permutations, delta expansion, distribution, theta-pair
+cancellation, the reciprocal) and the JSON writer is one walk, ``_fold``,
+given a function for the leaves and one that joins folded children.  It
+does not memoise, so a shared node is rebuilt once per path that reaches it.
+
 Permutation nodes accumulate lazily.  The first evaluation of an EFun
 compiles it into a tape: one walk threads the composed permutation down to
 the leaves, visits each (node, permutation) pair once, and records a
@@ -182,22 +188,52 @@ def x_permuted(w: Sequence[int], f: EFun) -> EFun:
     return EFun(node, f.qtype.x_permute(w))
 
 
-def _map_forms(node, fn: Callable[[LinearForm], LinearForm]):
-    if isinstance(node, DeltaLeaf):
-        return DeltaLeaf(fn(node.a), fn(node.b))
-    if isinstance(node, ThetaLeaf):
-        return ThetaLeaf(fn(node.a))
-    if isinstance(node, InvThetaLeaf):
-        return InvThetaLeaf(fn(node.a))
-    if isinstance(node, Scale):
-        return Scale(node.factor, _map_forms(node.child, fn))
-    if isinstance(node, Product):
-        return Product(tuple(_map_forms(c, fn) for c in node.children))
-    if isinstance(node, Sum):
-        return Sum(tuple(_map_forms(c, fn) for c in node.children))
-    if isinstance(node, XPermuted):
-        return XPermuted(node.w, _map_forms(node.child, fn))
+def _fold(node, leaf, join, w=None):
+    """The one walk over an expression: rebuild it bottom-up.
+
+    ``leaf(n, w)`` maps each leaf and ``join(n, kids)`` builds every other
+    node from the tuple of its folded children.  With a permutation ``w``
+    the XPermuted nodes are absorbed: ``w`` is composed with each one on
+    the way down and the leaves receive the composite.  Nothing is
+    memoised: a node reached along several paths is folded once per path.
+    """
+    kind = type(node)
+    if kind is DeltaLeaf or kind is ThetaLeaf or kind is InvThetaLeaf:
+        return leaf(node, w)
+    if kind is Product or kind is Sum:
+        return join(node, tuple([_fold(c, leaf, join, w) for c in node.children]))
+    if kind is XPermuted and w is not None:
+        return _fold(node.child, leaf, join, compose(w, node.w))
+    if kind is Scale or kind is XPermuted:
+        return join(node, (_fold(node.child, leaf, join, w),))
     raise TypeError(f"unknown node {node!r}")
+
+
+def _rebuild(node, kids):
+    """The join that gives a node of the same kind over the new children."""
+    kind = type(node)
+    if kind is Scale:
+        return Scale(node.factor, kids[0])
+    if kind is XPermuted:
+        return XPermuted(node.w, kids[0])
+    return kind(kids)
+
+
+def _map_leaf(node, fn: Callable[[LinearForm], LinearForm]):
+    """The leaf with ``fn`` applied to each of its arguments."""
+    if type(node) is DeltaLeaf:
+        return DeltaLeaf(fn(node.a), fn(node.b))
+    return type(node)(fn(node.a))
+
+
+def _permuting_leaf(ident: tuple[int, ...]):
+    """The leaf function of a walk that absorbs XPermuted nodes: it applies
+    the composite permutation to the leaf's arguments."""
+    return lambda n, w: n if w == ident else _map_leaf(n, lambda lf: lf.x_permute(w))
+
+
+def _map_forms(node, fn: Callable[[LinearForm], LinearForm]):
+    return _fold(node, lambda n, w: _map_leaf(n, fn), _rebuild)
 
 
 def mu_permuted(sigma: Sequence[int], f: EFun) -> EFun:
@@ -219,23 +255,7 @@ def mu_permuted(sigma: Sequence[int], f: EFun) -> EFun:
 def push_permutations(f: EFun) -> EFun:
     """Materialise every XPermuted twist into the leaf arguments."""
     ident = identity_perm(f.space.m)
-
-    def rec(node, w):
-        if isinstance(node, XPermuted):
-            return rec(node.child, compose(w, node.w))
-        if isinstance(node, (DeltaLeaf, ThetaLeaf, InvThetaLeaf)):
-            if w == ident:
-                return node
-            return _map_forms(node, lambda lf: lf.x_permute(w))
-        if isinstance(node, Scale):
-            return Scale(node.factor, rec(node.child, w))
-        if isinstance(node, Product):
-            return Product(tuple(rec(c, w) for c in node.children))
-        if isinstance(node, Sum):
-            return Sum(tuple(rec(c, w) for c in node.children))
-        raise TypeError(f"unknown node {node!r}")
-
-    return EFun(rec(f.node, ident), f.qtype)
+    return EFun(_fold(f.node, _permuting_leaf(ident), _rebuild, ident), f.qtype)
 
 
 def substitute_symbols(f: EFun, mapping: dict[int, LinearForm]) -> EFun:
@@ -255,24 +275,14 @@ def substitute_symbols(f: EFun, mapping: dict[int, LinearForm]) -> EFun:
 def expand_deltas(f: EFun) -> EFun:
     """Rewrite every delta leaf as theta(a+b) / (theta(a) theta(b))."""
 
-    def rec(node):
-        if isinstance(node, DeltaLeaf):
+    def leaf(node, w):
+        if type(node) is DeltaLeaf:
             return Product(
                 (ThetaLeaf(node.a + node.b), InvThetaLeaf(node.a), InvThetaLeaf(node.b))
             )
-        if isinstance(node, (ThetaLeaf, InvThetaLeaf)):
-            return node
-        if isinstance(node, Scale):
-            return Scale(node.factor, rec(node.child))
-        if isinstance(node, Product):
-            return Product(tuple(rec(c) for c in node.children))
-        if isinstance(node, Sum):
-            return Sum(tuple(rec(c) for c in node.children))
-        if isinstance(node, XPermuted):
-            return XPermuted(node.w, rec(node.child))
-        raise TypeError(f"unknown node {node!r}")
+        return node
 
-    return EFun(rec(f.node), f.qtype)
+    return EFun(_fold(f.node, leaf, _rebuild), f.qtype)
 
 
 def distribute_products(f: EFun) -> EFun:
@@ -284,32 +294,25 @@ def distribute_products(f: EFun) -> EFun:
     the shallow composites that fixed-point restriction sees.
     """
     ident = identity_perm(f.space.m)
+    permuted = _permuting_leaf(ident)
 
-    def branches(node, w) -> list[tuple[complex, list]]:
-        if isinstance(node, XPermuted):
-            return branches(node.child, compose(w, node.w))
-        if isinstance(node, (DeltaLeaf, ThetaLeaf, InvThetaLeaf)):
-            leaf = node if w == ident else _map_forms(node, lambda lf: lf.x_permute(w))
-            return [(1.0 + 0j, [leaf])]
-        if isinstance(node, Scale):
-            return [(node.factor * c, fs) for c, fs in branches(node.child, w)]
-        if isinstance(node, Sum):
-            out = []
-            for child in node.children:
-                out.extend(branches(child, w))
-            return out
-        if isinstance(node, Product):
-            acc: list[tuple[complex, list]] = [(1.0 + 0j, [])]
-            for child in node.children:
-                expanded = branches(child, w)
-                acc = [
-                    (c1 * c2, fs1 + fs2) for c1, fs1 in acc for c2, fs2 in expanded
-                ]
-            return acc
-        raise TypeError(f"unknown node {node!r}")
+    # each node folds to its branches: (coefficient, leaves) pairs
+    def leaf(node, w) -> list[tuple[complex, list]]:
+        return [(1.0 + 0j, [permuted(node, w)])]
+
+    def join(node, kids) -> list[tuple[complex, list]]:
+        kind = type(node)
+        if kind is Scale:
+            return [(node.factor * c, fs) for c, fs in kids[0]]
+        if kind is Sum:
+            return [branch for branches in kids for branch in branches]
+        acc: list[tuple[complex, list]] = [(1.0 + 0j, [])]
+        for expanded in kids:
+            acc = [(c1 * c2, fs1 + fs2) for c1, fs1 in acc for c2, fs2 in expanded]
+        return acc
 
     terms = []
-    for c, leaves in branches(f.node, ident):
+    for c, leaves in _fold(f.node, leaf, join, ident):
         node = Product(tuple(leaves))
         terms.append(Scale(c, node) if c != 1.0 + 0j else node)
     node = terms[0] if len(terms) == 1 else Sum(tuple(terms))
@@ -320,73 +323,66 @@ def cancel_theta_pairs(f: EFun) -> EFun:
     """Cancel theta(a) against 1/theta(a) inside every product.
 
     Used after fixed-point substitutions, where matching zero factors in
-    numerator and denominator must go before numerical evaluation.
+    numerator and denominator must go before numerical evaluation.  The
+    walk is bottom-up, so a Product nested in another has been cancelled
+    before the outer one flattens it.
     """
 
-    def rec(node):
-        if isinstance(node, (DeltaLeaf, ThetaLeaf, InvThetaLeaf)):
-            return node
-        if isinstance(node, Scale):
-            return Scale(node.factor, rec(node.child))
-        if isinstance(node, Sum):
-            return Sum(tuple(rec(c) for c in node.children))
-        if isinstance(node, XPermuted):
-            return XPermuted(node.w, rec(node.child))
-        if isinstance(node, Product):
-            flat: list = []
-            scalar = 1.0 + 0j
+    def join(node, kids):
+        if type(node) is not Product:
+            return _rebuild(node, kids)
+        flat: list = []
+        scalar = 1.0 + 0j
 
-            def collect(n):
-                nonlocal scalar
-                if isinstance(n, Product):
-                    for c in n.children:
-                        collect(c)
-                elif isinstance(n, Scale):
-                    scalar *= n.factor
-                    collect(n.child)
-                else:
-                    flat.append(rec(n))
+        def collect(n):
+            nonlocal scalar
+            if isinstance(n, Product):
+                for c in n.children:
+                    collect(c)
+            elif isinstance(n, Scale):
+                scalar *= n.factor
+                collect(n.child)
+            else:
+                flat.append(n)
 
-            collect(node)
-            thetas: dict[tuple, int] = {}
-            rest = []
-            for n in flat:
-                if isinstance(n, ThetaLeaf):
-                    thetas[n.a.coeffs] = thetas.get(n.a.coeffs, 0) + 1
-                elif isinstance(n, InvThetaLeaf):
-                    thetas[n.a.coeffs] = thetas.get(n.a.coeffs, 0) - 1
-                else:
-                    rest.append(n)
-            space = f.space
-            for coeffs, mult in thetas.items():
-                lf = LinearForm(space, coeffs)
-                for _ in range(abs(mult)):
-                    rest.append(ThetaLeaf(lf) if mult > 0 else InvThetaLeaf(lf))
-            out = Product(tuple(rest))
-            return Scale(scalar, out) if scalar != 1.0 + 0j else out
+        for kid in kids:
+            collect(kid)
+        thetas: dict[tuple, int] = {}
+        rest = []
+        for n in flat:
+            if isinstance(n, ThetaLeaf):
+                thetas[n.a.coeffs] = thetas.get(n.a.coeffs, 0) + 1
+            elif isinstance(n, InvThetaLeaf):
+                thetas[n.a.coeffs] = thetas.get(n.a.coeffs, 0) - 1
+            else:
+                rest.append(n)
+        space = f.space
+        for coeffs, mult in thetas.items():
+            lf = LinearForm(space, coeffs)
+            for _ in range(abs(mult)):
+                rest.append(ThetaLeaf(lf) if mult > 0 else InvThetaLeaf(lf))
+        out = Product(tuple(rest))
+        return Scale(scalar, out) if scalar != 1.0 + 0j else out
 
-        raise TypeError(f"unknown node {node!r}")
-
-    return EFun(rec(f.node), f.qtype)
+    return EFun(_fold(f.node, lambda n, w: n, join), f.qtype)
 
 
 def efun_reciprocal(f: EFun) -> EFun:
     """1/f for pure products of theta leaves and scales."""
 
-    def rec(node):
-        if isinstance(node, ThetaLeaf):
-            return InvThetaLeaf(node.a)
-        if isinstance(node, InvThetaLeaf):
-            return ThetaLeaf(node.a)
-        if isinstance(node, Scale):
-            return Scale(1.0 / node.factor, rec(node.child))
-        if isinstance(node, Product):
-            return Product(tuple(rec(c) for c in node.children))
-        if isinstance(node, XPermuted):
-            return XPermuted(node.w, rec(node.child))
-        raise TypeError(f"cannot invert node {type(node).__name__}")
+    def leaf(node, w):
+        if type(node) is DeltaLeaf:
+            raise TypeError("cannot invert node DeltaLeaf")
+        return InvThetaLeaf(node.a) if type(node) is ThetaLeaf else ThetaLeaf(node.a)
 
-    return EFun(rec(f.node), -f.qtype)
+    def join(node, kids):
+        if type(node) is Sum:
+            raise TypeError("cannot invert node Sum")
+        if type(node) is Scale:
+            return Scale(1.0 / node.factor, kids[0])
+        return _rebuild(node, kids)
+
+    return EFun(_fold(f.node, leaf, join), -f.qtype)
 
 
 # --------------------------------------------------------------------------
@@ -754,36 +750,26 @@ def ell_class(p: LinkPattern, space: VarSpace | None = None) -> EFun:
 # JSON serialisation
 
 
-def _form_to_json(lf: LinearForm):
-    return lf.to_json()
+def _leaf_to_json(node, w):
+    if type(node) is DeltaLeaf:
+        return {"op": "delta", "a": node.a.to_json(), "b": node.b.to_json()}
+    return {"op": "theta" if type(node) is ThetaLeaf else "invtheta", "a": node.a.to_json()}
 
 
-def _node_to_json(node):
-    if isinstance(node, DeltaLeaf):
-        return {"op": "delta", "a": _form_to_json(node.a), "b": _form_to_json(node.b)}
-    if isinstance(node, ThetaLeaf):
-        return {"op": "theta", "a": _form_to_json(node.a)}
-    if isinstance(node, InvThetaLeaf):
-        return {"op": "invtheta", "a": _form_to_json(node.a)}
-    if isinstance(node, Scale):
-        return {
-            "op": "scale",
-            "factor": [f"{node.factor.real:.17g}", f"{node.factor.imag:.17g}"],
-            "child": _node_to_json(node.child),
-        }
-    if isinstance(node, Product):
-        return {"op": "product", "children": [_node_to_json(c) for c in node.children]}
-    if isinstance(node, Sum):
-        return {"op": "sum", "children": [_node_to_json(c) for c in node.children]}
-    if isinstance(node, XPermuted):
-        return {"op": "xperm", "w": list(node.w), "child": _node_to_json(node.child)}
-    raise TypeError(f"unknown node {node!r}")
+def _join_to_json(node, kids):
+    kind = type(node)
+    if kind is Scale:
+        factor = [f"{node.factor.real:.17g}", f"{node.factor.imag:.17g}"]
+        return {"op": "scale", "factor": factor, "child": kids[0]}
+    if kind is XPermuted:
+        return {"op": "xperm", "w": list(node.w), "child": kids[0]}
+    return {"op": "product" if kind is Product else "sum", "children": list(kids)}
 
 
 def efun_to_json(f: EFun) -> dict:
     return {
         "space": {"m": f.space.m, "r": f.space.r},
-        "expr": _node_to_json(f.node),
+        "expr": _fold(f.node, _leaf_to_json, _join_to_json),
     }
 
 

@@ -45,6 +45,10 @@ from .theta import ModularParams, delta, theta
 from .typecalc import VarSpace
 
 
+class UnknownSuite(KeyError):
+    """No suite of that name is registered in SUITES."""
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     name: str
@@ -396,9 +400,7 @@ def run_suite(
     seed: int = 0,
 ) -> list[IdentityReport]:
     if name not in SUITES:
-        raise KeyError(
-            f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}, all"
-        )
+        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITES)}, all")
     return SUITES[name](samples, tol, params, seed)
 
 

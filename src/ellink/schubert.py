@@ -177,6 +177,8 @@ def restrict_fixed_point(f: EFun, sigma: Sequence[int], ctx: FlagContext) -> EFu
         for j in range(1, ctx.y_count + 1)
     }
     g = substitute_symbols(expand_deltas(f), mapping)
+    # Exponential in the number of stacked Sums on purpose: every zero Euler
+    # factor has to meet the poles of each branch before cancellation.
     return cancel_theta_pairs(distribute_products(g))
 
 

@@ -8,7 +8,8 @@ and every linear/quadratic form is a dense vector/matrix of Fractions over
 it.  A quadratic form with matrix M stands for the polynomial
 sum_{a,b} M[a][b] sym_a sym_b, so the product of two linear forms A*B is
 the symmetrised matrix (A (x) B + B (x) A) / 2, and theta(A) contributes
-A*A/2.  All arithmetic is exact; nothing in this module touches floats.
+A*A/2.  All arithmetic is exact; the one float in this module is the
+read-only view ``LinearForm.float_terms`` that the evaluator compiles from.
 """
 
 from __future__ import annotations
@@ -180,12 +181,6 @@ class LinearForm:
         return tuple(
             (i, float(a)) for i, a in enumerate(self.coeffs) if a != 0
         )
-
-    def evaluate(self, values: Sequence[complex]) -> complex:
-        acc = 0j
-        for i, a in self.float_terms:
-            acc += a * values[i]
-        return acc
 
     def __str__(self) -> str:
         names = self.space.symbol_names

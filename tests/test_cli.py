@@ -59,6 +59,10 @@ def test_verify_unknown_suite():
     assert code == 2
     err = json.loads(out)
     assert err["error"]["kind"] == "usage"
+    assert err["error"]["message"] == (
+        "unknown suite 'nonsense'; known: theta, fourterm, braid, operators, "
+        "monstrous, flip, independence, vanishing, all"
+    )
 
 
 def test_orbits():

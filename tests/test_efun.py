@@ -1,5 +1,7 @@
 """Typed expression trees, Demazure operators, and elliptic classes."""
 
+import json
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -16,13 +18,16 @@ from ellink.efun import (
     Sum,
     ThetaLeaf,
     XPermuted,
+    cancel_theta_pairs,
     delta_leaf,
     demazure,
     demazure_diamond,
     demazure_reduced,
+    distribute_products,
     efun_const,
     efun_from_json,
     efun_product,
+    efun_reciprocal,
     efun_scale,
     efun_sum,
     efun_to_json,
@@ -31,11 +36,14 @@ from ellink.efun import (
     ell_min,
     evaluate,
     evaluate_many,
+    expand_deltas,
     inv_theta_leaf,
     mu_permuted,
+    push_permutations,
     random_point,
     sample,
     sample_agreement,
+    substitute_symbols,
     theta_leaf,
     x_permuted,
 )
@@ -52,6 +60,7 @@ from ellink.linkpattern import (
     parse_pattern,
     transposition,
 )
+from ellink.schubert import FlagContext, reduced_class
 from ellink.theta import ModularParams, PoleProximity, delta, theta
 from ellink.typecalc import (
     TrivialCharacter,
@@ -67,6 +76,14 @@ SP = VarSpace(8, 2)
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def form_value(lf, values) -> complex:
+    """The linear form at the additive point ``values``."""
+    acc = 0j
+    for i, c in lf.float_terms:
+        acc += c * values[i]
+    return acc
 
 
 def test_delta_leaf_is_definitional():
@@ -148,7 +165,7 @@ def test_demazure_on_symmetric_function():
         pt = random_point(sp, rng, P)
         v = pt.values
         h = v[sp.h_index]
-        muv = mu.evaluate(v)
+        muv = form_value(mu, v)
         d1 = delta(v[1] - v[0], muv, P)
         d2 = delta(v[0] - v[1], h, P)
         fv = evaluate(f, pt)
@@ -170,7 +187,7 @@ def test_demazure_quadratic_relation():
     for _ in range(50):
         pt = random_point(sp, rng, P)
         h = pt.values[sp.h_index]
-        muv = mu.evaluate(pt.values)
+        muv = form_value(mu, pt.values)
         try:
             lhs = evaluate(gg, pt)
             rhs = delta(h, muv, P) * delta(h, -muv, P) * evaluate(f, pt)
@@ -473,3 +490,172 @@ def test_sample_redraws_only_the_trials_on_a_pole():
     expected = Random(11)
     assert calls == [expected.random() for _ in range(6)]
 
+
+
+# --------------------------------------------------------------------------
+# rewrites
+
+
+SUBJECTS = ["twisted (6,3)", "reduced n=3"]
+
+
+@lru_cache(maxsize=None)
+def _subject(name: str) -> EFun:
+    """A label-twisted (6,3) class, full of XPermuted and delta leaves, and
+    the n = 3 reduced class, which adds reciprocal Euler factors."""
+    if name == "twisted (6,3)":
+        return ell_class(parse_pattern("6,3:1>5,3>4,6>2"))
+    return reduced_class(parse_pattern("6,3:4>1,5>3,6>2"), FlagContext.schubert(3))
+
+
+def _nodes(node):
+    """Every node of the unfolded tree."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(getattr(n, "children", ()))
+        if hasattr(n, "child"):
+            stack.append(n.child)
+
+
+VALUE_PRESERVING = {
+    "push_permutations": push_permutations,
+    "expand_deltas": expand_deltas,
+    "distribute_products": distribute_products,
+    "cancel_theta_pairs": cancel_theta_pairs,
+    "cancel_theta_pairs(distribute_products)": lambda f: cancel_theta_pairs(
+        distribute_products(f)
+    ),
+    "json round trip": lambda f: efun_from_json(efun_to_json(f)),
+}
+
+
+@pytest.mark.parametrize("subject", SUBJECTS)
+@pytest.mark.parametrize("rewrite", list(VALUE_PRESERVING))
+def test_rewrite_keeps_the_value(subject, rewrite):
+    f = _subject(subject)
+    g = VALUE_PRESERVING[rewrite](f)
+    assert g.qtype == f.qtype
+    rng = Random(21)
+    for _ in range(4):
+        pt = random_point(f.space, rng, P)
+        assert rel(evaluate(g, pt), evaluate(f, pt)) < 1e-12
+
+
+@pytest.mark.parametrize("subject", SUBJECTS)
+def test_substitution_and_twist_move_the_point(subject):
+    """substitute_symbols and mu_permuted give f at the substituted point."""
+    f = _subject(subject)
+    sp = f.space
+    x1, x2, x3, u = (sp.x_index(1), sp.x_index(2), sp.x_index(3), sp.u_index)
+    sub = substitute_symbols(f, {u: sp.zero_form(), x1: sp.x(2) + sp.x(3)})
+    sigma = (2, 3, 1)
+    twist = mu_permuted(sigma, f)
+    rng = Random(22)
+    for _ in range(4):
+        pt = random_point(sp, rng, P)
+        v = list(pt.values)
+        v[u] = 0j
+        v[x1] = pt.values[x2] + pt.values[x3]
+        assert rel(evaluate(sub, pt), evaluate(f, PointAssignment(tuple(v), P))) < 1e-12
+        w = list(pt.values)
+        for j, s in enumerate(sigma, 1):
+            w[sp.mu_index(j)] = pt.values[sp.mu_index(s)]
+        assert rel(evaluate(twist, pt), evaluate(f, PointAssignment(tuple(w), P))) < 1e-12
+
+
+@pytest.mark.parametrize("subject", SUBJECTS)
+def test_rewrite_shapes(subject):
+    f = _subject(subject)
+    kinds = {type(n) for n in _nodes(f.node)}
+    assert XPermuted in kinds and DeltaLeaf in kinds
+    assert XPermuted not in {type(n) for n in _nodes(push_permutations(f).node)}
+    assert DeltaLeaf not in {type(n) for n in _nodes(expand_deltas(f).node)}
+    top = distribute_products(f).node
+    assert type(top) is Sum
+    for term in top.children:
+        product = term.child if type(term) is Scale else term
+        assert type(product) is Product
+        assert {type(c) for c in product.children} <= {DeltaLeaf, ThetaLeaf, InvThetaLeaf}
+
+
+def test_reciprocal_inverts_scales_and_rejects_sums_and_deltas():
+    sp = VarSpace(2, 1)
+    t = theta_leaf(sp.h())
+    f = efun_product(efun_scale(2 - 1j, t), inv_theta_leaf(sp.mu(1)))
+    g = efun_reciprocal(f)
+    assert g.node == Product((Scale(1 / (2 - 1j), InvThetaLeaf(sp.h())), ThetaLeaf(sp.mu(1))))
+    assert g.qtype == -f.qtype
+    pt = random_point(sp, Random(23), P)
+    assert rel(evaluate(f, pt) * evaluate(g, pt), 1.0) < 1e-15
+    with pytest.raises(TypeError, match="cannot invert node Sum"):
+        efun_reciprocal(efun_sum(t, t))
+    with pytest.raises(TypeError, match="cannot invert node DeltaLeaf"):
+        efun_reciprocal(efun_product(t, delta_leaf(sp.x(1), sp.mu(1))))
+
+
+class _Unknown:
+    """A node kind no walker knows."""
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda f: mu_permuted((2, 1), f),
+        lambda f: substitute_symbols(f, {f.space.u_index: f.space.zero_form()}),
+        push_permutations,
+        expand_deltas,
+        distribute_products,
+        cancel_theta_pairs,
+        efun_reciprocal,
+        efun_to_json,
+        lambda f: evaluate(f, random_point(f.space, Random(24), P)),
+    ],
+    ids=[
+        "mu_permuted", "substitute_symbols", "push_permutations", "expand_deltas",
+        "distribute_products", "cancel_theta_pairs", "efun_reciprocal", "efun_to_json",
+        "evaluate",
+    ],
+)
+def test_unknown_node_is_rejected(rewrite):
+    sp = VarSpace(4, 2)
+    f = EFun(XPermuted((2, 1, 3, 4), Product((ThetaLeaf(sp.h()), _Unknown()))), sp.zero_qform())
+    with pytest.raises(TypeError, match="unknown node"):
+        rewrite(f)
+
+
+def test_json_of_every_node_kind_is_pinned():
+    sp = VarSpace(2, 1)
+    p = efun_product(
+        delta_leaf(sp.x(1) - sp.x(2), sp.mu(1)),
+        theta_leaf(sp.h()),
+        inv_theta_leaf(sp.u() + sp.h()),
+    )
+    f = x_permuted((2, 1), efun_sum(p, efun_scale(0.1 - 2j, p)))
+    product = {
+        "op": "product",
+        "children": [
+            {"op": "delta", "a": {"x1": "1", "x2": "-1"}, "b": {"mu1": "1"}},
+            {"op": "theta", "a": {"h": "1"}},
+            {"op": "invtheta", "a": {"u": "1", "h": "1"}},
+        ],
+    }
+    expected = {
+        "space": {"m": 2, "r": 1},
+        "expr": {
+            "op": "xperm",
+            "w": [2, 1],
+            "child": {
+                "op": "sum",
+                "children": [
+                    product,
+                    {"op": "scale", "factor": ["0.10000000000000001", "-2"], "child": product},
+                ],
+            },
+        },
+    }
+    doc = efun_to_json(f)
+    # json.dumps keeps key order, which the CLI prints
+    assert json.dumps(doc) == json.dumps(expected)
+    assert efun_from_json(doc) == f

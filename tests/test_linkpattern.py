@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from random import Random
 
 import pytest
@@ -389,6 +390,12 @@ def test_lattice_sizes():
     assert sum(1 for _ in orbit_lattice(4, 2).patterns()) == 12
     assert sum(1 for _ in orbit_lattice(3, 1).patterns()) == 6
     assert sum(1 for _ in orbit_lattice(6, 3).patterns()) == 120
+    # the closed form |lattice(m, r)| = m! / ((m - 2r)! r!)
+    expected = {(2, 1): 2, (3, 1): 6, (4, 2): 12, (6, 2): 180, (6, 3): 120,
+                (7, 3): 840, (8, 3): 3360, (8, 4): 1680}
+    for (m, r), size in expected.items():
+        assert factorial(m) // (factorial(m - 2 * r) * factorial(r)) == size
+        assert sum(1 for _ in orbit_lattice(m, r).patterns()) == size
 
 
 def test_unreachable_is_defensive():
