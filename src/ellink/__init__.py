@@ -9,7 +9,7 @@ verification suites (``identities``), the flag-variety normalisations
 (``schubert``), and a JSON-emitting command line (``cli``).
 """
 
-from .theta import ModularParams, PoleProximity, delta, theta, theta_normalized, theta_prime_zero
+from .theta import ModularParams, PoleProximity, delta, theta, theta_normalized
 from .typecalc import (
     CrossTerm,
     LinearForm,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .efun import EFun, ell_class, evaluate, random_point, sample
+from .efun import EFun, ell_class_from_presentation, evaluate, random_point, sample
 from .identities import SUITES, UnknownSuite, run_all, run_suite
 from .linkpattern import (
     PatternError,
@@ -87,7 +87,7 @@ def cmd_compute(pattern_text: str, config: RunConfig) -> dict:
     p = parse_pattern(pattern_text)
     pres = minimal_presentation(p)
     space = VarSpace(p.m, p.r)
-    f = ell_class(p, space)
+    f = ell_class_from_presentation(pres, space)
     return {
         "pattern": format_pattern(p),
         "m": p.m,

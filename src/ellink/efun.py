@@ -14,9 +14,9 @@ representations can be exchanged without any constant bookkeeping.
 
 Every rewrite of an expression (the label twist, symbol substitution,
 materialising the permutations, delta expansion, distribution, theta-pair
-cancellation, the reciprocal) and the JSON writer is one walk, ``_fold``,
-given a function for the leaves and one that joins folded children.  It
-does not memoise, so a shared node is rebuilt once per path that reaches it.
+cancellation, the reciprocal) is one walk, ``_fold``, given a function
+for the leaves and one that joins folded children.  It does not memoise,
+so a shared node is rebuilt once per path that reaches it.
 
 Permutation nodes accumulate lazily.  The first evaluation of an EFun
 compiles it into a tape: one walk threads the composed permutation down to
@@ -347,18 +347,16 @@ def cancel_theta_pairs(f: EFun) -> EFun:
 
         for kid in kids:
             collect(kid)
-        thetas: dict[tuple, int] = {}
+        thetas: dict[LinearForm, int] = {}
         rest = []
         for n in flat:
             if isinstance(n, ThetaLeaf):
-                thetas[n.a.coeffs] = thetas.get(n.a.coeffs, 0) + 1
+                thetas[n.a] = thetas.get(n.a, 0) + 1
             elif isinstance(n, InvThetaLeaf):
-                thetas[n.a.coeffs] = thetas.get(n.a.coeffs, 0) - 1
+                thetas[n.a] = thetas.get(n.a, 0) - 1
             else:
                 rest.append(n)
-        space = f.space
-        for coeffs, mult in thetas.items():
-            lf = LinearForm(space, coeffs)
+        for lf, mult in thetas.items():
             for _ in range(abs(mult)):
                 rest.append(ThetaLeaf(lf) if mult > 0 else InvThetaLeaf(lf))
         out = Product(tuple(rest))
@@ -745,58 +743,3 @@ def ell_class(p: LinkPattern, space: VarSpace | None = None) -> EFun:
     """
     return ell_class_from_presentation(minimal_presentation(p), space)
 
-
-# --------------------------------------------------------------------------
-# JSON serialisation
-
-
-def _leaf_to_json(node, w):
-    if type(node) is DeltaLeaf:
-        return {"op": "delta", "a": node.a.to_json(), "b": node.b.to_json()}
-    return {"op": "theta" if type(node) is ThetaLeaf else "invtheta", "a": node.a.to_json()}
-
-
-def _join_to_json(node, kids):
-    kind = type(node)
-    if kind is Scale:
-        factor = [f"{node.factor.real:.17g}", f"{node.factor.imag:.17g}"]
-        return {"op": "scale", "factor": factor, "child": kids[0]}
-    if kind is XPermuted:
-        return {"op": "xperm", "w": list(node.w), "child": kids[0]}
-    return {"op": "product" if kind is Product else "sum", "children": list(kids)}
-
-
-def efun_to_json(f: EFun) -> dict:
-    return {
-        "space": {"m": f.space.m, "r": f.space.r},
-        "expr": _fold(f.node, _leaf_to_json, _join_to_json),
-    }
-
-
-def efun_from_json(doc: dict) -> EFun:
-    space = VarSpace(doc["space"]["m"], doc["space"]["r"])
-
-    def form(d) -> LinearForm:
-        return LinearForm.from_json(space, d)
-
-    def rec(nd) -> EFun:
-        op = nd["op"]
-        if op == "delta":
-            return delta_leaf(form(nd["a"]), form(nd["b"]))
-        if op == "theta":
-            return theta_leaf(form(nd["a"]))
-        if op == "invtheta":
-            return inv_theta_leaf(form(nd["a"]))
-        if op == "scale":
-            re, im = (float(s) for s in nd["factor"])
-            return efun_scale(complex(re, im), rec(nd["child"]))
-        if op == "product":
-            kids = [rec(c) for c in nd["children"]]
-            return efun_product(*kids) if kids else efun_const(space)
-        if op == "sum":
-            return efun_sum(*[rec(c) for c in nd["children"]])
-        if op == "xperm":
-            return x_permuted(tuple(nd["w"]), rec(nd["child"]))
-        raise ValueError(f"unknown op {op!r}")
-
-    return rec(doc["expr"])

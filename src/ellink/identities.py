@@ -179,7 +179,12 @@ def check_monstrous(
 
 
 def _num_demazure(i: int, mu: complex, h: complex, params: ModularParams, f):
-    """Numeric operator on functions of an x-tuple; i is 1-based."""
+    """Numeric operator on functions of an x-tuple; i is 1-based.
+
+    This stays separate from the typed ``efun.demazure``: the operator
+    checks draw parameters that are not admissible for the function's type,
+    and a typed ``efun_sum`` rejects such a combination with ImpurityError.
+    """
 
     def g(xs):
         ys = list(xs)

@@ -247,30 +247,13 @@ class OrbitLattice:
         self.dist = dist
         self.order = order
 
-    def lex_min_word(self, arc_set: frozenset) -> tuple[int, ...]:
-        """Lexicographically smallest minimal word for the arc set.
+    def all_min_words(self, arc_set: frozenset, cap: int | None = None) -> list[tuple[int, ...]]:
+        """Every minimal word for the arc set, in lexicographic order
+        (optionally capped to the first ``cap``).
 
         The word (i_1 .. i_l) satisfies arcs = s_{i_1}(...(s_{i_l}(min))),
         so the first letter is the move undone first when walking back.
         """
-        if arc_set not in self.dist:
-            raise Unreachable(f"arc set {sorted(arc_set)} not in the lattice")
-        word = []
-        cur = arc_set
-        while self.dist[cur] > 0:
-            arcs = tuple(sorted(cur))
-            for i in range(1, self.m):
-                t = frozenset(_swap_arcs(arcs, i))
-                if self.dist.get(t, -1) == self.dist[cur] - 1:
-                    word.append(i)
-                    cur = t
-                    break
-            else:  # pragma: no cover - BFS guarantees a predecessor
-                raise Unreachable("no distance-decreasing move")
-        return tuple(word)
-
-    def all_min_words(self, arc_set: frozenset, cap: int | None = None) -> list[tuple[int, ...]]:
-        """Every minimal word for the arc set (optionally capped)."""
         if arc_set not in self.dist:
             raise Unreachable(f"arc set {sorted(arc_set)} not in the lattice")
         memo: dict[frozenset, list[tuple[int, ...]]] = {self.start: [()]}
@@ -323,7 +306,7 @@ def _presentation_from_word(p: LinkPattern, word: tuple[int, ...]) -> Presentati
 def minimal_presentation(p: LinkPattern) -> Presentation:
     """Deterministic minimal presentation: lexicographically smallest word."""
     lat = _lattice(p.m, p.r)
-    return _presentation_from_word(p, lat.lex_min_word(p.arc_set()))
+    return _presentation_from_word(p, lat.all_min_words(p.arc_set(), cap=1)[0])
 
 
 def all_minimal_presentations(p: LinkPattern, cap: int | None = None) -> list[Presentation]:

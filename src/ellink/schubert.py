@@ -48,13 +48,11 @@ class FlagContext:
     """Renaming context: y_j = x_{n+j} for j = 1..y_count.
 
     ``y_count`` is n for the square (Schubert) picture and n - 1 for the
-    weight-function picture.  ``u_specialized`` sets the free variable u
-    to 1 (additively 0) when the quotient class is built.
+    weight-function picture.
     """
 
     n: int
     y_count: int
-    u_specialized: bool = True
 
     @staticmethod
     def schubert(n: int) -> "FlagContext":
@@ -149,8 +147,7 @@ def reduced_class(p: LinkPattern, ctx: FlagContext, mu_inverted: bool = False) -
         raise NotPermutationPattern(f"context/pattern mismatch: n={n}, r={p.r}")
     space = ctx.space
     ell = ell_class(p, space)
-    if ctx.u_specialized:
-        ell = substitute_symbols(ell, {space.u_index: space.zero_form()})
+    ell = substitute_symbols(ell, {space.u_index: space.zero_form()})
     quotient = efun_product(
         eu_ell_M(n), efun_reciprocal(eu_ell_Fl(n)), efun_reciprocal(b_class(n)), ell
     )

@@ -5,7 +5,6 @@ variable would be z = e^{2 pi i x}, we pass x itself, and "multiplying
 arguments" means adding them.  The basic objects are
 
     theta(x)            2 q^{1/8} sin(pi x) prod_{n>=1} (1-q^n)(1-q^n z)(1-q^n/z)
-    theta_prime_zero    d/dx theta at x = 0
     delta(a, b)         theta'(0)/(2 pi i) * theta(a+b) / (theta(a) theta(b))
 
 with q = e^{2 pi i tau}.  The infinite product is cut adaptively: it stops
@@ -135,11 +134,6 @@ def theta(x: complex, p: ModularParams) -> complex:
             break
         prod *= one_minus_qn * (1.0 - qn * z) * (1.0 - qn * zinv)
     return p.two_q_eighth * cmath.sin(math.pi * x) * prod
-
-
-def theta_prime_zero(p: ModularParams) -> complex:
-    """Analytic derivative of the truncated product at 0."""
-    return p.theta_prime_zero
 
 
 def theta_normalized(x: complex, p: ModularParams) -> complex:

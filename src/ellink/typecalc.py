@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,12 +84,6 @@ class VarSpace:
             + ["u", "h"]
             + [f"mu{j}" for j in range(1, self.r + 1)]
         )
-
-    def symbol_index(self, name: str) -> int:
-        try:
-            return self.symbol_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown symbol {name!r} in {self}") from None
 
     # Convenience constructors -------------------------------------------
 
@@ -194,13 +188,6 @@ class LinearForm:
     def to_json(self) -> dict[str, str]:
         names = self.space.symbol_names
         return {names[i]: str(a) for i, a in enumerate(self.coeffs) if a != 0}
-
-    @staticmethod
-    def from_json(space: VarSpace, data: dict[str, str]) -> "LinearForm":
-        c = [ZERO] * space.n_symbols
-        for name, val in data.items():
-            c[space.symbol_index(name)] = Fraction(val)
-        return LinearForm(space, tuple(c))
 
 
 @dataclass(frozen=True)
@@ -315,18 +302,6 @@ class QForm:
                 if self.rows[a][b] != 0:
                     out.append([names[a], names[b], str(self.rows[a][b])])
         return out
-
-    @staticmethod
-    def from_json(space: VarSpace, triples: Iterable[Sequence[str]]) -> "QForm":
-        n = space.n_symbols
-        new = [[ZERO] * n for _ in range(n)]
-        for sa, sb, val in triples:
-            a, b = space.symbol_index(sa), space.symbol_index(sb)
-            v = Fraction(val)
-            new[a][b] = v
-            if a != b:
-                new[b][a] = v
-        return QForm(space, tuple(tuple(r) for r in new))
 
 
 @dataclass(frozen=True)

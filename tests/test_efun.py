@@ -1,6 +1,5 @@
 """Typed expression trees, Demazure operators, and elliptic classes."""
 
-import json
 from functools import lru_cache
 from random import Random
 
@@ -25,12 +24,10 @@ from ellink.efun import (
     demazure_reduced,
     distribute_products,
     efun_const,
-    efun_from_json,
     efun_product,
     efun_reciprocal,
     efun_scale,
     efun_sum,
-    efun_to_json,
     ell_class,
     ell_class_from_presentation,
     ell_min,
@@ -49,7 +46,6 @@ from ellink.efun import (
 )
 from ellink.identities import flip_sides
 from ellink.linkpattern import (
-    LinkPattern,
     act_nodes,
     all_minimal_presentations,
     compose,
@@ -338,16 +334,6 @@ def test_pole_proximity_identifies_leaf():
     assert "x1" in str(err.value)
 
 
-def test_json_roundtrip():
-    sp = VarSpace(4, 2)
-    f = ell_class(LinkPattern(4, 2, ((1, 3), (4, 2))), sp)
-    g = efun_from_json(efun_to_json(f))
-    assert g.qtype == f.qtype
-    rng = Random(14)
-    pt = random_point(sp, rng, P)
-    assert evaluate(f, pt) == evaluate(g, pt)
-
-
 def test_evaluate_many_shares_points():
     sp = VarSpace(4, 2)
     f = ell_min(4, 2, sp)
@@ -527,7 +513,6 @@ VALUE_PRESERVING = {
     "cancel_theta_pairs(distribute_products)": lambda f: cancel_theta_pairs(
         distribute_products(f)
     ),
-    "json round trip": lambda f: efun_from_json(efun_to_json(f)),
 }
 
 
@@ -609,13 +594,11 @@ class _Unknown:
         distribute_products,
         cancel_theta_pairs,
         efun_reciprocal,
-        efun_to_json,
         lambda f: evaluate(f, random_point(f.space, Random(24), P)),
     ],
     ids=[
         "mu_permuted", "substitute_symbols", "push_permutations", "expand_deltas",
-        "distribute_products", "cancel_theta_pairs", "efun_reciprocal", "efun_to_json",
-        "evaluate",
+        "distribute_products", "cancel_theta_pairs", "efun_reciprocal", "evaluate",
     ],
 )
 def test_unknown_node_is_rejected(rewrite):
@@ -624,38 +607,3 @@ def test_unknown_node_is_rejected(rewrite):
     with pytest.raises(TypeError, match="unknown node"):
         rewrite(f)
 
-
-def test_json_of_every_node_kind_is_pinned():
-    sp = VarSpace(2, 1)
-    p = efun_product(
-        delta_leaf(sp.x(1) - sp.x(2), sp.mu(1)),
-        theta_leaf(sp.h()),
-        inv_theta_leaf(sp.u() + sp.h()),
-    )
-    f = x_permuted((2, 1), efun_sum(p, efun_scale(0.1 - 2j, p)))
-    product = {
-        "op": "product",
-        "children": [
-            {"op": "delta", "a": {"x1": "1", "x2": "-1"}, "b": {"mu1": "1"}},
-            {"op": "theta", "a": {"h": "1"}},
-            {"op": "invtheta", "a": {"u": "1", "h": "1"}},
-        ],
-    }
-    expected = {
-        "space": {"m": 2, "r": 1},
-        "expr": {
-            "op": "xperm",
-            "w": [2, 1],
-            "child": {
-                "op": "sum",
-                "children": [
-                    product,
-                    {"op": "scale", "factor": ["0.10000000000000001", "-2"], "child": product},
-                ],
-            },
-        },
-    }
-    doc = efun_to_json(f)
-    # json.dumps keeps key order, which the CLI prints
-    assert json.dumps(doc) == json.dumps(expected)
-    assert efun_from_json(doc) == f

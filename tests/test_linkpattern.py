@@ -221,9 +221,12 @@ def test_boxed_pattern_has_two_sigma_classes():
 
 
 def test_minimal_presentation_is_lex_smallest():
-    for p in orbit_lattice(4, 2).patterns():
-        words = sorted(q.word for q in all_minimal_presentations(p))
-        assert minimal_presentation(p).word == words[0]
+    """The capped walk that picks the presentation's word returns the
+    smallest of all minimal words."""
+    for m, r in [(4, 2), (5, 2), (6, 2), (6, 3)]:
+        lat = orbit_lattice(m, r)
+        for p in lat.patterns():
+            assert minimal_presentation(p).word == min(lat.all_min_words(p.arc_set()))
 
 
 def test_word_length_invariant_under_relabelling():
@@ -402,4 +405,4 @@ def test_unreachable_is_defensive():
     from ellink.linkpattern import Unreachable
 
     with pytest.raises(Unreachable):
-        orbit_lattice(4, 2).lex_min_word(frozenset({(1, 99)}))
+        orbit_lattice(4, 2).all_min_words(frozenset({(1, 99)}))

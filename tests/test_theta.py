@@ -12,7 +12,6 @@ from ellink.theta import (
     delta,
     theta,
     theta_normalized,
-    theta_prime_zero,
 )
 
 P = ModularParams()
@@ -51,11 +50,11 @@ def test_theta_prime_zero_vs_finite_difference(tau):
     p = ModularParams(tau=tau)
     step = 1e-5
     fd = (theta(step, p) - theta(-step, p)) / (2 * step)
-    assert rel(theta_prime_zero(p), fd) < 1e-6
+    assert rel(p.theta_prime_zero, fd) < 1e-6
 
 
 def test_theta_prime_zero_nonzero():
-    assert abs(theta_prime_zero(P)) > 0.1
+    assert abs(P.theta_prime_zero) > 0.1
 
 
 def test_delta_symmetry_and_antisymmetry():
