@@ -63,7 +63,6 @@ from .efun import (
 )
 from .identities import IdentityReport, check_flip, check_fourterm, check_monstrous
 from .schubert import (
-    FlagContext,
     NotPermutationPattern,
     NotWeightPattern,
     b_class,

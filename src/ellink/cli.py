@@ -19,7 +19,6 @@ from .efun import EFun, ell_class_from_presentation, evaluate, random_point, sam
 from .identities import SUITES, UnknownSuite, run_all, run_suite
 from .linkpattern import (
     PatternError,
-    all_minimal_presentations,
     format_pattern,
     minimal_presentation,
     multiplicities,
@@ -27,19 +26,20 @@ from .linkpattern import (
     orbit_lattice,
     parse_pattern,
 )
-from .schubert import (
-    FlagContext,
-    reduced_class,
-    restrict_fixed_point,
-    restrict_weight,
-    weight_function,
-)
+from .schubert import reduced_class, restrict_fixed_point, weight_function
 from .theta import ModularParams
 from .typecalc import VarSpace
 
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as a UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def cmd_verify(suite: str, config: RunConfig) -> tuple[list[dict], bool]:
     return [r.to_json() for r in reports], all(r.passed for r in reports)
 
 
-def cmd_orbits(size: str, config: RunConfig) -> dict:
+def cmd_orbits(size: str) -> dict:
     try:
         m_str, r_str = size.split(",")
         m, r = int(m_str), int(r_str)
@@ -120,6 +120,7 @@ def cmd_orbits(size: str, config: RunConfig) -> dict:
     if m > 6:
         raise UsageError("orbit lattice dump is limited to m <= 6")
     lattice = orbit_lattice(m, r)
+    counts = lattice.min_word_counts()
     patterns = []
     for p in lattice.patterns():
         pres = minimal_presentation(p)
@@ -130,7 +131,7 @@ def cmd_orbits(size: str, config: RunConfig) -> dict:
                 "word": list(pres.word),
                 "sigma": list(pres.sigma),
                 "nu_multiset": sorted(str(nu) for nu in nu_list(pres)),
-                "presentations": len(all_minimal_presentations(p)),
+                "presentations": counts[p.arc_set()],
             }
         )
     return {"m": m, "r": r, "count": len(patterns), "patterns": patterns}
@@ -138,11 +139,9 @@ def cmd_orbits(size: str, config: RunConfig) -> dict:
 
 def cmd_restrict(pattern_text: str, sigma_text: str, raw_mu: bool, config: RunConfig) -> dict:
     p = parse_pattern(pattern_text)
-    n = p.r
-    ctx = FlagContext.schubert(n)
-    sigma = _parse_perm(sigma_text, n)
-    f = reduced_class(p, ctx, mu_inverted=not raw_mu)
-    g = restrict_fixed_point(f, sigma, ctx)
+    sigma = _parse_perm(sigma_text, p.r)
+    f = reduced_class(p, mu_inverted=not raw_mu)
+    g = restrict_fixed_point(f, sigma)
     return {
         "pattern": format_pattern(p),
         "sigma": list(sigma),
@@ -153,17 +152,16 @@ def cmd_restrict(pattern_text: str, sigma_text: str, raw_mu: bool, config: RunCo
 
 def cmd_weights(pattern_text: str, rtv: bool, config: RunConfig) -> dict:
     p = parse_pattern(pattern_text)
-    n = (p.m + 1) // 2
-    f = weight_function(p, n, rtv_substitution=rtv)
+    f = weight_function(p, rtv_substitution=rtv)
     return {
         "pattern": format_pattern(p),
-        "n": n,
+        "n": f.space.r,
         "rtv_substitution": rtv,
         "sample_values": _sample_values(f, config),
     }
 
 
-def cmd_multiplicities(pattern_text: str, lam_text: str, config: RunConfig) -> dict:
+def cmd_multiplicities(pattern_text: str, lam_text: str) -> dict:
     p = parse_pattern(pattern_text)
     try:
         lambdas = [Fraction(tok) for tok in lam_text.split(",")] if lam_text else []
@@ -190,57 +188,60 @@ def _parse_perm(text: str, n: int) -> tuple[int, ...]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellink",
         description="compute and verify elliptic classes of labelled link patterns",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_out(sp):
+        sp.add_argument("--out", default=None, metavar="PATH",
+                        help="write JSON here instead of stdout")
+
+    def add_sampling(sp):
         sp.add_argument("--tau-im", type=float, default=1.0, metavar="T",
                         help="imaginary part of tau (default 1.0)")
         sp.add_argument("--q-terms", type=int, default=40, metavar="N",
                         help="maximum q-product factors per theta value; fewer are "
                              "used once the rest lie within 2^-64 of 1 (default 40)")
-        sp.add_argument("--tol", type=float, default=1e-8,
-                        help="residual tolerance (default 1e-8)")
         sp.add_argument("--samples", type=int, default=64,
                         help="sample points per check (default 64)")
         sp.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
-        sp.add_argument("--out", default=None, metavar="PATH",
-                        help="write JSON here instead of stdout")
+        add_out(sp)
 
     sp = sub.add_parser("compute", help="elliptic class of a pattern")
     sp.add_argument("pattern", help="pattern text, e.g. 8,2:7>1,8>2")
-    add_common(sp)
+    add_sampling(sp)
 
     sp = sub.add_parser("verify", help="run identity suites")
     sp.add_argument("suite", help=f"one of {', '.join(SUITES)}, or all")
-    add_common(sp)
+    sp.add_argument("--tol", type=float, default=1e-8,
+                    help="residual tolerance (default 1e-8)")
+    add_sampling(sp)
 
     sp = sub.add_parser("orbits", help="BFS lattice dump (m <= 6)")
     sp.add_argument("size", help="lattice size as m,r")
-    add_common(sp)
+    add_out(sp)
 
     sp = sub.add_parser("restrict", help="fixed-point restriction of the reduced class")
     sp.add_argument("pattern")
     sp.add_argument("--sigma", required=True, help="permutation images, e.g. 2,1")
     sp.add_argument("--raw-mu", action="store_true",
                     help="skip the mu inversion used for Schubert comparison")
-    add_common(sp)
+    add_sampling(sp)
 
     sp = sub.add_parser("weights", help="elliptic weight function of a pattern")
     sp.add_argument("pattern")
     sp.add_argument("--no-rtv", action="store_true",
                     help="skip the mu_i := h mu_n / mu_i substitution")
-    add_common(sp)
+    add_sampling(sp)
 
     sp = sub.add_parser("multiplicities", help="boundary multiplicities of a pattern")
     sp.add_argument("pattern")
     sp.add_argument("--lam", required=True,
                     help="comma-separated rational lambda per arc, e.g. 1/2,1/3")
-    add_common(sp)
+    add_out(sp)
 
     return parser
 
@@ -255,14 +256,20 @@ def _emit(doc, out_path: str | None):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    out_path = getattr(args, "out", None)
+    out_path = None
     try:
+        args = _build_parser().parse_args(argv)
+        out_path = args.out
+        if args.command == "orbits":
+            _emit(cmd_orbits(args.size), out_path)
+            return 0
+        if args.command == "multiplicities":
+            _emit(cmd_multiplicities(args.pattern, args.lam), out_path)
+            return 0
         config = RunConfig(
             tau=complex(0.0, args.tau_im),
             n_terms=args.q_terms,
-            tol=args.tol,
+            tol=getattr(args, "tol", RunConfig.tol),
             samples=args.samples,
             seed=args.seed,
         )
@@ -273,17 +280,11 @@ def main(argv=None) -> int:
             reports, ok = cmd_verify(args.suite, config)
             _emit(reports, out_path)
             return 0 if ok else 1
-        if args.command == "orbits":
-            _emit(cmd_orbits(args.size, config), out_path)
-            return 0
         if args.command == "restrict":
             _emit(cmd_restrict(args.pattern, args.sigma, args.raw_mu, config), out_path)
             return 0
         if args.command == "weights":
             _emit(cmd_weights(args.pattern, not args.no_rtv, config), out_path)
-            return 0
-        if args.command == "multiplicities":
-            _emit(cmd_multiplicities(args.pattern, args.lam, config), out_path)
             return 0
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:

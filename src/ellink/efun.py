@@ -128,11 +128,8 @@ class EFun:
 # constructors (the only way types are ever produced)
 
 
-def efun_const(space: VarSpace, value: complex = 1.0) -> EFun:
-    node = Product(())
-    if value != 1.0:
-        node = Scale(complex(value), node)
-    return EFun(node, space.zero_qform())
+def efun_const(space: VarSpace) -> EFun:
+    return EFun(Product(()), space.zero_qform())
 
 
 def delta_leaf(a: LinearForm, b: LinearForm) -> EFun:
@@ -711,11 +708,9 @@ def demazure_reduced(i: int, mu: LinearForm, f: EFun) -> EFun:
     return efun_product(inv_norm, demazure(i, mu, f))
 
 
-def demazure_diamond(i: int, f: EFun, reduced: bool = False) -> EFun:
+def demazure_diamond(i: int, f: EFun) -> EFun:
     """Apply the operator with the purity-forced parameter inferred from f."""
     mu = admissible_mu(f.qtype, i)
-    if reduced:
-        return demazure_reduced(i, mu, f)
     return demazure(i, mu, f)
 
 

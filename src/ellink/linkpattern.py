@@ -277,6 +277,17 @@ class OrbitLattice:
 
         return rec(arc_set)
 
+    def min_word_counts(self) -> dict[frozenset, int]:
+        """The number of minimal words of every arc set, in one BFS-order
+        pass: each first letter that steps back one level contributes the
+        count of the arc set it reaches."""
+        counts = {self.start: 1}
+        for s in self.order[1:]:
+            arcs = tuple(sorted(s))
+            back = [frozenset(_swap_arcs(arcs, i)) for i in range(1, self.m)]
+            counts[s] = sum(counts[t] for t in back if self.dist[t] == self.dist[s] - 1)
+        return counts
+
     def patterns(self) -> Iterator[LinkPattern]:
         """Canonically labelled representative of every arc set, BFS order."""
         for s in self.order:

@@ -8,14 +8,14 @@ r = n - 1, sources in the last block) the analogous quotient reproduces
 the elliptic weight functions after the substitution
 mu_i := h mu_n / mu_i.
 
-The equivariant variables are renamed rather than re-indexed: y_j (or
-gamma_j) is the symbol x_{n+j} of the underlying space, z_i is x_i, and
-the free variable u is specialised to 1 (additively 0) on entry.
+Both pictures live on a symbol space with r = n, so the space fixes the
+picture: z_i is x_i for i <= n, and y_j (or gamma_j) is x_{n+j} for
+j <= m - n, which is n in the square picture and n - 1 in the weight
+picture.  The free variable u is specialised to 1 (additively 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .efun import (
@@ -32,7 +32,7 @@ from .efun import (
     theta_leaf,
 )
 from .linkpattern import LinkPattern, is_permutation
-from .typecalc import LinearForm, VarSpace
+from .typecalc import VarSpace
 
 
 class NotPermutationPattern(ValueError):
@@ -43,54 +43,37 @@ class NotWeightPattern(ValueError):
     """Pattern is not of weight shape (m = 2n-1, sources in the last block)."""
 
 
-@dataclass(frozen=True)
-class FlagContext:
-    """Renaming context: y_j = x_{n+j} for j = 1..y_count.
+def _matrix_factors(space: VarSpace) -> list[EFun]:
+    """theta(z_i / y_j) for i <= n and j <= m - n."""
+    n = space.r
+    return [
+        theta_leaf(space.x(i) - space.x(n + j))
+        for i in range(1, n + 1)
+        for j in range(1, space.m - n + 1)
+    ]
 
-    ``y_count`` is n for the square (Schubert) picture and n - 1 for the
-    weight-function picture.
-    """
 
-    n: int
-    y_count: int
-
-    @staticmethod
-    def schubert(n: int) -> "FlagContext":
-        return FlagContext(n, n)
-
-    @staticmethod
-    def weights(n: int) -> "FlagContext":
-        return FlagContext(n, n - 1)
-
-    @property
-    def space(self) -> VarSpace:
-        return VarSpace(self.n + self.y_count, self.n)
-
-    def y(self, j: int) -> LinearForm:
-        if not 1 <= j <= self.y_count:
-            raise ValueError(f"y_{j} outside 1..{self.y_count}")
-        return self.space.x(self.n + j)
+def _borel_factors(space: VarSpace) -> list[EFun]:
+    """theta(y_i / y_j h) / theta(h) for i < j <= m - n."""
+    n, h = space.r, space.h()
+    factors = []
+    for i in range(1, space.m - n + 1):
+        for j in range(i + 1, space.m - n + 1):
+            factors.append(theta_leaf(space.x(n + i) - space.x(n + j) + h))
+            factors.append(inv_theta_leaf(h))
+    return factors
 
 
 def eu_ell_M(n: int) -> EFun:
     """Elliptic Euler class of the n x n matrix block: prod theta(x_i/y_j)."""
-    ctx = FlagContext.schubert(n)
-    space = ctx.space
-    return efun_product(
-        *[
-            theta_leaf(space.x(i) - ctx.y(j))
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        ]
-    )
+    return efun_product(*_matrix_factors(VarSpace(2 * n, n)))
 
 
 def eu_ell_Fl(n: int) -> EFun:
     """Elliptic Euler class of the flag tangent: prod_{i>j} theta(y_i/y_j)."""
-    ctx = FlagContext.schubert(n)
-    space = ctx.space
+    space = VarSpace(2 * n, n)
     factors = [
-        theta_leaf(ctx.y(i) - ctx.y(j))
+        theta_leaf(space.x(n + i) - space.x(n + j))
         for i in range(1, n + 1)
         for j in range(1, i)
     ]
@@ -101,14 +84,8 @@ def eu_ell_Fl(n: int) -> EFun:
 
 def b_class(n: int) -> EFun:
     """Borel unipotent class: prod_{i<j} theta(y_i/y_j h) / theta(h)."""
-    ctx = FlagContext.schubert(n)
-    space = ctx.space
-    h = space.h()
-    factors = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            factors.append(theta_leaf(ctx.y(i) - ctx.y(j) + h))
-            factors.append(inv_theta_leaf(h))
+    space = VarSpace(2 * n, n)
+    factors = _borel_factors(space)
     if not factors:
         return efun_const(space)
     return efun_product(*factors)
@@ -134,7 +111,7 @@ def pattern_permutation(p: LinkPattern) -> tuple[int, ...]:
     return tuple(w)
 
 
-def reduced_class(p: LinkPattern, ctx: FlagContext, mu_inverted: bool = False) -> EFun:
+def reduced_class(p: LinkPattern, mu_inverted: bool = False) -> EFun:
     """The localised reduced class eu_M / (eu_Fl B) * class(p) with u := 1.
 
     ``mu_inverted`` applies the substitution mu_i := 1/mu_i used when
@@ -142,36 +119,37 @@ def reduced_class(p: LinkPattern, ctx: FlagContext, mu_inverted: bool = False) -
     fixed-point and recursion identities are stated in.
     """
     pattern_permutation(p)  # shape check
-    n = ctx.n
-    if ctx.y_count != n or p.r != n:
-        raise NotPermutationPattern(f"context/pattern mismatch: n={n}, r={p.r}")
-    space = ctx.space
+    n = p.r
+    space = VarSpace(2 * n, n)
     ell = ell_class(p, space)
-    ell = substitute_symbols(ell, {space.u_index: space.zero_form()})
     quotient = efun_product(
         eu_ell_M(n), efun_reciprocal(eu_ell_Fl(n)), efun_reciprocal(b_class(n)), ell
     )
+    # The Euler factors carry no u and no mu: one walk substitutes both.
+    mapping = {space.u_index: space.zero_form()}
     if mu_inverted:
-        mapping = {
-            space.mu_index(j): -space.mu(j) for j in range(1, space.r + 1)
-        }
-        quotient = substitute_symbols(quotient, mapping)
-    return quotient
+        mapping.update({space.mu_index(j): -space.mu(j) for j in range(1, n + 1)})
+    return substitute_symbols(quotient, mapping)
 
 
-def restrict_fixed_point(f: EFun, sigma: Sequence[int], ctx: FlagContext) -> EFun:
+def restrict_fixed_point(f: EFun, sigma: Sequence[int]) -> EFun:
     """Substitute y_j := x_{sigma(j)} with exact zero/pole cancellation.
 
-    Delta leaves are expanded into theta quotients first so that the
-    theta(0) factors forced by the substitution cancel structurally against
-    the matching Euler factors instead of producing 0/0 at evaluation.
+    The space of f gives n = r and the y-count m - n, which must be n
+    (square picture) or n - 1 (weight picture).  Delta leaves are expanded
+    into theta quotients first so that the theta(0) factors forced by the
+    substitution cancel structurally against the matching Euler factors
+    instead of producing 0/0 at evaluation.
     """
-    if len(sigma) != ctx.n or not is_permutation(sigma):
-        raise ValueError(f"sigma must be a permutation of 1..{ctx.n}")
     space = f.space
+    n = space.r
+    if space.m - n not in (n, n - 1):
+        raise ValueError(f"space m={space.m}, r={n} has no flag picture")
+    if len(sigma) != n or not is_permutation(sigma):
+        raise ValueError(f"sigma must be a permutation of 1..{n}")
     mapping = {
-        space.x_index(ctx.n + j): space.x(sigma[j - 1])
-        for j in range(1, ctx.y_count + 1)
+        space.x_index(n + j): space.x(sigma[j - 1])
+        for j in range(1, space.m - n + 1)
     }
     g = substitute_symbols(expand_deltas(f), mapping)
     # Exponential in the number of stacked Sums on purpose: every zero Euler
@@ -200,40 +178,34 @@ def weight_space(n: int) -> VarSpace:
     return VarSpace(2 * n - 1, n)
 
 
-def weight_function(p: LinkPattern, n: int, rtv_substitution: bool = True) -> EFun:
-    """The weight-function normalisation class(p) * eu_M' / B' with u := 1.
+def weight_function(p: LinkPattern, rtv_substitution: bool = True) -> EFun:
+    """The weight-function normalisation class(p) * eu_M' / B' with u := 1,
+    for n = r + 1.
 
     With ``rtv_substitution`` the dynamical variables are rewritten as
     mu_i := h mu_n / mu_i for i < n, which lands on the classical elliptic
     weight functions."""
+    n = p.r + 1
     _check_weight_pattern(p, n)
     space = weight_space(n)
-    ell = ell_class(p, space)
-    ell = substitute_symbols(ell, {space.u_index: space.zero_form()})
-    h = space.h()
-    gamma = lambda j: space.x(n + j)
-    z = lambda i: space.x(i)
-    eu_factors = [
-        theta_leaf(z(i) - gamma(j))
-        for i in range(1, n + 1)
-        for j in range(1, n)
-    ]
-    b_factors = []
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            b_factors.append(theta_leaf(gamma(i) - gamma(j) + h))
-            b_factors.append(inv_theta_leaf(h))
-    quotient = efun_product(ell, *eu_factors)
+    quotient = efun_product(ell_class(p, space), *_matrix_factors(space))
+    b_factors = _borel_factors(space)
     if b_factors:
         quotient = efun_product(quotient, efun_reciprocal(efun_product(*b_factors)))
+    # The Euler factors carry no u and no mu: one walk substitutes both.
+    mapping = {space.u_index: space.zero_form()}
     if rtv_substitution:
-        mapping = {
-            space.mu_index(i): h + space.mu(n) - space.mu(i) for i in range(1, n)
-        }
-        quotient = substitute_symbols(quotient, mapping)
-    return quotient
+        h = space.h()
+        mapping.update(
+            {space.mu_index(i): h + space.mu(n) - space.mu(i) for i in range(1, n)}
+        )
+    return substitute_symbols(quotient, mapping)
 
 
-def restrict_weight(f: EFun, sigma: Sequence[int], n: int) -> EFun:
+def restrict_weight(f: EFun, sigma: Sequence[int]) -> EFun:
     """Fixed-point restriction gamma_j := z_{sigma(j)} for the weight picture."""
-    return restrict_fixed_point(f, sigma, FlagContext.weights(n))
+    if f.space != weight_space(f.space.r):
+        raise NotWeightPattern(
+            f"space m={f.space.m}, r={f.space.r} is not a weight space"
+        )
+    return restrict_fixed_point(f, sigma)

@@ -41,7 +41,7 @@ from ellink.linkpattern import (
     nu_list,
     orbit_lattice,
 )
-from ellink.schubert import FlagContext, reduced_class, restrict_fixed_point, weight_space, weight_function
+from ellink.schubert import reduced_class, restrict_fixed_point, weight_space, weight_function
 from ellink.theta import ModularParams
 from ellink.typecalc import VarSpace, admissible_mu, decompose_type, qf_of_delta, rho, s_action
 
@@ -235,11 +235,10 @@ def test_criterion_9_fixed_point_restriction():
         from ellink.efun import evaluate, random_point
 
         for n in (2, 3):
-            ctx = FlagContext.schubert(n)
-            rc = reduced_class(minimal_pattern(2 * n, n), ctx)
+            rc = reduced_class(minimal_pattern(2 * n, n))
             rng = Random(0)
             for sigma in itertools.permutations(range(1, n + 1)):
-                g = restrict_fixed_point(rc, sigma, ctx)
+                g = restrict_fixed_point(rc, sigma)
                 for _ in range(5):
                     v = evaluate(g, random_point(g.space, rng, P))
                     if sigma == tuple(range(1, n + 1)):
@@ -274,7 +273,7 @@ def test_criterion_10_weight_function():
         )
         mapping = {sp.mu_index(i): h + sp.mu(3) - sp.mu(i) for i in (1, 2)}
         display_rtv = substitute_symbols(display, mapping)
-        wf = weight_function(minimal_pattern(5, 2), 3, rtv_substitution=True)
+        wf = weight_function(minimal_pattern(5, 2), rtv_substitution=True)
         assert wf.qtype == display_rtv.qtype
         worst, _ = sample_agreement([wf, display_rtv], P, Random(0), 50)
         assert worst < 1e-8, worst

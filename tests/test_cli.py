@@ -150,6 +150,18 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compute"], ["verify", "all", "--samples", "x"], ["orbits", "4,2", "--tol", "5"]],
+    ids=["missing-pattern", "bad-int", "unread-option"],
+)
+def test_bad_command_line_is_a_structured_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["kind"] == "usage"
+    assert captured.err == ""
+
+
 def test_config_validation():
     assert main(["verify", "fourterm", "--tau-im", "0.1"]) == 2
     assert main(["verify", "fourterm", "--samples", "0"]) == 2

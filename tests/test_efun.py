@@ -56,7 +56,7 @@ from ellink.linkpattern import (
     parse_pattern,
     transposition,
 )
-from ellink.schubert import FlagContext, reduced_class
+from ellink.schubert import reduced_class
 from ellink.theta import ModularParams, PoleProximity, delta, theta
 from ellink.typecalc import (
     TrivialCharacter,
@@ -227,8 +227,6 @@ def test_demazure_reduced():
     # parameter -h is rejected
     with pytest.raises(ReducedUndefined):
         demazure_reduced(3, admissible_mu(ell_min(8, 2, SP).qtype, 3), ell_min(8, 2, SP))
-    with pytest.raises(ReducedUndefined):
-        demazure_diamond(3, ell_min(8, 2, SP), reduced=True)
 
 
 def test_diamond_uses_inferred_character():
@@ -491,7 +489,7 @@ def _subject(name: str) -> EFun:
     the n = 3 reduced class, which adds reciprocal Euler factors."""
     if name == "twisted (6,3)":
         return ell_class(parse_pattern("6,3:1>5,3>4,6>2"))
-    return reduced_class(parse_pattern("6,3:4>1,5>3,6>2"), FlagContext.schubert(3))
+    return reduced_class(parse_pattern("6,3:4>1,5>3,6>2"))
 
 
 def _nodes(node):

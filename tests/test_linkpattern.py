@@ -222,11 +222,15 @@ def test_boxed_pattern_has_two_sigma_classes():
 
 def test_minimal_presentation_is_lex_smallest():
     """The capped walk that picks the presentation's word returns the
-    smallest of all minimal words."""
+    smallest of all minimal words, and the one-pass count that ``orbits``
+    prints is their number."""
     for m, r in [(4, 2), (5, 2), (6, 2), (6, 3)]:
         lat = orbit_lattice(m, r)
+        counts = lat.min_word_counts()
         for p in lat.patterns():
-            assert minimal_presentation(p).word == min(lat.all_min_words(p.arc_set()))
+            words = lat.all_min_words(p.arc_set())
+            assert minimal_presentation(p).word == min(words)
+            assert counts[p.arc_set()] == len(words)
 
 
 def test_word_length_invariant_under_relabelling():

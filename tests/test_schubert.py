@@ -12,6 +12,7 @@ from ellink.efun import (
     efun_product,
     efun_scale,
     efun_sum,
+    ell_min,
     evaluate,
     inv_theta_leaf,
     mu_permuted,
@@ -26,10 +27,10 @@ from ellink.linkpattern import (
     act_nodes,
     inverse_perm,
     minimal_pattern,
+    parse_pattern,
     transposition,
 )
 from ellink.schubert import (
-    FlagContext,
     NotPermutationPattern,
     NotWeightPattern,
     b_class,
@@ -92,23 +93,23 @@ def test_normalizers_x_independent():
 @pytest.mark.parametrize("n", [2, 3])
 def test_reduced_class_expansion(n):
     """The quotient class telescopes into the displayed theta product."""
-    ctx = FlagContext.schubert(n)
-    sp = ctx.space
-    rc = reduced_class(minimal_pattern(2 * n, n), ctx)
+    sp = VarSpace(2 * n, n)
+    y = lambda j: sp.x(n + j)
+    rc = reduced_class(minimal_pattern(2 * n, n))
     factors = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i > j:
-                factors.append(theta_leaf(sp.x(i) - ctx.y(j)))
-                factors.append(inv_theta_leaf(ctx.y(i) - ctx.y(j)))
+                factors.append(theta_leaf(sp.x(i) - y(j)))
+                factors.append(inv_theta_leaf(y(i) - y(j)))
     for i in range(1, n + 1):
-        factors.append(theta_leaf(sp.x(i) - ctx.y(i) + sp.mu(i)))
+        factors.append(theta_leaf(sp.x(i) - y(i) + sp.mu(i)))
         factors.append(inv_theta_leaf(sp.mu(i)))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i < j:
-                factors.append(theta_leaf(sp.x(i) - ctx.y(j) + sp.h()))
-                factors.append(inv_theta_leaf(ctx.y(i) - ctx.y(j) + sp.h()))
+                factors.append(theta_leaf(sp.x(i) - y(j) + sp.h()))
+                factors.append(inv_theta_leaf(y(i) - y(j) + sp.h()))
     display = efun_product(*factors)
     assert rc.qtype == display.qtype
     worst, _ = sample_agreement([rc, display], P, Random(3), 30)
@@ -119,17 +120,16 @@ def test_reduced_class_recursion_and_character():
     """Stepping the pattern equals applying the operator to the quotient,
     and the inferred parameter is the quotient of the arrow labels."""
     for n in (2, 3):
-        ctx = FlagContext.schubert(n)
-        sp = ctx.space
+        sp = VarSpace(2 * n, n)
         pat = minimal_pattern(2 * n, n)
-        cur = reduced_class(pat, ctx)
+        cur = reduced_class(pat)
         for i in (1,) if n == 2 else (1, 2):
             nxt = act_nodes(transposition(2 * n, i), pat)
             nu = admissible_mu(cur.qtype, i)
             winv = inverse_perm(pattern_permutation(pat))
             assert nu == sp.mu(winv[i - 1]) - sp.mu(winv[i])
             stepped = demazure_diamond(i, cur)
-            direct = reduced_class(nxt, ctx)
+            direct = reduced_class(nxt)
             assert stepped.qtype == direct.qtype
             worst, _ = sample_agreement([stepped, direct], P, Random(4), 25)
             assert worst < 1e-8
@@ -137,21 +137,19 @@ def test_reduced_class_recursion_and_character():
 
 
 def test_reduced_class_shape_validation():
-    ctx = FlagContext.schubert(2)
     with pytest.raises(NotPermutationPattern):
-        reduced_class(minimal_pattern(4, 1), ctx)
+        reduced_class(minimal_pattern(4, 1))
     with pytest.raises(NotPermutationPattern):
-        reduced_class(LinkPattern(4, 2, ((1, 3), (4, 2))), ctx)
+        reduced_class(LinkPattern(4, 2, ((1, 3), (4, 2))))
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_fixed_point_restriction(n):
     """1 at the identity, 0 at every other fixed point."""
-    ctx = FlagContext.schubert(n)
-    rc = reduced_class(minimal_pattern(2 * n, n), ctx)
+    rc = reduced_class(minimal_pattern(2 * n, n))
     rng = Random(5)
     for sigma in itertools.permutations(range(1, n + 1)):
-        g = restrict_fixed_point(rc, sigma, ctx)
+        g = restrict_fixed_point(rc, sigma)
         for _ in range(5):
             pt = random_point(g.space, rng, P)
             v = evaluate(g, pt)
@@ -162,10 +160,9 @@ def test_fixed_point_restriction(n):
 
 
 def test_restriction_commutes_with_scale():
-    ctx = FlagContext.schubert(2)
-    rc = reduced_class(minimal_pattern(4, 2), ctx)
+    rc = reduced_class(minimal_pattern(4, 2))
     scaled = efun_scale(2.5 + 0.5j, rc)
-    g = restrict_fixed_point(scaled, (1, 2), ctx)
+    g = restrict_fixed_point(scaled, (1, 2))
     rng = Random(6)
     pt = random_point(g.space, rng, P)
     assert rel(evaluate(g, pt), 2.5 + 0.5j) < 1e-12
@@ -173,11 +170,10 @@ def test_restriction_commutes_with_scale():
 
 def test_restriction_with_mu_inversion_flag():
     """The Schubert-comparison substitution does not move the 0/1 values."""
-    ctx = FlagContext.schubert(2)
-    rc = reduced_class(minimal_pattern(4, 2), ctx, mu_inverted=True)
+    rc = reduced_class(minimal_pattern(4, 2), mu_inverted=True)
     rng = Random(7)
-    gid = restrict_fixed_point(rc, (1, 2), ctx)
-    goff = restrict_fixed_point(rc, (2, 1), ctx)
+    gid = restrict_fixed_point(rc, (1, 2))
+    goff = restrict_fixed_point(rc, (2, 1))
     pt = random_point(gid.space, rng, P)
     assert abs(evaluate(gid, pt) - 1) < 1e-10
     assert abs(evaluate(goff, pt)) < 1e-10
@@ -187,15 +183,14 @@ def test_bruhat_triangularity_n2():
     """Restrictions of the four permutation patterns are supported on
     sigma <= w in Bruhat order: the identity patterns vanish at the
     transposition, the transposition patterns vanish nowhere."""
-    ctx = FlagContext.schubert(2)
     rng = Random(8)
     for arcs in [((3, 1), (4, 2)), ((4, 2), (3, 1)), ((3, 2), (4, 1)), ((4, 1), (3, 2))]:
         p = LinkPattern(4, 2, arcs)
         w = pattern_permutation(p)
-        rc = reduced_class(p, ctx)
+        rc = reduced_class(p)
         mags = []
         for sigma in [(1, 2), (2, 1)]:
-            g = restrict_fixed_point(rc, sigma, ctx)
+            g = restrict_fixed_point(rc, sigma)
             pts = [random_point(g.space, rng, P) for _ in range(3)]
             mags.append(max(abs(evaluate(g, pt)) for pt in pts))
         if w == (1, 2):
@@ -208,10 +203,9 @@ def test_r_matrix_recursion_explicit_form():
     """The operator step written out as the two-term x-side recursion with
     the label-quotient parameter."""
     for n in (2, 3):
-        ctx = FlagContext.schubert(n)
-        sp = ctx.space
+        sp = VarSpace(2 * n, n)
         pat = minimal_pattern(2 * n, n)
-        rc = reduced_class(pat, ctx)
+        rc = reduced_class(pat)
         i = 1
         nxt = act_nodes(transposition(2 * n, i), pat)
         winv = inverse_perm(pattern_permutation(pat))
@@ -223,7 +217,7 @@ def test_r_matrix_recursion_explicit_form():
                 x_permuted(transposition(2 * n, i), rc),
             ),
         )
-        direct = reduced_class(nxt, ctx)
+        direct = reduced_class(nxt)
         assert two_term.qtype == direct.qtype
         worst, _ = sample_agreement([two_term, direct], P, Random(9), 25)
         assert worst < 1e-8
@@ -236,10 +230,9 @@ def test_bott_samelson_recursion_n2():
     This matches the displayed recursion after the global mu inversion of
     the Schubert dictionary (the parameter reads mu1/mu2 in raw labels).
     """
-    ctx = FlagContext.schubert(2)
-    sp = ctx.space
-    rc_id = reduced_class(minimal_pattern(4, 2), ctx)
-    rc_s1 = reduced_class(LinkPattern(4, 2, ((3, 2), (4, 1))), ctx)
+    sp = VarSpace(4, 2)
+    rc_id = reduced_class(minimal_pattern(4, 2))
+    rc_s1 = reduced_class(LinkPattern(4, 2, ((3, 2), (4, 1))))
     y1, y2, h = sp.x(3), sp.x(4), sp.h()
     smu = mu_permuted((2, 1), rc_id)
     sysmu = x_permuted((1, 2, 4, 3), smu)
@@ -270,14 +263,14 @@ def test_weight_function_example_n3():
         theta_leaf(z(2) - g(2) + sp.mu(2)),
         inv_theta_leaf(sp.mu(2)),
     )
-    raw = weight_function(p, 3, rtv_substitution=False)
+    raw = weight_function(p, rtv_substitution=False)
     assert raw.qtype == display.qtype
     worst, _ = sample_agreement([raw, display], P, Random(11), 50)
     assert worst < 1e-8
 
     # with the dynamical substitution applied to both sides
     mapping = {sp.mu_index(i): h + sp.mu(3) - sp.mu(i) for i in (1, 2)}
-    wf = weight_function(p, 3, rtv_substitution=True)
+    wf = weight_function(p, rtv_substitution=True)
     display_rtv = substitute_symbols(display, mapping)
     assert wf.qtype == display_rtv.qtype
     worst, _ = sample_agreement([wf, display_rtv], P, Random(12), 50)
@@ -287,9 +280,9 @@ def test_weight_function_example_n3():
 def test_weight_function_r_matrix_recursion():
     """An increasing z-block move on the weight quotient is the operator."""
     p = minimal_pattern(5, 2)
-    wf = weight_function(p, 3, rtv_substitution=False)
+    wf = weight_function(p, rtv_substitution=False)
     stepped = demazure_diamond(1, wf)
-    direct = weight_function(act_nodes(transposition(5, 1), p), 3, rtv_substitution=False)
+    direct = weight_function(act_nodes(transposition(5, 1), p), rtv_substitution=False)
     assert stepped.qtype == direct.qtype
     worst, _ = sample_agreement([stepped, direct], P, Random(13), 25)
     assert worst < 1e-8
@@ -297,23 +290,46 @@ def test_weight_function_r_matrix_recursion():
 
 def test_weight_function_fixed_points():
     """Restrictions gamma_j := z_{sigma(j)} vanish off the identity."""
-    wf = weight_function(minimal_pattern(5, 2), 3, rtv_substitution=False)
+    wf = weight_function(minimal_pattern(5, 2), rtv_substitution=False)
     rng = Random(14)
-    base = restrict_weight(wf, (1, 2, 3), 3)
+    base = restrict_weight(wf, (1, 2, 3))
     scale = max(
         abs(evaluate(base, random_point(base.space, rng, P))) for _ in range(3)
     )
     for sigma in itertools.permutations((1, 2, 3)):
         if sigma == (1, 2, 3):
             continue
-        g = restrict_weight(wf, sigma, 3)
+        g = restrict_weight(wf, sigma)
         for _ in range(3):
             v = evaluate(g, random_point(g.space, rng, P))
             assert abs(v) / max(scale, 1e-30) < 1e-8
 
 
+def test_restrictions_agree_on_weight_functions():
+    """The space of a weight function selects the weight picture: the
+    general restriction substitutes gamma_j exactly as restrict_weight."""
+    wf = weight_function(parse_pattern("5,2:4>2,5>1"), rtv_substitution=False)
+    rng = Random(15)
+    for sigma in [(1, 2, 3), (3, 1, 2)]:
+        g = restrict_fixed_point(wf, sigma)
+        gw = restrict_weight(wf, sigma)
+        for _ in range(3):
+            pt = random_point(g.space, rng, P)
+            assert evaluate(g, pt) == evaluate(gw, pt)
+
+
+def test_restriction_rejects_mismatched_input():
+    rc = reduced_class(minimal_pattern(4, 2))
+    with pytest.raises(ValueError, match="permutation of 1..2"):
+        restrict_fixed_point(rc, (1, 2, 3))
+    with pytest.raises(ValueError, match="no flag picture"):
+        restrict_fixed_point(ell_min(5, 2), (1, 2))
+    with pytest.raises(NotWeightPattern):
+        restrict_weight(rc, (1, 2))
+
+
 def test_weight_function_shape_validation():
     with pytest.raises(NotWeightPattern):
-        weight_function(minimal_pattern(4, 2), 3)
+        weight_function(minimal_pattern(4, 2))
     with pytest.raises(NotWeightPattern):
-        weight_function(LinkPattern(5, 2, ((1, 4), (5, 2))), 3)
+        weight_function(LinkPattern(5, 2, ((1, 4), (5, 2))))
