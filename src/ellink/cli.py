@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,12 +52,12 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau.imag < 0.3:
-            raise UsageError(f"Im(tau) must be at least 0.3, got {self.tau.imag}")
+        if not (math.isfinite(self.tau.imag) and self.tau.imag >= 0.3):
+            raise UsageError(f"Im(tau) must be finite and at least 0.3, got {self.tau.imag}")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
-        if self.tol <= 0:
-            raise UsageError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise UsageError(f"tol must be finite and positive, got {self.tol}")
 
     @property
     def params(self) -> ModularParams:

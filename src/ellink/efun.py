@@ -18,23 +18,27 @@ cancellation, the reciprocal) is one walk, ``_fold``, given a function
 for the leaves and one that joins folded children.  It does not memoise,
 so a shared node is rebuilt once per path that reaches it.
 
-Permutation nodes accumulate lazily.  The first evaluation of an EFun
-compiles it into a tape: one walk threads the composed permutation down to
-the leaves, visits each (node, permutation) pair once, and records a
+Permutation nodes accumulate lazily.  Evaluation compiles expressions into
+a tape: one walk per root threads the composed permutation down to the
+leaves, visits each (node, permutation) pair once, and records a
 straight-line program in which equal leaves, products, sums and scales
 share one slot and each distinct leaf argument is one sparse linear form.
-The tape stays on the EFun, and every evaluation replays it at the point:
-the forms first, then the ops in the order of the walk, so deep operator
-composites cost one pass over their distinct operations per point.
+A tape has one root per expression.  ``evaluate`` keeps a one-root tape
+on the EFun; a sampled check compiles its expressions into one joint tape
+(``joint_tape``) so that an operation they share runs once per point.
+Every replay computes the forms first, then the ops in the order of the
+walks, so deep operator composites cost one pass over their distinct
+operations per point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .theta import theta as _theta_product
 from .linkpattern import (
@@ -414,7 +418,7 @@ _PERM_STRIDE = (1 << 32) + 1
 
 @dataclass(frozen=True, eq=False)
 class _Tape:
-    """A straight-line program computing one expression at any point.
+    """A straight-line program computing one or more expressions at any point.
 
     ``forms`` are the distinct linear forms of the leaf arguments, each a
     tuple of (value index, coefficient) pairs with the x-permutation already
@@ -422,16 +426,18 @@ class _Tape:
     x-permutation) pairs first reaches them, so a replay performs the same
     floating-point operations, and the same theta calls, as that walk.
     ``leaves`` maps the slot of each leaf op to the first node that produced
-    it, for the PoleProximity message.
+    it, for the PoleProximity message.  ``roots`` are the slots of the
+    expressions' values, in order.
     """
 
     forms: tuple[tuple[tuple[int, float], ...], ...]
     ops: tuple[tuple, ...]
     leaves: dict[int, object]
-    root: int
+    roots: tuple[int, ...]
 
-    def run(self, pt: PointAssignment, cache: dict[complex, complex]) -> complex:
-        """The value at pt; ``cache`` maps theta arguments to values."""
+    def run(self, pt: PointAssignment) -> list[complex]:
+        """The value of each root at pt."""
+        cache: dict[complex, complex] = {}
         values = pt.values
         params = pt.params
         norm = params.mult_norm
@@ -501,7 +507,7 @@ class _Tape:
                 for s in a:
                     v += out[s]
                 push(v)
-        return out[self.root]
+        return [out[r] for r in self.roots]
 
 
 class _Compiler:
@@ -580,29 +586,36 @@ class _Compiler:
         slot = self.memo[key] = self.ops.setdefault(op, len(self.ops))
         return slot
 
-    def tape(self, node) -> _Tape:
+    def tape(self, nodes: Sequence) -> _Tape:
+        """Walk each root in order; a later root reuses every slot an
+        earlier one made, so it adds only the ops it does not share."""
         ident = identity_perm(self.m)
-        root = self.visit(node, ident, self.perm_ids.setdefault(ident, 0))
-        return _Tape(tuple(self.forms), tuple(self.ops), self.leaves, root)
+        pid = self.perm_ids.setdefault(ident, 0)
+        roots = tuple([self.visit(node, ident, pid) for node in nodes])
+        return _Tape(tuple(self.forms), tuple(self.ops), self.leaves, roots)
 
 
-def _compiled(f: EFun) -> _Tape:
-    tape = f._tape
-    if tape is None:
-        tape = _Compiler(f.space.m).tape(f.node)
-        object.__setattr__(f, "_tape", tape)
-    return tape
+def joint_tape(fs: Sequence[EFun]) -> _Tape:
+    """One tape for expressions over one space, one root per expression."""
+    return _Compiler(fs[0].space.m).tape([f.node for f in fs])
 
 
 def evaluate(f: EFun, pt: PointAssignment) -> complex:
     """Evaluate the expression at a point; PoleProximity asks ``sample`` to draw again."""
-    return _compiled(f).run(pt, {})
+    tape = f._tape
+    if tape is None:
+        tape = joint_tape([f])
+        object.__setattr__(f, "_tape", tape)
+    return tape.run(pt)[0]
 
 
-def evaluate_many(fs: Sequence[EFun], pt: PointAssignment) -> list[complex]:
-    """Evaluate several expressions at one shared point, sharing theta values."""
-    theta_cache: dict[complex, complex] = {}
-    return [_compiled(f).run(pt, theta_cache) for f in fs]
+def evaluate_many(fs: Sequence[EFun] | _Tape, pt: PointAssignment) -> list[complex]:
+    """Evaluate several expressions at one shared point, each shared op once.
+
+    ``fs`` is the expressions, compiled here, or their ``joint_tape``,
+    which a caller that evaluates them at many points compiles once."""
+    tape = fs if isinstance(fs, _Tape) else joint_tape(fs)
+    return tape.run(pt)
 
 
 # --------------------------------------------------------------------------
@@ -637,6 +650,13 @@ def relative_residual(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), RESIDUAL_FLOOR)
 
 
+def worst_residual(residuals: Iterable[float]) -> float:
+    """The largest residual, 0.0 for none.  A NaN residual gives math.inf,
+    which fails every tolerance; ``max`` would pass over it."""
+    residuals = list(residuals)
+    return math.inf if any(map(math.isnan, residuals)) else max([0.0, *residuals])
+
+
 def sample_agreement(
     fs: Sequence[EFun],
     params: ModularParams,
@@ -646,14 +666,12 @@ def sample_agreement(
     """Max pairwise relative residual of the expressions over shared points;
     returns (max residual, number of redraws)."""
     space = fs[0].space
+    tape = joint_tape(fs)
     points, redraws = sample(
-        lambda r: evaluate_many(fs, random_point(space, r, params)), samples, rng
+        lambda r: evaluate_many(tape, random_point(space, r, params)), samples, rng
     )
-    worst = 0.0
-    for vals in points:
-        for a, b in combinations(vals, 2):
-            worst = max(worst, relative_residual(a, b))
-    return worst, redraws
+    residuals = (relative_residual(a, b) for vals in points for a, b in combinations(vals, 2))
+    return worst_residual(residuals), redraws
 
 
 # --------------------------------------------------------------------------
@@ -714,18 +732,32 @@ def demazure_diamond(i: int, f: EFun) -> EFun:
     return demazure(i, mu, f)
 
 
-def ell_class_from_presentation(pres: Presentation, space: VarSpace | None = None) -> EFun:
-    """Right-to-left diamond composite for the word, then the label twist."""
+def ell_class_from_presentation(
+    pres: Presentation, space: VarSpace | None = None, suffixes: dict | None = None
+) -> EFun:
+    """Right-to-left diamond composite for the word, then the label twist.
+
+    ``suffixes`` maps each reversed-word prefix to its composite before the
+    twist.  A caller that builds several classes of one lattice over one
+    space passes one table, so each common suffix of their words is built
+    once and their classes share its nodes."""
     p = pres.pattern
     if space is None:
         space = VarSpace(p.m, p.r)
-    f = ell_min(p.m, p.r, space)
+    suffixes = {} if suffixes is None else suffixes
+    key: tuple[int, ...] = ()
+    if key not in suffixes:
+        suffixes[key] = ell_min(p.m, p.r, space)
+    f = suffixes[key]
     for step, i in enumerate(reversed(pres.word), 1):
-        try:
-            f = demazure_diamond(i, f)
-        except (ValueError, ArithmeticError) as exc:
-            exc.args = (f"step {step} of word {pres.word} (index {i}): {exc}",)
-            raise
+        key += (i,)
+        if key not in suffixes:
+            try:
+                suffixes[key] = demazure_diamond(i, f)
+            except (ValueError, ArithmeticError) as exc:
+                exc.args = (f"step {step} of word {pres.word} (index {i}): {exc}",)
+                raise
+        f = suffixes[key]
     return mu_permuted(pres.sigma, f)
 
 

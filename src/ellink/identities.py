@@ -2,10 +2,11 @@
 
 Every check evaluates both sides of an identity at random points and
 reports the maximal relative residual |LHS - RHS| / max(|LHS|, |RHS|, 1e-30)
-against a tolerance.  All of them sample through ``efun.sample``: one
-seeded stream per check, points drawn from the [-0.4, 0.4]² box by
-``efun.draw``, and a whole sample drawn again whenever it lands on a theta
-zero, up to ``RESAMPLE_CAP`` times; the report counts those redraws.
+against a tolerance; a NaN residual is reported as infinite, so the check
+fails.  All of them sample through ``efun.sample``: one seeded stream per
+check, points drawn from the [-0.4, 0.4]² box by ``efun.draw``, and a
+whole sample drawn again whenever it lands on a theta zero, up to
+``RESAMPLE_CAP`` times; the report counts those redraws.
 Checks are independent and deterministic for a fixed seed.
 """
 
@@ -27,11 +28,13 @@ from .efun import (
     ell_class_from_presentation,
     ell_min,
     evaluate_many,
+    joint_tape,
     mu_permuted,
     random_point,
     relative_residual,
     sample,
     sample_agreement,
+    worst_residual,
 )
 from .linkpattern import (
     act_nodes,
@@ -78,7 +81,7 @@ def _sampled_report(
 ) -> IdentityReport:
     """Sample the residual trial from Random(seed) and report the worst one."""
     residuals, redraws = sample(trial, samples, Random(seed))
-    return IdentityReport.make(name, samples, max([0.0, *residuals]), tol, redraws)
+    return IdentityReport.make(name, samples, worst_residual(residuals), tol, redraws)
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +136,7 @@ def check_braid_coefficients(
         a1 = d(x1 - x2, mu)
         a2 = d(x2 - x1, -mu)
         r3 = abs(a1 + a2) / max(abs(a1), abs(a2), RESIDUAL_FLOOR)
-        return max(r1, r2, r3)
+        return worst_residual((r1, r2, r3))
 
     return _sampled_report("braid_coefficients", one, samples, tol, seed)
 
@@ -308,6 +311,7 @@ def check_word_independence(
     worst = 0.0
     resamples = 0
     total_points = 0
+    suffixes: dict = {}
     for pattern in lattice.patterns():
         presentations = all_minimal_presentations(pattern)
         multisets = {
@@ -320,7 +324,7 @@ def check_word_independence(
         if len(presentations) == 1:
             continue
         chosen = presentations[:_NUMERIC_PRESENTATION_CAP]
-        classes = [ell_class_from_presentation(pres, space) for pres in chosen]
+        classes = [ell_class_from_presentation(pres, space, suffixes) for pres in chosen]
         if any(c.qtype != classes[0].qtype for c in classes):
             return IdentityReport.make(
                 f"word_independence_{m}_{r}", total_points, math.inf, tol, resamples
@@ -359,7 +363,7 @@ def check_theta_laws(
         )
         r3 = relative_residual(delta(a, b, params), delta(b, a, params))
         r4 = relative_residual(delta(-a, -b, params), -delta(a, b, params))
-        return max(r1, r2, r3, r4)
+        return worst_residual((r1, r2, r3, r4))
 
     return _sampled_report("theta_laws", one, samples, tol, seed)
 
@@ -379,18 +383,17 @@ def check_vanishing(
     zero2 = demazure_diamond(1, ell_class(permuted, space))
 
     rng = Random(seed)
-    worst = 0.0
+    residuals = []
     redraws = 0
     for zero in (zero1, zero2):
         # scale the residual by the first summand of the cancelling pair
-        pair = [EFun(zero.node.children[0], zero.qtype), zero]
+        tape = joint_tape([EFun(zero.node.children[0], zero.qtype), zero])
         values, n = sample(
-            lambda r: evaluate_many(pair, random_point(space, r, params)), samples, rng
+            lambda r: evaluate_many(tape, random_point(space, r, params)), samples, rng
         )
         redraws += n
-        for tv, zv in values:
-            worst = max(worst, abs(zv) / max(abs(tv), RESIDUAL_FLOOR))
-    return IdentityReport.make("vanishing", 2 * samples, worst, tol, redraws)
+        residuals.extend(abs(zv) / max(abs(tv), RESIDUAL_FLOOR) for tv, zv in values)
+    return IdentityReport.make("vanishing", 2 * samples, worst_residual(residuals), tol, redraws)
 
 
 # --------------------------------------------------------------------------

@@ -168,6 +168,44 @@ def test_config_validation():
     assert main(["verify", "fourterm", "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--tau-im", "nan"],
+        ["compute", "4,2:3>1,4>2", "--tau-im", "nan", "--samples", "1"],
+        ["compute", "4,2:3>1,4>2", "--tau-im", "inf", "--samples", "1"],
+        ["verify", "theta", "--tol", "nan"],
+        ["verify", "theta", "--tol", "inf"],
+    ],
+    ids=["tau-nan-verify", "tau-nan-compute", "tau-inf", "tol-nan", "tol-inf"],
+)
+def test_non_finite_config_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "usage"
+
+
+def _report(name, samples, residual, tol):
+    return {"name": name, "samples": samples, "max_relative_residual": residual,
+            "tolerance": tol, "passed": True, "resamples": 0}
+
+
+PINNED_REPORTS = {
+    "independence": [
+        _report("word_independence_2_1", 0, 0.0, 1e-08),
+        _report("word_independence_3_1", 10, 4.523056709080981e-15, 1e-08),
+        _report("word_independence_4_2", 80, 3.533426095670089e-14, 1e-08),
+    ],
+    "vanishing": [_report("vanishing", 20, 7.789516956985235e-14, 1e-10)],
+}
+
+
+@pytest.mark.parametrize("suite", list(PINNED_REPORTS))
+def test_verify_report_is_pinned(capsys, suite):
+    """The exact stdout of two class-level suites at seed 0, 16 samples."""
+    assert main(["verify", suite, "--seed", "0", "--samples", "16"]) == 0
+    assert capsys.readouterr().out == json.dumps(PINNED_REPORTS[suite], indent=2) + "\n"
+
+
 def test_exhausted_redraws_are_a_structured_error(monkeypatch, capsys):
     """A class that sits on a pole at every point: compute gives up on its
     first sample after RESAMPLE_CAP + 1 = 101 trials."""

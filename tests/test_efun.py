@@ -35,6 +35,7 @@ from ellink.efun import (
     evaluate_many,
     expand_deltas,
     inv_theta_leaf,
+    joint_tape,
     mu_permuted,
     push_permutations,
     random_point,
@@ -44,7 +45,7 @@ from ellink.efun import (
     theta_leaf,
     x_permuted,
 )
-from ellink.identities import flip_sides
+from ellink.identities import _NUMERIC_PRESENTATION_CAP, check_word_independence, flip_sides
 from ellink.linkpattern import (
     act_nodes,
     all_minimal_presentations,
@@ -53,6 +54,7 @@ from ellink.linkpattern import (
     inverse_perm,
     minimal_pattern,
     node_values,
+    orbit_lattice,
     parse_pattern,
     transposition,
 )
@@ -340,7 +342,58 @@ def test_evaluate_many_shares_points():
     pt = random_point(sp, rng, P)
     a, b = evaluate_many([f, g], pt)
     assert a == evaluate(f, pt)
-    assert rel(b, evaluate(g, pt)) < 1e-15
+    assert b == evaluate(g, pt)
+
+
+def _classes_4_2(suffixes=None):
+    """The classes of every (4,2) pattern with more than one minimal
+    presentation, one list per pattern, built alone or over one table."""
+    sp = VarSpace(4, 2)
+    out = []
+    for p in orbit_lattice(4, 2).patterns():
+        pres = all_minimal_presentations(p)
+        if len(pres) > 1:
+            out.append([ell_class_from_presentation(q, sp, suffixes) for q in pres])
+    return out
+
+
+def test_joint_tape_matches_separate_evaluation():
+    """One joint tape gives each class's value bit for bit, and at a point
+    on a pole the same PoleProximity message, with fewer ops in all."""
+    families = _classes_4_2()
+    assert len(families) > 1
+    poles = 0
+    for k, classes in enumerate(families):
+        assert len(joint_tape(classes).ops) < sum(len(joint_tape([c]).ops) for c in classes)
+        for pt in _reference_points(classes[0].space, 30 + k, 1 + k % 3):
+            want = _outcome(lambda: [evaluate(c, pt) for c in classes])
+            assert _outcome(lambda: evaluate_many(classes, pt)) == want
+            poles += isinstance(want, str)
+    assert poles > 0
+
+
+def test_shared_suffixes_build_each_prefix_once(monkeypatch):
+    """check_word_independence builds each reversed-word prefix of its
+    chosen words once, and a class built over the shared table equals the
+    class built alone."""
+    built = []
+
+    def counted(i, f):
+        built.append(i)
+        return demazure_diamond(i, f)
+
+    monkeypatch.setattr("ellink.efun.demazure_diamond", counted)
+    check_word_independence(4, 2, samples=2)
+    prefixes = set()
+    for p in orbit_lattice(4, 2).patterns():
+        pres = all_minimal_presentations(p)
+        if len(pres) > 1:
+            for q in pres[:_NUMERIC_PRESENTATION_CAP]:
+                word = tuple(reversed(q.word))
+                prefixes.update(word[:k] for k in range(1, len(word) + 1))
+    assert len(built) == len(prefixes) > 0
+    monkeypatch.undo()
+    assert _classes_4_2({}) == _classes_4_2()
 
 
 class _Evaluator:

@@ -8,6 +8,7 @@ import pytest
 
 from ellink.identities import (
     IdentityReport,
+    _sampled_report,
     check_braid_coefficients,
     check_braid_operator,
     check_flip,
@@ -22,7 +23,15 @@ from ellink.identities import (
     run_all,
     run_suite,
 )
-from ellink.efun import RESAMPLE_CAP, PointAssignment, evaluate_many, sample_agreement
+from ellink.efun import (
+    RESAMPLE_CAP,
+    PointAssignment,
+    efun_scale,
+    ell_min,
+    evaluate_many,
+    sample_agreement,
+    worst_residual,
+)
 from ellink.theta import ModularParams, PoleProximity, delta
 
 P = ModularParams()
@@ -303,3 +312,21 @@ def test_exhausted_redraws_name_the_draw_count():
         check_vanishing(8, 1e-10, ModularParams(pole_guard=0.2), 3)
     assert str(info.value) == f"no pole-free point found in {RESAMPLE_CAP + 1} draws"
 
+
+
+def test_nan_residual_fails_the_report(monkeypatch):
+    """A NaN residual is reported as math.inf, never passed over by max."""
+    assert worst_residual([]) == 0.0
+    assert worst_residual([1e-15, 3e-14, 2e-15]) == 3e-14
+    assert worst_residual([1e-15, math.nan, 2e-15]) == math.inf
+    trials = iter([1e-15, math.nan, 2e-15])
+    r = _sampled_report("nan", lambda rng: next(trials), 3, 1e-8, 0)
+    assert (r.max_relative_residual, r.passed) == (math.inf, False)
+
+    f = ell_min(4, 2)
+    worst, _ = sample_agreement([f, efun_scale(math.nan, f)], P, Random(0), 3)
+    assert worst == math.inf
+
+    monkeypatch.setattr("ellink.identities.evaluate_many", lambda tape, pt: [1.0, math.nan])
+    r = check_vanishing(10, 1e-10, P, 0)
+    assert (r.max_relative_residual, r.passed) == (math.inf, False)
