@@ -3,7 +3,9 @@
 Every command writes a single JSON document (or array) to stdout or to
 ``--out``; every failure is a structured JSON error object and a nonzero
 exit status.  Complex numbers are serialised as [re, im] pairs of decimal
-strings with 17 significant digits so doubles round-trip exactly.
+strings with 17 significant digits so doubles round-trip exactly.  The
+output is strict JSON: a NaN or infinite float (the residual of a failing
+check) is written as null.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ class RunConfig:
             raise UsageError(f"Im(tau) must be finite and at least 0.3, got {self.tau.imag}")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
+        if self.n_terms < 1:
+            raise UsageError(f"q-terms must be >= 1, got {self.n_terms}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise UsageError(f"tol must be finite and positive, got {self.tol}")
 
@@ -247,8 +251,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(doc):
+    """The document with each NaN or infinite float written as None, which
+    strict JSON can carry (a failing check reports an infinite residual)."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {k: _finite(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(v) for v in doc]
+    return doc
+
+
 def _emit(doc, out_path: str | None):
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(_finite(doc), indent=2, allow_nan=False)
     if out_path and out_path != "-":
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -23,6 +23,10 @@ a tape: one walk per root threads the composed permutation down to the
 leaves, visits each (node, permutation) pair once, and records a
 straight-line program in which equal leaves, products, sums and scales
 share one slot and each distinct leaf argument is one sparse linear form.
+The compiler is one loop with its own stack: a node's leaf seen before is
+found by the images of its x-indices, a twist steps the permutation, and
+only a composite pair not yet compiled opens a frame, so compiling a
+shared DAG costs about one frame per distinct (node, permutation) pair.
 A tape has one root per expression.  ``evaluate`` keeps a one-root tape
 on the EFun; a sampled check compiles its expressions into one joint tape
 (``joint_tape``) so that an operation they share runs once per point.
@@ -516,13 +520,22 @@ class _Compiler:
     Composite pairs are memoised under (node id, interned permutation
     number), leaves under the images of the x-indices their forms use.
     Ops and leaf arguments (forms) are hash-consed, so equal ops share one
-    slot however many pairs reach them."""
+    slot however many pairs reach them.
+
+    One loop (in ``tape``) takes each node's children in turn: an XPermuted
+    child steps the permutation through an itemgetter kept per node, a
+    leaf seen before is looked up by its images, and a composite child by
+    its memo key.  Only a composite pair not yet in the memo opens a frame
+    on the loop's own stack; its op is made when its last child is
+    resolved, so the ops come in the order of a recursive walk.  A shared
+    DAG costs one frame per distinct composite pair, and a tree, which
+    reaches each leaf once, builds no image memo.  The loop does not
+    recurse, so its speed does not depend on the depth of the caller's
+    stack, as a recursive walk's does under CPython 3.11."""
 
     def __init__(self, m: int):
         self.m = m
         self.perm_ids: dict[tuple[int, ...], int] = {}
-        self.memo: dict[int, int] = {}
-        self.leaf_memo: dict[int, tuple[Callable, dict] | None] = {}
         self.forms: dict[tuple, int] = {}
         self.ops: dict[tuple, int] = {}
         self.leaves: dict[int, object] = {}
@@ -542,57 +555,85 @@ class _Compiler:
         self.leaves.setdefault(slot, node)
         return slot
 
-    def leaf(self, node, perm: tuple[int, ...]) -> int:
-        # A leaf of an unfolded tree is reached once, so the memo for a leaf
-        # is only built when the walk reaches it a second time.
-        key = id(node)
-        if key not in self.leaf_memo:
-            self.leaf_memo[key] = None
-            return self.leaf_op(node, perm)
-        entry = self.leaf_memo[key]
-        if entry is None:
-            args = (node.a, node.b) if type(node) is DeltaLeaf else (node.a,)
-            xs = sorted({i for lf in args for i, _ in lf.float_terms if i < self.m})
-            pick = itemgetter(*xs) if xs else (lambda perm: ())
-            entry = self.leaf_memo[key] = (pick, {})
-        pick, memo = entry
-        images = pick(perm)
-        slot = memo.get(images)
-        if slot is None:
-            slot = memo[images] = self.leaf_op(node, perm)
-        return slot
-
-    def visit(self, node, perm: tuple[int, ...], pid: int) -> int:
-        kind = type(node)
-        if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
-            return self.leaf(node, perm)
-        if kind is XPermuted:
-            inner = compose(perm, node.w)
-            return self.visit(node.child, inner, self.perm_ids.setdefault(inner, len(self.perm_ids)))
-        key = id(node) * _PERM_STRIDE + pid
-        slot = self.memo.get(key)
-        if slot is not None:
-            return slot
-        if kind is Product or kind is Sum:
-            kids = tuple([self.visit(c, perm, pid) for c in node.children])
-            if len(kids) == 2:
-                op = (_PRODUCT2 if kind is Product else _SUM2, *kids)
-            else:
-                op = (_PRODUCT if kind is Product else _SUM, kids, None)
-        elif kind is Scale:
-            op = (_SCALE, node.factor, self.visit(node.child, perm, pid))
-        else:
-            raise TypeError(f"unknown node {node!r}")
-        slot = self.memo[key] = self.ops.setdefault(op, len(self.ops))
-        return slot
+    def image_memo(self, node) -> tuple[Callable, dict]:
+        """The picker of the x-images a leaf's forms read, and its empty
+        images -> slot memo."""
+        args = (node.a, node.b) if type(node) is DeltaLeaf else (node.a,)
+        xs = sorted({i for lf in args for i, _ in lf.float_terms if i < self.m})
+        pick = itemgetter(*xs) if xs else (lambda perm: ())
+        return pick, {}
 
     def tape(self, nodes: Sequence) -> _Tape:
         """Walk each root in order; a later root reuses every slot an
         earlier one made, so it adds only the ops it does not share."""
-        ident = identity_perm(self.m)
-        pid = self.perm_ids.setdefault(ident, 0)
-        roots = tuple([self.visit(node, ident, pid) for node in nodes])
-        return _Tape(tuple(self.forms), tuple(self.ops), self.leaves, roots)
+        perm = identity_perm(self.m)
+        pid = self.perm_ids.setdefault(perm, 0)
+        perm_ids = self.perm_ids
+        ops = self.ops
+        memo: dict[int, int] = {}
+        leaf_memo: dict[int, tuple[Callable, dict] | None] = {}
+        steps: dict[int, Callable] = {}
+        stack = []
+        # the composite pair being built: its node and memo key, the
+        # iterator over its children, its permutation and number, and the
+        # slots of the children resolved so far
+        parent, pkey, kids, slots = None, None, iter(nodes), []
+        while True:
+            for node in kids:
+                kind = type(node)
+                p = perm
+                q = pid
+                while kind is XPermuted:
+                    st = steps.get(id(node))
+                    if st is None:
+                        # perm -> perm . node.w
+                        st = steps[id(node)] = itemgetter(*[i - 1 for i in node.w])
+                    p = st(p)
+                    q = perm_ids.setdefault(p, len(perm_ids))
+                    node = node.child
+                    kind = type(node)
+                if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
+                    key = id(node)
+                    entry = leaf_memo.get(key)
+                    if entry is None and key not in leaf_memo:
+                        # a leaf of an unfolded tree is reached once, so its
+                        # image memo is only built when a second reach comes
+                        leaf_memo[key] = None
+                        slots.append(self.leaf_op(node, p))
+                        continue
+                    if entry is None:
+                        entry = leaf_memo[key] = self.image_memo(node)
+                    pick, by_images = entry
+                    images = pick(p)
+                    slot = by_images.get(images)
+                    if slot is None:
+                        slot = by_images[images] = self.leaf_op(node, p)
+                    slots.append(slot)
+                    continue
+                key = id(node) * _PERM_STRIDE + q
+                slot = memo.get(key)
+                if slot is not None:
+                    slots.append(slot)
+                    continue
+                if kind is not Product and kind is not Sum and kind is not Scale:
+                    raise TypeError(f"unknown node {node!r}")
+                stack.append((parent, pkey, kids, perm, pid, slots))
+                parent, pkey, perm, pid, slots = node, key, p, q, []
+                kids = iter((node.child,) if kind is Scale else node.children)
+                break
+            else:
+                if parent is None:
+                    return _Tape(tuple(self.forms), tuple(ops), self.leaves, tuple(slots))
+                kind = type(parent)
+                if kind is Scale:
+                    op = (_SCALE, parent.factor, slots[0])
+                elif len(slots) == 2:
+                    op = (_PRODUCT2 if kind is Product else _SUM2, *slots)
+                else:
+                    op = (_PRODUCT if kind is Product else _SUM, tuple(slots), None)
+                slot = memo[pkey] = ops.setdefault(op, len(ops))
+                parent, pkey, kids, perm, pid, slots = stack.pop()
+                slots.append(slot)
 
 
 def joint_tape(fs: Sequence[EFun]) -> _Tape:

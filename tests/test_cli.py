@@ -152,8 +152,14 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
 
 @pytest.mark.parametrize(
     "argv",
-    [["compute"], ["verify", "all", "--samples", "x"], ["orbits", "4,2", "--tol", "5"]],
-    ids=["missing-pattern", "bad-int", "unread-option"],
+    [
+        ["compute"],
+        ["verify", "all", "--samples", "x"],
+        ["orbits", "4,2", "--tol", "5"],
+        ["compute", "4,2:3>1,4>2", "--q-terms", "0", "--samples", "1"],
+        ["compute", "4,2:3>1,4>2", "--q-terms", "-5", "--samples", "1"],
+    ],
+    ids=["missing-pattern", "bad-int", "unread-option", "q-terms-zero", "q-terms-negative"],
 )
 def test_bad_command_line_is_a_structured_error(capsys, argv):
     assert main(argv) == 2
@@ -182,6 +188,23 @@ def test_config_validation():
 def test_non_finite_config_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "usage"
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_failing_residual_is_strict_json(monkeypatch, capsys):
+    """A NaN residual fails the check as an infinite residual, which the
+    report writes as null, not as the non-JSON token Infinity."""
+    nan = float("nan")
+    monkeypatch.setattr("ellink.identities.evaluate_many", lambda tape, pt: [1.0, nan])
+    assert main(["verify", "vanishing", "--samples", "10"]) == 1
+    out = capsys.readouterr().out
+    (report,) = json.loads(out, parse_constant=_reject_constant)
+    assert report["max_relative_residual"] is None
+    assert report["passed"] is False
+    assert '"max_relative_residual": null' in out
 
 
 def _report(name, samples, residual, tol):

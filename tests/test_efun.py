@@ -1,5 +1,7 @@
 """Typed expression trees, Demazure operators, and elliptic classes."""
 
+import hashlib
+import json
 from functools import lru_cache
 from random import Random
 
@@ -17,6 +19,7 @@ from ellink.efun import (
     Sum,
     ThetaLeaf,
     XPermuted,
+    _Compiler,
     cancel_theta_pairs,
     delta_leaf,
     demazure,
@@ -45,6 +48,7 @@ from ellink.efun import (
     theta_leaf,
     x_permuted,
 )
+from ellink.cli import main
 from ellink.identities import _NUMERIC_PRESENTATION_CAP, check_word_independence, flip_sides
 from ellink.linkpattern import (
     act_nodes,
@@ -394,6 +398,57 @@ def test_shared_suffixes_build_each_prefix_once(monkeypatch):
     assert len(built) == len(prefixes) > 0
     monkeypatch.undo()
     assert _classes_4_2({}) == _classes_4_2()
+
+
+def _unique_nodes(root) -> int:
+    """The number of distinct node objects reachable from root."""
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, "children", ()))
+            if hasattr(node, "child"):
+                stack.append(node.child)
+    return len(seen)
+
+
+# (ops, forms) of the compiled tape: the three classes of the benchmark's
+# sample workload, and a twisted class, whose label twist unfolds it to a tree
+TAPE_SIZES = {
+    "8,4:1>5,2>6,3>7,4>8": (47816, 151),
+    "7,3:1>5,2>6,3>7": (15298, 124),
+    "8,3:1>6,5>7,8>4": (12972, 133),
+    "6,2:2>6,5>3": (790, 76),
+}
+
+
+@pytest.mark.parametrize("pattern", list(TAPE_SIZES))
+def test_tape_size_is_pinned(pattern):
+    """The tape's size, and ops at most unique nodes x reachable
+    x-permutations, for shared DAGs and for a twisted tree alike."""
+    f = ell_class(parse_pattern(pattern))
+    compiler = _Compiler(f.space.m)
+    tape = compiler.tape([f.node])
+    assert (len(tape.ops), len(tape.forms)) == TAPE_SIZES[pattern]
+    assert len(tape.ops) <= _unique_nodes(f.node) * len(compiler.perm_ids)
+
+
+def test_sample_class_output_is_pinned(capsys):
+    """The exact stdout of compute on the deepest sample-workload class:
+    its four values, and a digest of the whole document."""
+    assert main(["compute", "8,4:1>5,2>6,3>7,4>8", "--samples", "4", "--seed", "10"]) == 0
+    out = capsys.readouterr().out
+    assert [s["value"] for s in json.loads(out)["sample_values"]] == [
+        ["-0.42678146810910628", "0.72829938679797912"],
+        ["137.10434509435268", "170.57642201653246"],
+        ["-7.047942700393635e-07", "1.4011909662203375e-05"],
+        ["0.00087946154451060273", "0.0012165330411864129"],
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2988d4978d4eca68fb1e17ee1d04680d05a70001d10fb8a4795e50a4bc694102"
+    )
 
 
 class _Evaluator:
