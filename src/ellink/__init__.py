@@ -14,7 +14,6 @@ from .typecalc import (
     CrossTerm,
     LinearForm,
     NotACharacter,
-    NotDivisible,
     QForm,
     TrivialCharacter,
     VarSpace,

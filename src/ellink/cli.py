@@ -170,7 +170,7 @@ def cmd_multiplicities(pattern_text: str, lam_text: str) -> dict:
     p = parse_pattern(pattern_text)
     try:
         lambdas = [Fraction(tok) for tok in lam_text.split(",")] if lam_text else []
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad lambda list {lam_text!r}") from None
     pres = minimal_presentation(p)
     alphas = multiplicities(pres, lambdas)

@@ -4,12 +4,14 @@ The symbol universe for a problem of size (m, r) is ordered as
 
     x_1, ..., x_m, u, h, mu_1, ..., mu_r
 
-and every linear/quadratic form is a dense vector/matrix of Fractions over
-it.  A quadratic form with matrix M stands for the polynomial
-sum_{a,b} M[a][b] sym_a sym_b, so the product of two linear forms A*B is
-the symmetrised matrix (A (x) B + B (x) A) / 2, and theta(A) contributes
-A*A/2.  All arithmetic is exact; the one float in this module is the
-read-only view ``LinearForm.float_terms`` that the evaluator compiles from.
+and every linear form is a dense vector of Fractions over it.  A quadratic
+form (a bundle type) with symmetric matrix M stands for the polynomial
+sum_{a,b} M[a][b] sym_a sym_b and is stored as the nonzero entries of M's
+upper triangle, so it is symmetric by construction.  The product of two
+linear forms A*B is the symmetrised matrix (A (x) B + B (x) A) / 2, and
+theta(A) contributes A*A/2.  All arithmetic is exact; the one float in
+this module is the read-only view ``LinearForm.float_terms`` that the
+evaluator compiles from.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ HALF = Fraction(1, 2)
 
 class TypeError_(ValueError):
     """Base class for bundle-type bookkeeping failures."""
-
-
-class NotDivisible(TypeError_):
-    """q - s_i(q) does not factor through x_i - x_{i+1}; purity is broken."""
 
 
 class NotACharacter(TypeError_):
@@ -108,8 +106,7 @@ class VarSpace:
         return self.unit(self.mu_index(j))
 
     def zero_qform(self) -> "QForm":
-        row = (ZERO,) * self.n_symbols
-        return QForm(self, (row,) * self.n_symbols)
+        return QForm(self, ())
 
 
 @dataclass(frozen=True)
@@ -192,48 +189,29 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class QForm:
-    """A symmetric matrix of exact rationals over the symbol universe."""
+    """A symmetric matrix of exact rationals over the symbol universe,
+    stored as the sorted (a, b, value) triples of its nonzero entries with
+    a <= b, so equal forms compare and hash equal."""
 
     space: VarSpace
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        n = self.space.n_symbols
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise ValueError("matrix does not match symbol space")
+    entries: tuple[tuple[int, int, Fraction], ...]
 
     def entry(self, a: int, b: int) -> Fraction:
-        return self.rows[a][b]
+        a, b = min(a, b), max(a, b)
+        return next((v for i, j, v in self.entries if i == a and j == b), ZERO)
 
     def __add__(self, other: "QForm") -> "QForm":
-        return QForm(
-            self.space,
-            tuple(
-                tuple(x + y for x, y in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return _collect(self.space, self.entries + other.entries)
 
     def __sub__(self, other: "QForm") -> "QForm":
-        return QForm(
-            self.space,
-            tuple(
-                tuple(x - y for x, y in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        negated = tuple((a, b, -v) for a, b, v in other.entries)
+        return _collect(self.space, self.entries + negated)
 
     def __neg__(self) -> "QForm":
-        return QForm(self.space, tuple(tuple(-x for x in r) for r in self.rows))
+        return QForm(self.space, tuple((a, b, -v) for a, b, v in self.entries))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
-
-    def is_symmetric(self) -> bool:
-        n = self.space.n_symbols
-        return all(
-            self.rows[a][b] == self.rows[b][a] for a in range(n) for b in range(a)
-        )
+        return not self.entries
 
     def x_permute(self, w: Sequence[int]) -> "QForm":
         """Row/column relabelling induced by x_i := x_{w(i)}."""
@@ -251,57 +229,51 @@ class QForm:
 
     def _relabel(self, perm: list[int]) -> "QForm":
         """Move entry (a, b) to (perm[a], perm[b]), adding entries that meet."""
-        n = self.space.n_symbols
-        new = [[ZERO] * n for _ in range(n)]
-        for a in range(n):
-            ra = self.rows[a]
-            row = new[perm[a]]
-            for b in range(n):
-                if ra[b] != 0:
-                    row[perm[b]] += ra[b]
-        return QForm(self.space, tuple(tuple(r) for r in new))
+        return _collect(self.space, [(perm[a], perm[b], v) for a, b, v in self.entries])
 
     def substitute(self, mapping: dict[int, LinearForm]) -> "QForm":
         """Congruence transform S^T M S for a symbol-level substitution."""
-        n = self.space.n_symbols
-        # S[idx] = coefficient vector of the image of symbol idx
-        images = []
-        for idx in range(n):
-            if idx in mapping:
-                images.append(mapping[idx].coeffs)
-            else:
-                row = [ZERO] * n
-                row[idx] = ONE
-                images.append(tuple(row))
-        new = [[ZERO] * n for _ in range(n)]
-        for a in range(n):
-            ra = self.rows[a]
-            ia = images[a]
-            for b in range(n):
-                c = ra[b]
-                if c == 0:
-                    continue
-                ib = images[b]
-                for k, ca in enumerate(ia):
-                    if ca == 0:
-                        continue
-                    cak = c * ca
-                    row = new[k]
-                    for l, cb in enumerate(ib):
-                        if cb != 0:
-                            row[l] += cak * cb
-        return QForm(self.space, tuple(tuple(r) for r in new))
+        images = {idx: _support(form) for idx, form in mapping.items()}
+        cells = []
+        for a, b, v in self.entries:
+            # entry (a, b) stands for v * (e_a e_b^T + e_b e_a^T), halved on
+            # the diagonal
+            cells += _symmetrised(
+                v if a == b else 2 * v,
+                images.get(a, [(a, ONE)]),
+                images.get(b, [(b, ONE)]),
+            )
+        return _collect(self.space, cells)
 
     def to_json(self) -> list[list[str]]:
         """Upper-triangle triples (symbol, symbol, rational) of nonzeros."""
         names = self.space.symbol_names
-        out = []
-        n = self.space.n_symbols
-        for a in range(n):
-            for b in range(a, n):
-                if self.rows[a][b] != 0:
-                    out.append([names[a], names[b], str(self.rows[a][b])])
-        return out
+        return [[names[a], names[b], str(v)] for a, b, v in self.entries]
+
+
+def _support(f: LinearForm) -> list[tuple[int, Fraction]]:
+    return [(i, c) for i, c in enumerate(f.coeffs) if c != 0]
+
+
+def _collect(space: VarSpace, cells) -> QForm:
+    """The form whose entry at (a, b), a <= b, is the sum of the values
+    that the (a, b, value) triples in ``cells`` list for (a, b) or (b, a)."""
+    acc: dict[tuple[int, int], Fraction] = {}
+    for a, b, v in cells:
+        key = (a, b) if a <= b else (b, a)
+        acc[key] = acc.get(key, ZERO) + v
+    return QForm(
+        space, tuple(sorted((a, b, v) for (a, b), v in acc.items() if v != 0))
+    )
+
+
+def _symmetrised(c: Fraction, u, v) -> list[tuple[int, int, Fraction]]:
+    """c * (u v^T + v u^T) / 2 as (k, l, value) cells for ``_collect``,
+    which folds (k, l) and (l, k) into one upper-triangle entry; u and v
+    are sparse (index, coefficient) lists."""
+    return [
+        (k, l, c * a * b if k == l else HALF * c * a * b) for k, a in u for l, b in v
+    ]
 
 
 @dataclass(frozen=True)
@@ -330,27 +302,13 @@ def transposition(m: int, i: int) -> tuple[int, ...]:
 
 def qf_of_theta(a: LinearForm) -> QForm:
     """Type of theta(a): the half square a*a/2."""
-    n = a.space.n_symbols
-    support = [(i, c) for i, c in enumerate(a.coeffs) if c != 0]
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, ca in support:
-        for j, cb in support:
-            rows[i][j] = HALF * ca * cb
-    return QForm(a.space, tuple(tuple(r) for r in rows))
+    support = _support(a)
+    return _collect(a.space, _symmetrised(HALF, support, support))
 
 
 def qf_of_delta(a: LinearForm, b: LinearForm) -> QForm:
     """Type of delta(a, b): the symmetrised product a*b."""
-    n = a.space.n_symbols
-    sa = [(i, c) for i, c in enumerate(a.coeffs) if c != 0]
-    sb = [(j, c) for j, c in enumerate(b.coeffs) if c != 0]
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, ca in sa:
-        for j, cb in sb:
-            v = HALF * ca * cb
-            rows[i][j] += v
-            rows[j][i] += v
-    return QForm(a.space, tuple(tuple(r) for r in rows))
+    return _collect(a.space, _symmetrised(ONE, _support(a), _support(b)))
 
 
 def s_action(i: int, q: QForm) -> QForm:
@@ -361,41 +319,20 @@ def s_action(i: int, q: QForm) -> QForm:
 def divided_difference(i: int, q: QForm) -> LinearForm:
     """The exact quotient (q - s_i q) / (x_i - x_{i+1}).
 
-    Raises NotDivisible when the difference does not factor, which signals
-    a malformed (non-pure) type.
+    The difference vanishes on x_i = x_{i+1}, so it always factors; the
+    quotient is read off the x_i row of the difference and the x_{i+1}
+    diagonal.
     """
     space = q.space
-    d = q - s_action(i, q)
     xi = space.x_index(i)
     xj = space.x_index(i + 1)
-    n = space.n_symbols
-    coeffs = [ZERO] * n
-    coeffs[xi] = d.entry(xi, xi)
-    coeffs[xj] = -d.entry(xj, xj)
-    for k in range(n):
-        if k in (xi, xj):
-            continue
-        coeffs[k] = 2 * d.entry(xi, k)
-        if d.entry(xj, k) != -d.entry(xi, k):
-            raise NotDivisible(
-                f"difference not divisible by x{i} - x{i + 1} "
-                f"(row mismatch at {space.symbol_names[k]})"
-            )
-    if d.entry(xi, xj) != HALF * (coeffs[xj] - coeffs[xi]):
-        raise NotDivisible(
-            f"difference not divisible by x{i} - x{i + 1} (corner mismatch)"
-        )
-    for a in range(n):
-        if a in (xi, xj):
-            continue
-        for b in range(a, n):
-            if b in (xi, xj):
-                continue
-            if d.entry(a, b) != 0:
-                raise NotDivisible(
-                    f"difference not divisible by x{i} - x{i + 1} "
-                    f"(stray entry at {space.symbol_names[a]},{space.symbol_names[b]})"
-                )
+    coeffs = [ZERO] * space.n_symbols
+    for a, b, v in (q - s_action(i, q)).entries:
+        if a == b == xj:
+            coeffs[xj] = -v
+        elif xi in (a, b) and xj not in (a, b):
+            k = a + b - xi
+            coeffs[k] = v if k == xi else 2 * v
     return LinearForm(space, tuple(coeffs))
 
 
@@ -425,9 +362,9 @@ def phi(w: Sequence[int], alpha: Sequence[LinearForm]) -> LinearForm:
 def admissible_mu(q: QForm, i: int) -> LinearForm:
     """The unique purity-preserving parameter for the i-th operator.
 
-    Raises NotDivisible if q is not a valid type, NotACharacter if the
-    quotient still involves x-symbols, and TrivialCharacter when the
-    parameter vanishes (the operator's delta(., 1) would pole).
+    Raises NotACharacter if the quotient still involves x-symbols, and
+    TrivialCharacter when the parameter vanishes (the operator's
+    delta(., 1) would pole).
     """
     out = divided_difference(i, q) - q.space.h()
     if not out.is_x_free():
@@ -445,23 +382,18 @@ def decompose_type(q: QForm) -> TypeDecomposition:
     """
     space = q.space
     m = space.m
-    n = space.n_symbols
-    for a in range(m):
-        for b in range(a, m):
-            if q.entry(a, b) != 0:
-                raise CrossTerm(
-                    f"x-block entry at {space.symbol_names[a]},{space.symbol_names[b]}"
-                )
-    hidx = space.h_index
-    alpha = []
-    for i in range(1, m + 1):
-        c = [ZERO] * n
-        for k in range(m, n):
-            c[k] = 2 * q.entry(space.x_index(i), k)
-        c[hidx] += Fraction(i)  # strip the -i*x_i*h contribution of rho_m h
-        alpha.append(LinearForm(space, tuple(c)))
-    qmu_rows = [
-        tuple(q.rows[a][b] if a >= m and b >= m else ZERO for b in range(n))
-        for a in range(n)
-    ]
-    return TypeDecomposition(tuple(alpha), QForm(space, tuple(qmu_rows)))
+    names = space.symbol_names
+    alpha = [[ZERO] * space.n_symbols for _ in range(m)]
+    q_mu = []
+    for a, b, v in q.entries:
+        if b < m:
+            raise CrossTerm(f"x-block entry at {names[a]},{names[b]}")
+        if a < m:
+            alpha[a][b] = 2 * v
+        else:
+            q_mu.append((a, b, v))
+    for i, c in enumerate(alpha, 1):
+        c[space.h_index] += Fraction(i)  # strip the -i*x_i*h contribution of rho_m h
+    return TypeDecomposition(
+        tuple(LinearForm(space, tuple(c)) for c in alpha), QForm(space, tuple(q_mu))
+    )

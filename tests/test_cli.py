@@ -158,8 +158,18 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
         ["orbits", "4,2", "--tol", "5"],
         ["compute", "4,2:3>1,4>2", "--q-terms", "0", "--samples", "1"],
         ["compute", "4,2:3>1,4>2", "--q-terms", "-5", "--samples", "1"],
+        ["multiplicities", "3,1:1>2", "--lam", "abc"],
+        ["multiplicities", "3,1:1>2", "--lam", "1/0"],
     ],
-    ids=["missing-pattern", "bad-int", "unread-option", "q-terms-zero", "q-terms-negative"],
+    ids=[
+        "missing-pattern",
+        "bad-int",
+        "unread-option",
+        "q-terms-zero",
+        "q-terms-negative",
+        "lam-not-rational",
+        "lam-zero-denominator",
+    ],
 )
 def test_bad_command_line_is_a_structured_error(capsys, argv):
     assert main(argv) == 2

@@ -9,7 +9,6 @@ from ellink.typecalc import (
     CrossTerm,
     LinearForm,
     NotACharacter,
-    NotDivisible,
     QForm,
     TrivialCharacter,
     VarSpace,
@@ -29,7 +28,7 @@ SP = VarSpace(8, 2)
 def test_qf_of_theta_examples():
     q = qf_of_theta(SP.x(1))
     assert q.entry(0, 0) == Fraction(1, 2)
-    assert sum(1 for row in q.rows for v in row if v != 0) == 1
+    assert len(q.entries) == 1
 
     assert qf_of_theta(SP.zero_form()).is_zero()
 
@@ -62,8 +61,7 @@ def test_qf_of_delta_doubled_matrix_is_integral():
         a = LinearForm(sp, tuple(Fraction(rng.randint(-3, 3)) for _ in range(sp.n_symbols)))
         b = LinearForm(sp, tuple(Fraction(rng.randint(-3, 3)) for _ in range(sp.n_symbols)))
         q = qf_of_delta(a, b)
-        assert all((2 * v).denominator == 1 for row in q.rows for v in row)
-        assert q.is_symmetric()
+        assert all((2 * v).denominator == 1 for _, _, v in q.entries)
 
 
 def test_s_action_is_involution():
@@ -114,16 +112,16 @@ def test_divided_difference_x_square():
     assert out == (SP.x(1) + SP.x(2)).scale(Fraction(1, 2))
 
 
-def test_not_divisible_is_defensive():
-    """Every symmetric quadratic form has divisible differences, so the
-    error only fires on malformed input; an asymmetric x1-x2 corner is the
-    minimal way to break the factorisation."""
-    n = SP.n_symbols
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[SP.x_index(1)][SP.x_index(2)] = Fraction(1)
-    bad = QForm(SP, tuple(tuple(r) for r in rows))
-    with pytest.raises(NotDivisible):
-        divided_difference(1, bad)
+def test_divided_difference_is_exact():
+    """Every symmetric form's difference q - s_i q factors through
+    x_i - x_{i+1}, and the quotient times that root gives it back."""
+    rng = Random(8)
+    sp = VarSpace(4, 2)
+    for _ in range(40):
+        q = _random_qform(rng, sp)
+        for i in range(1, sp.m):
+            root = sp.x(i) - sp.x(i + 1)
+            assert qf_of_delta(root, divided_difference(i, q)) == q - s_action(i, q)
 
 
 def test_divided_difference_zero_iff_symmetric():
@@ -136,6 +134,123 @@ def test_divided_difference_zero_iff_symmetric():
             q = q + qf_of_theta(pool[rng.randrange(len(pool))])
         i = rng.randint(1, 3)
         assert divided_difference(i, q).is_zero() == (s_action(i, q) == q)
+
+
+# A dense-matrix reference for the sparse QForm: each matrix is a list of
+# rows over the full symbol universe.
+
+
+def _dense(q):
+    n = q.space.n_symbols
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for a, b, v in q.entries:
+        rows[a][b] = rows[b][a] = v
+    return rows
+
+
+def _from_dense(sp, rows):
+    n = sp.n_symbols
+    return QForm(
+        sp,
+        tuple((a, b, rows[a][b]) for a in range(n) for b in range(a, n) if rows[a][b] != 0),
+    )
+
+
+def _random_qform(rng, sp, density=0.4):
+    n = sp.n_symbols
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if rng.random() < density:
+                rows[a][b] = rows[b][a] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return _from_dense(sp, rows)
+
+
+def _dense_add(p, q, sign=1):
+    return [[x + sign * y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]
+
+
+def _dense_relabel(rows, perm):
+    n = len(rows)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] += rows[a][b]
+    return out
+
+
+def _dense_congruence(rows, mapping):
+    """S^T M S, where row idx of S is the image of symbol idx."""
+    n = len(rows)
+    s = [
+        list(mapping[idx].coeffs) if idx in mapping else [Fraction(int(k == idx)) for k in range(n)]
+        for idx in range(n)
+    ]
+    return _matmul([list(col) for col in zip(*s)], _matmul(rows, s))
+
+
+def _matmul(p, q):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*q)] for row in p]
+
+
+def _assert_matches(q, rows):
+    n = q.space.n_symbols
+    assert all(v != 0 and a <= b for a, b, v in q.entries)
+    assert list(q.entries) == sorted(q.entries)
+    assert _dense(q) == rows
+    assert all(q.entry(a, b) == rows[a][b] for a in range(n) for b in range(n))
+
+
+def test_qform_matches_dense_reference():
+    """Sums, relabellings and the substitutions schubert makes (u := 0,
+    the mu inversion, the RTV map, y := x_sigma) agree entry for entry
+    with dense symmetric matrices."""
+    rng = Random(9)
+    square = VarSpace(4, 2)
+    weight = VarSpace(5, 3)
+    for _ in range(25):
+        for sp in (square, weight):
+            p, q = _random_qform(rng, sp), _random_qform(rng, sp)
+            _assert_matches(p + q, _dense_add(_dense(p), _dense(q)))
+            _assert_matches(p - q, _dense_add(_dense(p), _dense(q), -1))
+            zero = _dense(sp.zero_qform())
+            _assert_matches(-q, _dense_add(zero, _dense(q), -1))
+            _assert_matches(p - p, zero)
+
+            w = _random_perm(rng, sp.m)
+            perm = [w[i] - 1 for i in range(sp.m)] + list(range(sp.m, sp.n_symbols))
+            _assert_matches(q.x_permute(w), _dense_relabel(_dense(q), perm))
+            sigma = _random_perm(rng, sp.r)
+            perm = list(range(sp.n_symbols))
+            for j in range(1, sp.r + 1):
+                perm[sp.mu_index(j)] = sp.mu_index(sigma[j - 1])
+            _assert_matches(q.mu_permute(sigma), _dense_relabel(_dense(q), perm))
+
+        n = square.r
+        sigma = _random_perm(rng, n)
+        w = _random_perm(rng, weight.r)
+        h = weight.h()
+        mappings = [
+            (square, {square.u_index: square.zero_form()}),
+            (
+                square,
+                {square.u_index: square.zero_form()}
+                | {square.mu_index(j): -square.mu(j) for j in range(1, n + 1)},
+            ),
+            (square, {square.x_index(n + j): square.x(sigma[j - 1]) for j in range(1, n + 1)}),
+            (
+                weight,
+                {weight.u_index: weight.zero_form()}
+                | {
+                    weight.mu_index(i): h + weight.mu(weight.r) - weight.mu(i)
+                    for i in range(1, weight.r)
+                },
+            ),
+            (weight, {weight.x_index(weight.r + j): weight.x(w[j - 1]) for j in range(1, weight.r)}),
+        ]
+        for sp, mapping in mappings:
+            q = _random_qform(rng, sp)
+            _assert_matches(q.substitute(mapping), _dense_congruence(_dense(q), mapping))
 
 
 def test_rho_examples():
