@@ -773,32 +773,18 @@ def demazure_diamond(i: int, f: EFun) -> EFun:
     return demazure(i, mu, f)
 
 
-def ell_class_from_presentation(
-    pres: Presentation, space: VarSpace | None = None, suffixes: dict | None = None
-) -> EFun:
-    """Right-to-left diamond composite for the word, then the label twist.
-
-    ``suffixes`` maps each reversed-word prefix to its composite before the
-    twist.  A caller that builds several classes of one lattice over one
-    space passes one table, so each common suffix of their words is built
-    once and their classes share its nodes."""
+def ell_class_from_presentation(pres: Presentation, space: VarSpace | None = None) -> EFun:
+    """Right-to-left diamond composite for the word, then the label twist."""
     p = pres.pattern
     if space is None:
         space = VarSpace(p.m, p.r)
-    suffixes = {} if suffixes is None else suffixes
-    key: tuple[int, ...] = ()
-    if key not in suffixes:
-        suffixes[key] = ell_min(p.m, p.r, space)
-    f = suffixes[key]
+    f = ell_min(p.m, p.r, space)
     for step, i in enumerate(reversed(pres.word), 1):
-        key += (i,)
-        if key not in suffixes:
-            try:
-                suffixes[key] = demazure_diamond(i, f)
-            except (ValueError, ArithmeticError) as exc:
-                exc.args = (f"step {step} of word {pres.word} (index {i}): {exc}",)
-                raise
-        f = suffixes[key]
+        try:
+            f = demazure_diamond(i, f)
+        except (ValueError, ArithmeticError) as exc:
+            exc.args = (f"step {step} of word {pres.word} (index {i}): {exc}",)
+            raise
     return mu_permuted(pres.sigma, f)
 
 

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import asdict, dataclass
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 from .efun import (
     RESIDUAL_FLOOR,
@@ -25,7 +25,6 @@ from .efun import (
     demazure_diamond,
     draw,
     ell_class,
-    ell_class_from_presentation,
     ell_min,
     evaluate_many,
     joint_tape,
@@ -37,10 +36,12 @@ from .efun import (
     worst_residual,
 )
 from .linkpattern import (
+    LinkPattern,
     act_nodes,
-    all_minimal_presentations,
+    arc_relabelling,
     minimal_pattern,
-    nu_list,
+    mu_relabelled,
+    node_values,
     orbit_lattice,
     transposition,
 )
@@ -292,7 +293,27 @@ def check_flip(
     return IdentityReport.make(f"flip_{m}_{r}_{k}", samples, worst, tol, resamples)
 
 
-_NUMERIC_PRESENTATION_CAP = 12
+def edge_candidates(m: int, r: int, space: VarSpace) -> Iterator[tuple[frozenset, list]]:
+    """For each arc set s past the start, in BFS order, one (nu tuple,
+    class) pair per down edge (i, t), in increasing i.  With L_t the sorted
+    labelling of t and tau relabelling the arcs of s_i(L_t) to that of s,
+    the class is mu_permuted(tau, D_i C_t) and the nu tuple is tau applied
+    to (value(i) - value(i+1) of L_t,) + nu_t.  Each arc set keeps its first
+    pair as (nu, C): that of its smallest word, the one ``ell_class`` uses."""
+    lattice = orbit_lattice(m, r)
+    steps = {lattice.start: ((), ell_min(m, r, space))}
+    for s in lattice.order[1:]:
+        here = LinkPattern(m, r, tuple(sorted(s)))
+        edges = []
+        for i, t in lattice.down_edges(s):
+            below = LinkPattern(m, r, tuple(sorted(t)))
+            tau = arc_relabelling(act_nodes(transposition(m, i), below), here)
+            vals = node_values(below, space)
+            nus, cls = steps[t]
+            nus = mu_relabelled(tau, (vals[i - 1] - vals[i],) + nus, space)
+            edges.append((nus, mu_permuted(tau, demazure_diamond(i, cls))))
+        steps[s] = edges[0]
+        yield s, edges
 
 
 def check_word_independence(
@@ -303,39 +324,26 @@ def check_word_independence(
     params: ModularParams = ModularParams(),
     seed: int = 0,
 ) -> IdentityReport:
-    """All patterns of one lattice: every minimal presentation must give the
-    same parameter multiset exactly and the same class numerically."""
-    lattice = orbit_lattice(m, r)
-    space = VarSpace(m, r)
+    """All patterns of one lattice: every minimal word must give the same
+    parameter multiset and type exactly and the same class numerically.
+    The last step of every minimal word is a down edge, so by induction it
+    suffices that the ``edge_candidates`` of each arc set agree."""
+    name = f"word_independence_{m}_{r}"
     rng = Random(seed)
     worst = 0.0
     resamples = 0
     total_points = 0
-    suffixes: dict = {}
-    for pattern in lattice.patterns():
-        presentations = all_minimal_presentations(pattern)
-        multisets = {
-            tuple(sorted(str(nu) for nu in nu_list(pres))) for pres in presentations
-        }
-        if len(multisets) != 1:
-            return IdentityReport.make(
-                f"word_independence_{m}_{r}", total_points, math.inf, tol, resamples
-            )
-        if len(presentations) == 1:
-            continue
-        chosen = presentations[:_NUMERIC_PRESENTATION_CAP]
-        classes = [ell_class_from_presentation(pres, space, suffixes) for pres in chosen]
-        if any(c.qtype != classes[0].qtype for c in classes):
-            return IdentityReport.make(
-                f"word_independence_{m}_{r}", total_points, math.inf, tol, resamples
-            )
-        w, rs = sample_agreement(classes, params, rng, samples)
-        worst = max(worst, w)
-        resamples += rs
-        total_points += samples
-    return IdentityReport.make(
-        f"word_independence_{m}_{r}", total_points, worst, tol, resamples
-    )
+    for _, edges in edge_candidates(m, r, VarSpace(m, r)):
+        multisets = {tuple(sorted(str(nu) for nu in nus)) for nus, _ in edges}
+        classes = [cls for _, cls in edges]
+        if len(multisets) != 1 or any(c.qtype != classes[0].qtype for c in classes):
+            return IdentityReport.make(name, total_points, math.inf, tol, resamples)
+        if len(classes) > 1:
+            w, rs = sample_agreement(classes, params, rng, samples)
+            worst = max(worst, w)
+            resamples += rs
+            total_points += samples
+    return IdentityReport.make(name, total_points, worst, tol, resamples)
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .typecalc import LinearForm, VarSpace, transposition
@@ -28,6 +29,10 @@ from .typecalc import LinearForm, VarSpace, transposition
 
 class PatternError(ValueError):
     """Base class for malformed link patterns and bad pattern operations."""
+
+
+class NoNodes(PatternError):
+    """A pattern needs m >= 1 nodes."""
 
 
 class BadRank(PatternError):
@@ -106,6 +111,8 @@ class LinkPattern:
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.m < 1:
+            raise NoNodes(f"a pattern needs at least one node, got m = {self.m}")
         if self.r < 0 or 2 * self.r > self.m:
             raise BadRank(f"rank {self.r} impossible on {self.m} nodes")
         if len(self.arcs) != self.r:
@@ -135,8 +142,6 @@ class LinkPattern:
 
 def minimal_pattern(m: int, r: int) -> LinkPattern:
     """Arcs (m-r+i -> i): the minimal-dimension orbit of given rank."""
-    if r < 0 or 2 * r > m:
-        raise BadRank(f"rank {r} impossible on {m} nodes")
     return LinkPattern(m, r, tuple((m - r + i, i) for i in range(1, r + 1)))
 
 
@@ -221,7 +226,8 @@ class OrbitLattice:
     """BFS closure of the move graph over arc sets for fixed (m, r).
 
     Loose-loose transpositions fix the arc set, so they are self-loops and
-    never occur on shortest paths; the search skips them outright.
+    never occur on shortest paths; the search skips them outright.  Walks
+    over minimal words step back along ``down_edges``, one level at a time.
     """
 
     def __init__(self, m: int, r: int):
@@ -247,6 +253,15 @@ class OrbitLattice:
         self.dist = dist
         self.order = order
 
+    def down_edges(self, s: frozenset) -> Iterator[tuple[int, frozenset]]:
+        """Each (i, t) with t = s_i(s) one level below s, in increasing i:
+        the last letters of the minimal words of s and where they lead."""
+        arcs = tuple(sorted(s))
+        for i in range(1, self.m):
+            t = frozenset(_swap_arcs(arcs, i))
+            if self.dist[t] == self.dist[s] - 1:
+                yield i, t
+
     def all_min_words(self, arc_set: frozenset, cap: int | None = None) -> list[tuple[int, ...]]:
         """Every minimal word for the arc set, in lexicographic order
         (optionally capped to the first ``cap``).
@@ -259,33 +274,19 @@ class OrbitLattice:
         memo: dict[frozenset, list[tuple[int, ...]]] = {self.start: [()]}
 
         def rec(s: frozenset) -> list[tuple[int, ...]]:
-            if s in memo:
-                return memo[s]
-            arcs = tuple(sorted(s))
-            words = []
-            for i in range(1, self.m):
-                t = frozenset(_swap_arcs(arcs, i))
-                if self.dist.get(t, -1) == self.dist[s] - 1:
-                    for w in rec(t):
-                        words.append((i,) + w)
-                        if cap is not None and len(words) >= cap:
-                            break
-                if cap is not None and len(words) >= cap:
-                    break
-            memo[s] = words
-            return words
+            if s not in memo:
+                words = ((i,) + w for i, t in self.down_edges(s) for w in rec(t))
+                memo[s] = list(islice(words, cap))
+            return memo[s]
 
         return rec(arc_set)
 
     def min_word_counts(self) -> dict[frozenset, int]:
         """The number of minimal words of every arc set, in one BFS-order
-        pass: each first letter that steps back one level contributes the
-        count of the arc set it reaches."""
+        pass: each down edge contributes the count of the arc set it reaches."""
         counts = {self.start: 1}
         for s in self.order[1:]:
-            arcs = tuple(sorted(s))
-            back = [frozenset(_swap_arcs(arcs, i)) for i in range(1, self.m)]
-            counts[s] = sum(counts[t] for t in back if self.dist[t] == self.dist[s] - 1)
+            counts[s] = sum(counts[t] for _, t in self.down_edges(s))
         return counts
 
     def patterns(self) -> Iterator[LinkPattern]:
@@ -303,15 +304,26 @@ def orbit_lattice(m: int, r: int) -> OrbitLattice:
     return _lattice(m, r)
 
 
+def arc_relabelling(moved: LinkPattern, p: LinkPattern) -> tuple[int, ...]:
+    """The label permutation sending the label of each of moved's arcs to
+    the label p gives the same arc."""
+    return tuple(p.arcs.index(arc) + 1 for arc in moved.arcs)
+
+
+def mu_relabelled(
+    sigma: Sequence[int], forms: Sequence[LinearForm], space: VarSpace
+) -> tuple[LinearForm, ...]:
+    """The forms with mu_j := mu_{sigma(j)} substituted."""
+    if tuple(sigma) == identity_perm(space.r):
+        return tuple(forms)
+    mu_map = {space.mu_index(j): space.mu(sigma[j - 1]) for j in range(1, space.r + 1)}
+    return tuple(form.substitute(mu_map) for form in forms)
+
+
 def _presentation_from_word(p: LinkPattern, word: tuple[int, ...]) -> Presentation:
     w = word_to_perm(p.m, word)
-    moved = act_nodes(w, minimal_pattern(p.m, p.r))
-    # sigma sends the label of moved's arc to the label p gives the same arc
-    sigma = [0] * p.r
-    arcs = list(p.arcs)
-    for i, arc in enumerate(moved.arcs, 1):
-        sigma[i - 1] = arcs.index(arc) + 1
-    return Presentation(p, tuple(sigma), w, word)
+    sigma = arc_relabelling(act_nodes(w, minimal_pattern(p.m, p.r)), p)
+    return Presentation(p, sigma, w, word)
 
 
 def minimal_presentation(p: LinkPattern) -> Presentation:
@@ -343,13 +355,7 @@ def nu_list(pres: Presentation) -> tuple[LinearForm, ...]:
     for i in reversed(pres.word):
         nus.append(vals[i - 1] - vals[i])
         vals[i - 1], vals[i] = vals[i], vals[i - 1]
-    nus.reverse()
-    if pres.sigma == identity_perm(p.r):
-        return tuple(nus)
-    mu_map = {
-        space.mu_index(j): space.mu(pres.sigma[j - 1]) for j in range(1, p.r + 1)
-    }
-    return tuple(nu.substitute(mu_map) for nu in nus)
+    return mu_relabelled(pres.sigma, nus[::-1], space)
 
 
 def multiplicities(pres: Presentation, lambdas: Sequence[Fraction]) -> list[Fraction]:

@@ -49,7 +49,7 @@ from ellink.efun import (
     x_permuted,
 )
 from ellink.cli import main
-from ellink.identities import _NUMERIC_PRESENTATION_CAP, check_word_independence, flip_sides
+from ellink.identities import check_word_independence, flip_sides
 from ellink.linkpattern import (
     act_nodes,
     all_minimal_presentations,
@@ -349,15 +349,15 @@ def test_evaluate_many_shares_points():
     assert b == evaluate(g, pt)
 
 
-def _classes_4_2(suffixes=None):
+def _classes_4_2():
     """The classes of every (4,2) pattern with more than one minimal
-    presentation, one list per pattern, built alone or over one table."""
+    presentation, one list per pattern."""
     sp = VarSpace(4, 2)
     out = []
     for p in orbit_lattice(4, 2).patterns():
         pres = all_minimal_presentations(p)
         if len(pres) > 1:
-            out.append([ell_class_from_presentation(q, sp, suffixes) for q in pres])
+            out.append([ell_class_from_presentation(q, sp) for q in pres])
     return out
 
 
@@ -376,28 +376,20 @@ def test_joint_tape_matches_separate_evaluation():
     assert poles > 0
 
 
-def test_shared_suffixes_build_each_prefix_once(monkeypatch):
-    """check_word_independence builds each reversed-word prefix of its
-    chosen words once, and a class built over the shared table equals the
-    class built alone."""
+def test_word_independence_steps_once_per_down_edge(monkeypatch):
+    """check_word_independence applies one Demazure step per down edge of
+    the lattice, and builds no class from a word."""
     built = []
 
     def counted(i, f):
         built.append(i)
         return demazure_diamond(i, f)
 
+    monkeypatch.setattr("ellink.identities.demazure_diamond", counted)
     monkeypatch.setattr("ellink.efun.demazure_diamond", counted)
-    check_word_independence(4, 2, samples=2)
-    prefixes = set()
-    for p in orbit_lattice(4, 2).patterns():
-        pres = all_minimal_presentations(p)
-        if len(pres) > 1:
-            for q in pres[:_NUMERIC_PRESENTATION_CAP]:
-                word = tuple(reversed(q.word))
-                prefixes.update(word[:k] for k in range(1, len(word) + 1))
-    assert len(built) == len(prefixes) > 0
-    monkeypatch.undo()
-    assert _classes_4_2({}) == _classes_4_2()
+    assert check_word_independence(4, 2, samples=2).passed
+    lat = orbit_lattice(4, 2)
+    assert len(built) == sum(len(list(lat.down_edges(s))) for s in lat.order) > 0
 
 
 def _unique_nodes(root) -> int:

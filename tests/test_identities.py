@@ -18,6 +18,7 @@ from ellink.identities import (
     check_theta_laws,
     check_vanishing,
     check_word_independence,
+    edge_candidates,
     flip_sides,
     monstrous_sides,
     run_all,
@@ -26,13 +27,23 @@ from ellink.identities import (
 from ellink.efun import (
     RESAMPLE_CAP,
     PointAssignment,
+    demazure_diamond,
     efun_scale,
+    ell_class,
     ell_min,
     evaluate_many,
     sample_agreement,
     worst_residual,
 )
+from ellink.linkpattern import (
+    LinkPattern,
+    all_minimal_presentations,
+    node_values,
+    nu_list,
+    orbit_lattice,
+)
 from ellink.theta import ModularParams, PoleProximity, delta
+from ellink.typecalc import VarSpace
 
 P = ModularParams()
 
@@ -138,6 +149,72 @@ def test_word_independence():
     assert check_word_independence(3, 1, 1e-8, 50, P, seed=0).passed
     vac = check_word_independence(2, 1, 1e-8, 50, P, seed=0)
     assert vac.passed and vac.samples == 0  # single-presentation chains only
+
+
+def _multiset(nus):
+    return tuple(sorted(str(nu) for nu in nus))
+
+
+@pytest.mark.parametrize("m,r", [(4, 2), (5, 2)])
+def test_edge_check_covers_every_minimal_presentation(monkeypatch, m, r):
+    """What the edge check compares is what a check over every minimal word
+    would: per arc set, each edge's nu multiset is the nu_list multiset of
+    every minimal presentation, and each edge's class is ell_class of the
+    canonical pattern at shared points."""
+    seen = []
+
+    def recorded(*args):
+        for item in edge_candidates(*args):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr("ellink.identities.edge_candidates", recorded)
+    assert check_word_independence(m, r, 1e-8, 2, P, seed=0).passed
+    assert len(seen) == len(orbit_lattice(m, r).order) - 1
+    space = VarSpace(m, r)
+    rng = Random(m)
+    for s, edges in seen:
+        p = LinkPattern(m, r, tuple(sorted(s)))
+        want = {_multiset(nu_list(q)) for q in all_minimal_presentations(p)}
+        assert {_multiset(nus) for nus, _ in edges} == want
+        classes = [ell_class(p, space)] + [cls for _, cls in edges]
+        worst, _ = sample_agreement(classes, P, rng, 2)
+        assert worst < 1e-8, (m, r, p)
+
+
+@pytest.mark.parametrize(
+    "fault, residual", [("scaled_class", 0.5), ("shifted_value", math.inf)]
+)
+def test_word_independence_fails_on_a_faulty_edge(monkeypatch, fault, residual):
+    """The last down edge of the (4,2) lattice is one of several into the
+    top arc set.  Scaling its class fails the numerical comparison; shifting
+    one node value its nu is read from fails the exact one."""
+    lat = orbit_lattice(4, 2)
+    edges = [edge for s in lat.order for edge in lat.down_edges(s)]
+    assert len(list(lat.down_edges(lat.order[-1]))) > 1
+    last_i = edges[-1][0]
+    calls = []
+
+    def scaled(i, f):
+        calls.append(i)
+        g = demazure_diamond(i, f)
+        return efun_scale(2.0, g) if len(calls) == len(edges) else g
+
+    def shifted(p, space):
+        calls.append(p)
+        vals = list(node_values(p, space))
+        if len(calls) == len(edges):
+            vals[last_i - 1] = vals[last_i - 1] + space.h()
+        return tuple(vals)
+
+    if fault == "scaled_class":
+        monkeypatch.setattr("ellink.identities.demazure_diamond", scaled)
+    else:
+        monkeypatch.setattr("ellink.identities.node_values", shifted)
+    rep = check_word_independence(4, 2, 1e-8, 8, P, seed=0)
+    assert len(calls) == len(edges)
+    assert not rep.passed
+    assert rep.max_relative_residual == pytest.approx(residual)
 
 
 def test_operator_relations():
@@ -283,10 +360,11 @@ GUARDED_REPORTS = {
         ("flip_6_3_1", 20, 5.3327394828206945e-15, 3),
         ("flip_6_3_2", 20, 3.7650383763106494e-15, 1),
     ],
+    # re-recorded when the check became one comparison per lattice edge
     "independence": [
         ("word_independence_2_1", 0, 0.0, 0),
         ("word_independence_3_1", 20, 9.654152661174517e-14, 1),
-        ("word_independence_4_2", 160, 8.796646415546023e-14, 40),
+        ("word_independence_4_2", 120, 1.0343983555564445e-13, 30),
     ],
     "vanishing": [("vanishing", 20, 1.0598280823385295e-14, 9)],
 }

@@ -14,6 +14,7 @@ from ellink.linkpattern import (
     DistinctnessError,
     LinkPattern,
     LooseLoose,
+    NoNodes,
     PatternSyntaxError,
     act_labels,
     act_nodes,
@@ -43,6 +44,10 @@ def test_minimal_pattern_examples():
     assert minimal_pattern(4, 0).arcs == ()
     with pytest.raises(BadRank):
         minimal_pattern(3, 2)
+    with pytest.raises(NoNodes):
+        minimal_pattern(0, 0)
+    with pytest.raises(NoNodes):
+        LinkPattern(0, 0, ())
 
 
 def test_act_nodes():
