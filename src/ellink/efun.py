@@ -21,8 +21,8 @@ so a shared node is rebuilt once per path that reaches it.
 Permutation nodes accumulate lazily.  Evaluation compiles expressions into
 a tape: one walk per root threads the composed permutation down to the
 leaves, visits each (node, permutation) pair once, and records a
-straight-line program in which equal leaves, products, sums and scales
-share one slot and each distinct leaf argument is one sparse linear form.
+straight-line program of seven opcodes: equal leaves, products and sums
+share one slot, and each distinct leaf argument is one sparse linear form.
 The compiler is one loop with its own stack: a node's leaf seen before is
 found by the images of its x-indices, a twist steps the permutation, and
 only a composite pair not yet compiled opens a frame, so compiling a
@@ -92,12 +92,6 @@ class ThetaLeaf:
 @dataclass(frozen=True)
 class InvThetaLeaf:
     a: LinearForm
-
-
-@dataclass(frozen=True)
-class Scale:
-    factor: complex
-    child: object
 
 
 @dataclass(frozen=True)
@@ -174,10 +168,6 @@ def efun_sum(*terms: EFun) -> EFun:
     return EFun(Sum(tuple(t.node for t in terms)), qtype)
 
 
-def efun_scale(c: complex, f: EFun) -> EFun:
-    return EFun(Scale(complex(c), f.node), f.qtype)
-
-
 def x_permuted(w: Sequence[int], f: EFun) -> EFun:
     """The twist f(x) -> f(x_{w(1)}, ..., x_{w(m)}); composes lazily."""
     w = tuple(w)
@@ -209,7 +199,7 @@ def _fold(node, leaf, join, w=None):
         return join(node, tuple([_fold(c, leaf, join, w) for c in node.children]))
     if kind is XPermuted and w is not None:
         return _fold(node.child, leaf, join, compose(w, node.w))
-    if kind is Scale or kind is XPermuted:
+    if kind is XPermuted:
         return join(node, (_fold(node.child, leaf, join, w),))
     raise TypeError(f"unknown node {node!r}")
 
@@ -217,8 +207,6 @@ def _fold(node, leaf, join, w=None):
 def _rebuild(node, kids):
     """The join that gives a node of the same kind over the new children."""
     kind = type(node)
-    if kind is Scale:
-        return Scale(node.factor, kids[0])
     if kind is XPermuted:
         return XPermuted(node.w, kids[0])
     return kind(kids)
@@ -301,60 +289,38 @@ def distribute_products(f: EFun) -> EFun:
     ident = identity_perm(f.space.m)
     permuted = _permuting_leaf(ident)
 
-    # each node folds to its branches: (coefficient, leaves) pairs
-    def leaf(node, w) -> list[tuple[complex, list]]:
-        return [(1.0 + 0j, [permuted(node, w)])]
+    # each node folds to its branches, each a list of leaves
+    def leaf(node, w) -> list[list]:
+        return [[permuted(node, w)]]
 
-    def join(node, kids) -> list[tuple[complex, list]]:
-        kind = type(node)
-        if kind is Scale:
-            return [(node.factor * c, fs) for c, fs in kids[0]]
-        if kind is Sum:
+    def join(node, kids) -> list[list]:
+        if type(node) is Sum:
             return [branch for branches in kids for branch in branches]
-        acc: list[tuple[complex, list]] = [(1.0 + 0j, [])]
+        acc: list[list] = [[]]
         for expanded in kids:
-            acc = [(c1 * c2, fs1 + fs2) for c1, fs1 in acc for c2, fs2 in expanded]
+            acc = [fs1 + fs2 for fs1 in acc for fs2 in expanded]
         return acc
 
-    terms = []
-    for c, leaves in _fold(f.node, leaf, join, ident):
-        node = Product(tuple(leaves))
-        terms.append(Scale(c, node) if c != 1.0 + 0j else node)
+    terms = [Product(tuple(leaves)) for leaves in _fold(f.node, leaf, join, ident)]
     node = terms[0] if len(terms) == 1 else Sum(tuple(terms))
     return EFun(node, f.qtype)
 
 
 def cancel_theta_pairs(f: EFun) -> EFun:
-    """Cancel theta(a) against 1/theta(a) inside every product.
+    """Cancel theta(a) against 1/theta(a) among the leaves of every product.
 
     Used after fixed-point substitutions, where matching zero factors in
-    numerator and denominator must go before numerical evaluation.  The
-    walk is bottom-up, so a Product nested in another has been cancelled
-    before the outer one flattens it.
+    numerator and denominator must go before numerical evaluation.  Only
+    a product's direct leaf children are counted, so f should be the flat
+    sum of products that ``distribute_products`` returns.
     """
 
     def join(node, kids):
         if type(node) is not Product:
             return _rebuild(node, kids)
-        flat: list = []
-        scalar = 1.0 + 0j
-
-        def collect(n):
-            nonlocal scalar
-            if isinstance(n, Product):
-                for c in n.children:
-                    collect(c)
-            elif isinstance(n, Scale):
-                scalar *= n.factor
-                collect(n.child)
-            else:
-                flat.append(n)
-
-        for kid in kids:
-            collect(kid)
         thetas: dict[LinearForm, int] = {}
         rest = []
-        for n in flat:
+        for n in kids:
             if isinstance(n, ThetaLeaf):
                 thetas[n.a] = thetas.get(n.a, 0) + 1
             elif isinstance(n, InvThetaLeaf):
@@ -364,14 +330,13 @@ def cancel_theta_pairs(f: EFun) -> EFun:
         for lf, mult in thetas.items():
             for _ in range(abs(mult)):
                 rest.append(ThetaLeaf(lf) if mult > 0 else InvThetaLeaf(lf))
-        out = Product(tuple(rest))
-        return Scale(scalar, out) if scalar != 1.0 + 0j else out
+        return Product(tuple(rest))
 
     return EFun(_fold(f.node, lambda n, w: n, join), f.qtype)
 
 
 def efun_reciprocal(f: EFun) -> EFun:
-    """1/f for pure products of theta leaves and scales."""
+    """1/f for pure products of theta leaves."""
 
     def leaf(node, w):
         if type(node) is DeltaLeaf:
@@ -381,8 +346,6 @@ def efun_reciprocal(f: EFun) -> EFun:
     def join(node, kids):
         if type(node) is Sum:
             raise TypeError("cannot invert node Sum")
-        if type(node) is Scale:
-            return Scale(1.0 / node.factor, kids[0])
         return _rebuild(node, kids)
 
     return EFun(_fold(f.node, leaf, join), -f.qtype)
@@ -412,7 +375,7 @@ def random_point(space: VarSpace, rng: Random, params: ModularParams) -> PointAs
 
 # Opcodes of the evaluation tape.  Every op is a triple (code, a, b); the
 # binary forms are split out because demazure steps build binary nodes.
-_PRODUCT2, _SUM2, _DELTA, _INV_THETA, _THETA, _SCALE, _PRODUCT, _SUM = range(8)
+_PRODUCT2, _SUM2, _DELTA, _INV_THETA, _THETA, _PRODUCT, _SUM = range(7)
 
 # id(node) * stride + permutation number keys the compile memo.  It is unique
 # while there are fewer permutations than the stride, and the odd stride
@@ -499,8 +462,6 @@ class _Tape:
                 if t is None:
                     t = cache[x] = theta(x, params)
                 push(t / norm)
-            elif code == _SCALE:
-                push(a * out[b])
             elif code == _PRODUCT:
                 v = one
                 for s in a:
@@ -615,19 +576,17 @@ class _Compiler:
                 if slot is not None:
                     slots.append(slot)
                     continue
-                if kind is not Product and kind is not Sum and kind is not Scale:
+                if kind is not Product and kind is not Sum:
                     raise TypeError(f"unknown node {node!r}")
                 stack.append((parent, pkey, kids, perm, pid, slots))
                 parent, pkey, perm, pid, slots = node, key, p, q, []
-                kids = iter((node.child,) if kind is Scale else node.children)
+                kids = iter(node.children)
                 break
             else:
                 if parent is None:
                     return _Tape(tuple(self.forms), tuple(ops), self.leaves, tuple(slots))
                 kind = type(parent)
-                if kind is Scale:
-                    op = (_SCALE, parent.factor, slots[0])
-                elif len(slots) == 2:
+                if len(slots) == 2:
                     op = (_PRODUCT2 if kind is Product else _SUM2, *slots)
                 else:
                     op = (_PRODUCT if kind is Product else _SUM, tuple(slots), None)

@@ -1,12 +1,15 @@
 """Typed expression trees, Demazure operators, and elliptic classes."""
 
 import hashlib
+import inspect
 import json
+import re
 from functools import lru_cache
 from random import Random
 
 import pytest
 
+from ellink import efun
 from ellink.efun import (
     DeltaLeaf,
     EFun,
@@ -15,11 +18,12 @@ from ellink.efun import (
     PointAssignment,
     Product,
     ReducedUndefined,
-    Scale,
     Sum,
     ThetaLeaf,
     XPermuted,
+    _SUM,
     _Compiler,
+    _Tape,
     cancel_theta_pairs,
     delta_leaf,
     demazure,
@@ -29,7 +33,6 @@ from ellink.efun import (
     efun_const,
     efun_product,
     efun_reciprocal,
-    efun_scale,
     efun_sum,
     ell_class,
     ell_class_from_presentation,
@@ -51,6 +54,7 @@ from ellink.efun import (
 from ellink.cli import main
 from ellink.identities import check_word_independence, flip_sides
 from ellink.linkpattern import (
+    LinkPattern,
     act_nodes,
     all_minimal_presentations,
     compose,
@@ -62,7 +66,7 @@ from ellink.linkpattern import (
     parse_pattern,
     transposition,
 )
-from ellink.schubert import reduced_class
+from ellink.schubert import reduced_class, restrict_fixed_point, weight_function
 from ellink.theta import ModularParams, PoleProximity, delta, theta
 from ellink.typecalc import (
     TrivialCharacter,
@@ -321,11 +325,11 @@ def test_mu_permuted_swaps_labels():
         assert rel(evaluate(g, pt), evaluate(f, PointAssignment(tuple(swapped), P))) < 1e-15
 
 
-def test_scale_and_const():
+def test_const_is_one():
     sp = VarSpace(2, 1)
-    f = efun_scale(3.5 - 1j, efun_const(sp))
+    f = efun_const(sp)
     rng = Random(13)
-    assert evaluate(f, random_point(sp, rng, P)) == 3.5 - 1j
+    assert evaluate(f, random_point(sp, rng, P)) == 1
 
 
 def test_pole_proximity_identifies_leaf():
@@ -491,8 +495,6 @@ class _Evaluator:
             if abs(t) < self.floor:
                 raise PoleProximity(f"1/theta leaf ({node.a}) too close to a theta zero")
             out = self.params.mult_norm / t
-        elif isinstance(node, Scale):
-            out = node.factor * self.eval(node.child, perm)
         elif isinstance(node, Product):
             out = 1.0 + 0j
             for c in node.children:
@@ -554,6 +556,24 @@ def test_tape_matches_recursive_reference_many(k):
         assert _outcome(lambda: evaluate_many(fs, pt)) == want
         poles += isinstance(want, str)
     assert poles == 2
+
+
+def test_tapes_use_every_opcode_the_replay_handles():
+    """The (4,2) lattice classes, one restriction and one weight function
+    compile to exactly the opcodes ``_Tape.run`` tests for, plus the n-ary
+    sum of its final else branch: no op is dead, and no other op falls
+    through to the sum."""
+    lat = orbit_lattice(4, 2)
+    fs = [ell_class(LinkPattern(4, 2, tuple(sorted(s)))) for s in lat.order]
+    fs.append(restrict_fixed_point(reduced_class(parse_pattern("6,3:4>2,5>3,6>1")), (1, 2, 3)))
+    fs.append(weight_function(parse_pattern("7,3:5>4,6>3,7>2")))
+    seen = {op[0] for f in fs for op in joint_tape([f]).ops}
+    tested = {
+        getattr(efun, name)
+        for name in re.findall(r"code == (_\w+)", inspect.getsource(_Tape.run))
+    }
+    assert tested <= seen
+    assert seen - tested == {_SUM}
 
 
 def test_sample_redraws_only_the_trials_on_a_pole():
@@ -658,17 +678,17 @@ def test_rewrite_shapes(subject):
     top = distribute_products(f).node
     assert type(top) is Sum
     for term in top.children:
-        product = term.child if type(term) is Scale else term
-        assert type(product) is Product
-        assert {type(c) for c in product.children} <= {DeltaLeaf, ThetaLeaf, InvThetaLeaf}
+        assert type(term) is Product
+        assert {type(c) for c in term.children} <= {DeltaLeaf, ThetaLeaf, InvThetaLeaf}
 
 
-def test_reciprocal_inverts_scales_and_rejects_sums_and_deltas():
+def test_reciprocal_inverts_products_and_rejects_sums_and_deltas():
     sp = VarSpace(2, 1)
     t = theta_leaf(sp.h())
-    f = efun_product(efun_scale(2 - 1j, t), inv_theta_leaf(sp.mu(1)))
+    f = efun_product(efun_product(t, t), inv_theta_leaf(sp.mu(1)))
     g = efun_reciprocal(f)
-    assert g.node == Product((Scale(1 / (2 - 1j), InvThetaLeaf(sp.h())), ThetaLeaf(sp.mu(1))))
+    inv_h = InvThetaLeaf(sp.h())
+    assert g.node == Product((Product((inv_h, inv_h)), ThetaLeaf(sp.mu(1))))
     assert g.qtype == -f.qtype
     pt = random_point(sp, Random(23), P)
     assert rel(evaluate(f, pt) * evaluate(g, pt), 1.0) < 1e-15

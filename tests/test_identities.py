@@ -28,11 +28,13 @@ from ellink.efun import (
     RESAMPLE_CAP,
     PointAssignment,
     demazure_diamond,
-    efun_scale,
+    efun_product,
     ell_class,
     ell_min,
     evaluate_many,
+    inv_theta_leaf,
     sample_agreement,
+    theta_leaf,
     worst_residual,
 )
 from ellink.linkpattern import (
@@ -183,22 +185,27 @@ def test_edge_check_covers_every_minimal_presentation(monkeypatch, m, r):
 
 
 @pytest.mark.parametrize(
-    "fault, residual", [("scaled_class", 0.5), ("shifted_value", math.inf)]
+    "fault, residual", [("negated_class", 2.0), ("shifted_value", math.inf)]
 )
 def test_word_independence_fails_on_a_faulty_edge(monkeypatch, fault, residual):
     """The last down edge of the (4,2) lattice is one of several into the
-    top arc set.  Scaling its class fails the numerical comparison; shifting
-    one node value its nu is read from fails the exact one."""
+    top arc set.  Negating its class by a factor of type zero fails the
+    numerical comparison; shifting one node value its nu is read from
+    fails the exact one."""
     lat = orbit_lattice(4, 2)
     edges = [edge for s in lat.order for edge in lat.down_edges(s)]
     assert len(list(lat.down_edges(lat.order[-1]))) > 1
     last_i = edges[-1][0]
     calls = []
 
-    def scaled(i, f):
+    def negated(i, f):
         calls.append(i)
         g = demazure_diamond(i, f)
-        return efun_scale(2.0, g) if len(calls) == len(edges) else g
+        if len(calls) < len(edges):
+            return g
+        # theta is odd: theta(h) / theta(-h) = -1, and its type is zero
+        h = g.space.h()
+        return efun_product(g, theta_leaf(h), inv_theta_leaf(-h))
 
     def shifted(p, space):
         calls.append(p)
@@ -207,8 +214,8 @@ def test_word_independence_fails_on_a_faulty_edge(monkeypatch, fault, residual):
             vals[last_i - 1] = vals[last_i - 1] + space.h()
         return tuple(vals)
 
-    if fault == "scaled_class":
-        monkeypatch.setattr("ellink.identities.demazure_diamond", scaled)
+    if fault == "negated_class":
+        monkeypatch.setattr("ellink.identities.demazure_diamond", negated)
     else:
         monkeypatch.setattr("ellink.identities.node_values", shifted)
     rep = check_word_independence(4, 2, 1e-8, 8, P, seed=0)
@@ -402,7 +409,8 @@ def test_nan_residual_fails_the_report(monkeypatch):
     assert (r.max_relative_residual, r.passed) == (math.inf, False)
 
     f = ell_min(4, 2)
-    worst, _ = sample_agreement([f, efun_scale(math.nan, f)], P, Random(0), 3)
+    monkeypatch.setattr("ellink.efun.evaluate_many", lambda tape, pt: [1.0, math.nan])
+    worst, _ = sample_agreement([f, f], P, Random(0), 3)
     assert worst == math.inf
 
     monkeypatch.setattr("ellink.identities.evaluate_many", lambda tape, pt: [1.0, math.nan])

@@ -7,10 +7,11 @@ import pytest
 
 from ellink.efun import (
     PointAssignment,
+    Sum,
     delta_leaf,
     demazure_diamond,
+    distribute_products,
     efun_product,
-    efun_scale,
     efun_sum,
     ell_min,
     evaluate,
@@ -25,6 +26,7 @@ from ellink.efun import (
 from ellink.linkpattern import (
     LinkPattern,
     act_nodes,
+    format_pattern,
     inverse_perm,
     minimal_pattern,
     parse_pattern,
@@ -159,13 +161,174 @@ def test_fixed_point_restriction(n):
                 assert abs(v) < 1e-8
 
 
-def test_restriction_commutes_with_scale():
-    rc = reduced_class(minimal_pattern(4, 2))
-    scaled = efun_scale(2.5 + 0.5j, rc)
-    g = restrict_fixed_point(scaled, (1, 2))
-    rng = Random(6)
-    pt = random_point(g.space, rng, P)
-    assert rel(evaluate(g, pt), 2.5 + 0.5j) < 1e-12
+# (pattern, sigma, mu_inverted): (number of terms distribute_products
+# returns, repr of the restriction at the first and second point drawn
+# from Random(31)), for every square pattern and sigma with n <= 3.  The
+# reprs pin the values bit for bit, the sign of a zero included.
+RESTRICTION_PINS = {
+    ("2,1:2>1", (1,), False): (1, "(1+0j)", "(1+0j)"),
+    ("4,2:3>1,4>2", (1, 2), False): (1, "(1+0j)", "(1+0j)"),
+    ("4,2:3>1,4>2", (2, 1), False): (1, "-0j", "0j"),
+    ("4,2:3>1,4>2", (1, 2), True): (1, "(1+0j)", "(1+0j)"),
+    ("4,2:3>1,4>2", (2, 1), True): (1, "-0j", "0j"),
+    ("4,2:3>2,4>1", (1, 2), False): (
+        2,
+        "(0.0738946492105789-0.09411931173122136j)",
+        "(-0.7201212803619564-0.13539641556086607j)",
+    ),
+    ("4,2:3>2,4>1", (2, 1), False): (
+        2,
+        "(0.9944947042550342+0.08967232253437818j)",
+        "(-0.5841887118305742-1.8717377606174974j)",
+    ),
+    ("4,2:3>2,4>1", (1, 2), True): (
+        2,
+        "(-0.8939916428434801-0.5189001115157508j)",
+        "(0.033517568421005325+0.11265066165222958j)",
+    ),
+    ("4,2:3>2,4>1", (2, 1), True): (
+        2,
+        "(0.9944947042550342+0.08967232253437818j)",
+        "(-0.5841887118305742-1.8717377606174974j)",
+    ),
+    ("6,3:4>1,5>2,6>3", (1, 2, 3), False): (1, "(1+0j)", "(1+0j)"),
+    ("6,3:4>1,5>2,6>3", (1, 3, 2), False): (1, "0j", "0j"),
+    ("6,3:4>1,5>2,6>3", (2, 1, 3), False): (1, "0j", "0j"),
+    ("6,3:4>1,5>2,6>3", (2, 3, 1), False): (1, "0j", "0j"),
+    ("6,3:4>1,5>2,6>3", (3, 1, 2), False): (1, "0j", "0j"),
+    ("6,3:4>1,5>2,6>3", (3, 2, 1), False): (1, "0j", "0j"),
+    ("6,3:4>1,5>3,6>2", (1, 2, 3), False): (
+        2,
+        "(0.4325584790481557+0.1855061550749174j)",
+        "(0.17703542478020767-2.194627004338719j)",
+    ),
+    ("6,3:4>1,5>3,6>2", (1, 3, 2), False): (
+        2,
+        "(-0.8237583716658188-0.3269549424477105j)",
+        "(0.1500349714545732-0.14706268536179296j)",
+    ),
+    ("6,3:4>1,5>3,6>2", (2, 1, 3), False): (2, "0j", "0j"),
+    ("6,3:4>1,5>3,6>2", (2, 3, 1), False): (2, "0j", "0j"),
+    ("6,3:4>1,5>3,6>2", (3, 1, 2), False): (2, "0j", "0j"),
+    ("6,3:4>1,5>3,6>2", (3, 2, 1), False): (2, "0j", "0j"),
+    ("6,3:4>2,5>1,6>3", (1, 2, 3), False): (
+        2,
+        "(-0.056012647687280724-0.1611979784281185j)",
+        "(0.059990356468842765+0.04063242601803836j)",
+    ),
+    ("6,3:4>2,5>1,6>3", (1, 3, 2), False): (2, "0j", "0j"),
+    ("6,3:4>2,5>1,6>3", (2, 1, 3), False): (
+        2,
+        "(-0.09940712507356778+0.09488244528315867j)",
+        "(-0.9364874092008495-0.39719287585318175j)",
+    ),
+    ("6,3:4>2,5>1,6>3", (2, 3, 1), False): (2, "0j", "0j"),
+    ("6,3:4>2,5>1,6>3", (3, 1, 2), False): (2, "0j", "0j"),
+    ("6,3:4>2,5>1,6>3", (3, 2, 1), False): (2, "0j", "0j"),
+    ("6,3:4>2,5>3,6>1", (1, 2, 3), False): (
+        4,
+        "(0.07875795014209407+0.08385964588441502j)",
+        "(0.14681154850588088-0.10085621093452082j)",
+    ),
+    ("6,3:4>2,5>3,6>1", (1, 3, 2), False): (
+        4,
+        "(-0.15255962764203893-0.15380495280334938j)",
+        "(0.016887456045299603+0.001916044644983223j)",
+    ),
+    ("6,3:4>2,5>3,6>1", (2, 1, 3), False): (
+        4,
+        "(0.14000187538036157+0.1269308635822501j)",
+        "(-1.9379326484513655+1.5823086781589548j)",
+    ),
+    ("6,3:4>2,5>3,6>1", (2, 3, 1), False): (
+        4,
+        "(-0.09365511202054384-0.21114017866154788j)",
+        "(0.6585804987489461+0.49736161667844236j)",
+    ),
+    ("6,3:4>2,5>3,6>1", (3, 1, 2), False): (4, "0j", "0j"),
+    ("6,3:4>2,5>3,6>1", (3, 2, 1), False): (4, "0j", "0j"),
+    ("6,3:4>3,5>1,6>2", (1, 2, 3), False): (
+        4,
+        "(-0.011537010861793567-0.2233002240728383j)",
+        "(-0.04036471855676511-0.0332644315337253j)",
+    ),
+    ("6,3:4>3,5>1,6>2", (1, 3, 2), False): (
+        4,
+        "(-0.8954503987999595+1.2087213803598953j)",
+        "(-0.0015824140566261784-0.027330607841502312j)",
+    ),
+    ("6,3:4>3,5>1,6>2", (2, 1, 3), False): (
+        4,
+        "(-0.1597664243928483+0.08303573073788346j)",
+        "(0.6461714602416698+0.3488691704933544j)",
+    ),
+    ("6,3:4>3,5>1,6>2", (2, 3, 1), False): (4, "0j", "0j"),
+    ("6,3:4>3,5>1,6>2", (3, 1, 2), False): (
+        4,
+        "(0.9850102597884985-1.1175185819742004j)",
+        "(-0.14708787537115406+0.0861231407292564j)",
+    ),
+    ("6,3:4>3,5>1,6>2", (3, 2, 1), False): (4, "0j", "0j"),
+    ("6,3:4>3,5>2,6>1", (1, 2, 3), False): (
+        8,
+        "(0.05412064229309509-0.11298411241208581j)",
+        "(-0.11796169705812745+0.08880449715032382j)",
+    ),
+    ("6,3:4>3,5>2,6>1", (1, 3, 2), False): (
+        8,
+        "(0.33596232789250363-0.7594164446262668j)",
+        "(-0.055723608002287775-0.02511121834430706j)",
+    ),
+    ("6,3:4>3,5>2,6>1", (2, 1, 3), False): (
+        8,
+        "(0.1343549545384814+0.06845154498313283j)",
+        "(1.4211759593494946-1.1396646232801055j)",
+    ),
+    ("6,3:4>3,5>2,6>1", (2, 3, 1), False): (
+        8,
+        "(-0.11628291548426065-0.1429886227025697j)",
+        "(-0.47632880323252363-0.36635776599331504j)",
+    ),
+    ("6,3:4>3,5>2,6>1", (3, 1, 2), False): (
+        8,
+        "(-0.3952399269799969+0.7211367423867874j)",
+        "(0.018443626799117888+0.380090688614281j)",
+    ),
+    ("6,3:4>3,5>2,6>1", (3, 2, 1), False): (
+        8,
+        "(0.00811585761353731+0.20454949152807753j)",
+        "(0.17195344127495116-0.022230980711978435j)",
+    ),
+}
+
+
+def _square_pairs():
+    """Every square pattern and sigma with n <= 3, both mu conventions at n = 2."""
+    for n in (1, 2, 3):
+        for w in itertools.permutations(range(1, n + 1)):
+            p = LinkPattern(2 * n, n, tuple(sorted((n + j, b) for j, b in enumerate(w, 1))))
+            for inv in ((False, True) if n == 2 else (False,)):
+                for sigma in itertools.permutations(range(1, n + 1)):
+                    yield format_pattern(p), sigma, inv
+
+
+@pytest.mark.parametrize(
+    "pattern, sigma, mu_inverted", list(_square_pairs()), ids=lambda v: str(v).replace(" ", "")
+)
+def test_restriction_is_pinned(monkeypatch, pattern, sigma, mu_inverted):
+    """Fixed-point restrictions reproduce the recorded values bit for bit."""
+    terms = []
+
+    def counted(f):
+        g = distribute_products(f)
+        terms.append(len(g.node.children) if type(g.node) is Sum else 1)
+        return g
+
+    monkeypatch.setattr("ellink.schubert.distribute_products", counted)
+    g = restrict_fixed_point(reduced_class(parse_pattern(pattern), mu_inverted), sigma)
+    rng = Random(31)
+    values = [repr(evaluate(g, random_point(g.space, rng, P))) for _ in range(2)]
+    assert (*terms, *values) == RESTRICTION_PINS[pattern, sigma, mu_inverted]
 
 
 def test_restriction_with_mu_inversion_flag():
