@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from random import Random
 
 from .efun import EFun, ell_class_from_presentation, evaluate, random_point, sample
@@ -192,7 +193,9 @@ def _parse_perm(text: str, n: int) -> tuple[int, ...]:
     return sigma
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process, as a parser is full of reference cycles."""
     parser = _Parser(
         prog="ellink",
         description="compute and verify elliptic classes of labelled link patterns",

@@ -271,15 +271,16 @@ class OrbitLattice:
         """
         if arc_set not in self.dist:
             raise Unreachable(f"arc set {sorted(arc_set)} not in the lattice")
-        memo: dict[frozenset, list[tuple[int, ...]]] = {self.start: [()]}
+        return self._min_words(arc_set, cap, {self.start: [()]})
 
-        def rec(s: frozenset) -> list[tuple[int, ...]]:
-            if s not in memo:
-                words = ((i,) + w for i, t in self.down_edges(s) for w in rec(t))
-                memo[s] = list(islice(words, cap))
-            return memo[s]
-
-        return rec(arc_set)
+    def _min_words(self, s: frozenset, cap: int | None, memo: dict) -> list[tuple[int, ...]]:
+        """``all_min_words`` of s, memoised in ``memo``; a method, as a
+        recursive closure is a reference cycle that keeps the memo alive."""
+        if s not in memo:
+            below = self._min_words
+            words = ((i,) + w for i, t in self.down_edges(s) for w in below(t, cap, memo))
+            memo[s] = list(islice(words, cap))
+        return memo[s]
 
     def min_word_counts(self) -> dict[frozenset, int]:
         """The number of minimal words of every arc set, in one BFS-order

@@ -1,5 +1,6 @@
 """Command-line surface: JSON documents, determinism, structured errors."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -44,6 +45,25 @@ def test_compute_deterministic():
     code2, out2 = run_cli("compute", "4,2:3>1,4>2", "--seed", "0", "--samples", "4")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_repeated_requests_leave_little_cyclic_garbage(capsys):
+    """In-process requests free their work by reference counting.  Garbage
+    in reference cycles waits for a full collection, whose timing varies, so
+    a request that left much of it would make a long-running caller's memory
+    peak vary from run to run.  The JSON encoder's closures, a few dozen
+    objects, are all that is left."""
+    argv = ["compute", "4,2:3>1,4>2", "--samples", "2"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+    finally:
+        left = gc.collect()
+        gc.enable()
+    capsys.readouterr()
+    assert left < 100
 
 
 @pytest.mark.parametrize(
