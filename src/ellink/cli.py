@@ -49,7 +49,6 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class RunConfig:
     tau: complex = 1j
-    n_terms: int = 40
     tol: float = 1e-8
     samples: int = 64
     seed: int = 0
@@ -59,14 +58,12 @@ class RunConfig:
             raise UsageError(f"Im(tau) must be finite and at least 0.3, got {self.tau.imag}")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
-        if self.n_terms < 1:
-            raise UsageError(f"q-terms must be >= 1, got {self.n_terms}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise UsageError(f"tol must be finite and positive, got {self.tol}")
 
     @property
     def params(self) -> ModularParams:
-        return ModularParams(tau=self.tau, n_terms=self.n_terms)
+        return ModularParams(tau=self.tau)
 
 
 def _cx(z: complex) -> list[str]:
@@ -209,9 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_sampling(sp):
         sp.add_argument("--tau-im", type=float, default=1.0, metavar="T",
                         help="imaginary part of tau (default 1.0)")
-        sp.add_argument("--q-terms", type=int, default=40, metavar="N",
-                        help="maximum q-product factors per theta value; fewer are "
-                             "used once the rest lie within 2^-64 of 1 (default 40)")
         sp.add_argument("--samples", type=int, default=64,
                         help="sample points per check (default 64)")
         sp.add_argument("--seed", type=int, default=0,
@@ -288,7 +282,6 @@ def main(argv=None) -> int:
             return 0
         config = RunConfig(
             tau=complex(0.0, args.tau_im),
-            n_terms=args.q_terms,
             tol=getattr(args, "tol", RunConfig.tol),
             samples=args.samples,
             seed=args.seed,

@@ -376,28 +376,31 @@ def check_theta_laws(
     return _sampled_report("theta_laws", one, samples, tol, seed)
 
 
+def vanishing_classes() -> tuple[EFun, EFun]:
+    """The loose-loose operator applied to the minimal (8, 2) class, and the
+    conjugated version applied to the permuted pattern: both are zero."""
+    space = VarSpace(8, 2)
+    zero1 = demazure_diamond(3, ell_min(8, 2, space))
+    w = (3, 6, 1, 2, 5, 8, 4, 7)
+    permuted = act_nodes(w, minimal_pattern(8, 2))
+    return zero1, demazure_diamond(1, ell_class(permuted, space))
+
+
 def check_vanishing(
     samples: int = 20,
     tol: float = 1e-10,
     params: ModularParams = ModularParams(),
     seed: int = 0,
 ) -> IdentityReport:
-    """The loose-loose operator annihilates the minimal (8, 2) class, and
-    the conjugated version annihilates the permuted pattern."""
-    space = VarSpace(8, 2)
-    zero1 = demazure_diamond(3, ell_min(8, 2, space))
-    w = (3, 6, 1, 2, 5, 8, 4, 7)
-    permuted = act_nodes(w, minimal_pattern(8, 2))
-    zero2 = demazure_diamond(1, ell_class(permuted, space))
-
+    """Both ``vanishing_classes`` evaluate to zero."""
     rng = Random(seed)
     residuals = []
     redraws = 0
-    for zero in (zero1, zero2):
+    for zero in vanishing_classes():
         # scale the residual by the first summand of the cancelling pair
         tape = joint_tape([EFun(zero.node.children[0], zero.qtype), zero])
         values, n = sample(
-            lambda r: evaluate_many(tape, random_point(space, r, params)), samples, rng
+            lambda r: evaluate_many(tape, random_point(zero.space, r, params)), samples, rng
         )
         redraws += n
         residuals.extend(abs(zv) / max(abs(tv), RESIDUAL_FLOOR) for tv, zv in values)

@@ -9,13 +9,13 @@ arguments" means adding them.  The basic objects are
 
 with q = e^{2 pi i tau}.  The infinite product is cut adaptively: it stops
 at the first n with |q^n| max(|z|, 1/|z|) < 2^-64, where each remaining
-factor lies within 2^-64 of 1, and it never takes more than ``n_terms``
-factors.  So ``n_terms`` is a maximum, which is safe as long as
-|q|^n_terms stays below machine precision (enforced at construction).
-On every sampled point tested the cut value equals the full ``n_terms``
-product bit for bit.  Only a component far below |theta| can move, such
-as the rounding-noise imaginary part at real x when tau is imaginary, and
-then by less than 2^-64 |theta|.
+factor lies within 2^-64 of 1, and it never takes more than 40 factors.
+That cap is safe as long as |q|^40 stays below machine precision, which
+construction enforces as a bound on tau alone.  On every sampled point
+tested the cut value equals the full 40-factor product bit for bit.  Only
+a component far below |theta| can move, such as the rounding-noise
+imaginary part at real x when tau is imaginary, and then by less than
+2^-64 |theta|.
 
 The 2 pi i in delta's normalisation converts the additive derivative at 0
 into the derivative with respect to the multiplicative variable at 1, so
@@ -37,6 +37,8 @@ from functools import cached_property
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
 _TRUNCATION_FLOOR = 1e-16
+# The most q-product factors theta ever takes.
+_MAX_FACTORS = 40
 # theta stops its q-product once |q^n| max(|z|, 1/|z|) drops below this.
 # At 2^-54 a dropped factor still moves the last bit of ~6% of values on
 # the sampling boxes; at 2^-64 none moved on 400k points.
@@ -53,26 +55,24 @@ class PoleProximity(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModularParams:
-    """Modular parameter tau together with the q-product truncation order.
+    """Modular parameter tau, with Im(tau) large enough that |q|^40 is
+    negligible, so theta's q-product needs at most 40 factors.
 
     ``pole_guard`` is the relative threshold below which |theta(x)| is
     treated as a pole of 1/theta: the cutoff is pole_guard * |theta'(0)|.
     """
 
     tau: complex = 1j
-    n_terms: int = 40
     pole_guard: float = 1e-6
 
     def __post_init__(self):
         if self.tau.imag <= 0:
             raise ValueError(f"tau must satisfy Im(tau) > 0, got {self.tau}")
-        if self.n_terms < 1:
-            raise ValueError("n_terms must be a positive integer")
-        qabs = abs(self.q)
-        if qabs ** self.n_terms >= _TRUNCATION_FLOOR:
+        tail = abs(self.q) ** _MAX_FACTORS
+        if tail >= _TRUNCATION_FLOOR:
             raise ValueError(
-                f"|q|^n_terms = {qabs ** self.n_terms:.3e} is not below "
-                f"{_TRUNCATION_FLOOR:.0e}; increase n_terms or Im(tau)"
+                f"|q|^{_MAX_FACTORS} = {tail:.3e} is not below "
+                f"{_TRUNCATION_FLOOR:.0e}; increase Im(tau)"
             )
 
     @cached_property
@@ -89,18 +89,18 @@ class ModularParams:
 
     @cached_property
     def q_factors(self) -> tuple[tuple[complex, complex, float], ...]:
-        """(q^n, 1 - q^n, |q^n|) for n = 1 .. n_terms."""
+        """(q^n, 1 - q^n, |q^n|) for n = 1 .. 40."""
         q = self.q
         out = []
         qn = 1.0 + 0j
-        for _ in range(self.n_terms):
+        for _ in range(_MAX_FACTORS):
             qn *= q
             out.append((qn, 1.0 - qn, abs(qn)))
         return tuple(out)
 
     @cached_property
     def euler_product(self) -> complex:
-        """prod_{n=1}^{n_terms} (1 - q^n)."""
+        """prod_{n=1}^{40} (1 - q^n)."""
         p = 1.0 + 0j
         for _, one_minus_qn, _ in self.q_factors:
             p *= one_minus_qn

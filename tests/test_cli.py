@@ -189,8 +189,7 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
         ["compute"],
         ["verify", "all", "--samples", "x"],
         ["orbits", "4,2", "--tol", "5"],
-        ["compute", "4,2:3>1,4>2", "--q-terms", "0", "--samples", "1"],
-        ["compute", "4,2:3>1,4>2", "--q-terms", "-5", "--samples", "1"],
+        ["compute", "4,2:3>1,4>2", "--q-terms", "40", "--samples", "1"],
         ["multiplicities", "3,1:1>2", "--lam", "abc"],
         ["multiplicities", "3,1:1>2", "--lam", "1/0"],
     ],
@@ -198,8 +197,7 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
         "missing-pattern",
         "bad-int",
         "unread-option",
-        "q-terms-zero",
-        "q-terms-negative",
+        "q-terms-removed",
         "lam-not-rational",
         "lam-zero-denominator",
     ],

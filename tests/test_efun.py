@@ -61,6 +61,7 @@ from ellink.linkpattern import (
     identity_perm,
     inverse_perm,
     minimal_pattern,
+    minimal_presentation,
     node_values,
     orbit_lattice,
     parse_pattern,
@@ -429,6 +430,31 @@ def test_tape_size_is_pinned(pattern):
     tape = compiler.tape([f.node])
     assert (len(tape.ops), len(tape.forms)) == TAPE_SIZES[pattern]
     assert len(tape.ops) <= _unique_nodes(f.node) * len(compiler.perm_ids)
+
+
+# pattern: (unique nodes twisting ell_min first, unique nodes of ell_class)
+TWIST_FIRST = {
+    "6,2:2>6,5>3": (52, 2554),
+    "8,4:3>1,5>8,6>4,7>2": (59, 4346),
+}
+
+
+@pytest.mark.parametrize("pattern", list(TWIST_FIRST))
+def test_label_twist_commutes_with_the_demazure_steps(pattern):
+    """Relabelling the arcs of ell_min before the word's Demazure steps
+    gives the class itself, as the same expression, but keeps it a DAG: the
+    twist applied last unfolds the class into a tree."""
+    pres = minimal_presentation(parse_pattern(pattern))
+    p = pres.pattern
+    first = mu_permuted(pres.sigma, ell_min(p.m, p.r))
+    for i in reversed(pres.word):
+        first = demazure_diamond(i, first)
+    last = ell_class_from_presentation(pres)
+    assert first.node == last.node
+    assert first.qtype == last.qtype
+    a, b = joint_tape([first]), joint_tape([last])
+    assert (a.forms, a.ops, a.roots) == (b.forms, b.ops, b.roots)
+    assert (_unique_nodes(first.node), _unique_nodes(last.node)) == TWIST_FIRST[pattern]
 
 
 def test_sample_class_output_is_pinned(capsys):

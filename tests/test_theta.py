@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from ellink.theta import (
+    _MAX_FACTORS,
     ModularParams,
     PoleProximity,
     delta,
@@ -91,17 +92,17 @@ def test_delta_q0_limit():
 
 
 def test_truncation_stability():
-    p80 = ModularParams(n_terms=80)
+    """The product taken to 80 factors changes nothing that matters."""
     rng = Random(14)
     for _ in range(50):
         x = draw(rng)
-        assert rel(theta(x, P), theta(x, p80)) < 1e-14
+        assert rel(theta(x, P), _theta_fixed_length(x, P, 80)) < 1e-14
         a, b = draw(rng), draw(rng)
-        assert rel(delta(a, b, P), delta(a, b, p80)) < 1e-14
+        assert rel(delta(a, b, P), _delta_fixed_length(a, b, P, 80)) < 1e-14
     # still stable across the strip |Im x| <= 2 Im tau
     for im in (-1.9, -1.0, 1.0, 1.9):
         x = complex(rng.uniform(-0.4, 0.4), im)
-        assert rel(theta(x, P), theta(x, p80)) < 1e-14
+        assert rel(theta(x, P), _theta_fixed_length(x, P, 80)) < 1e-14
 
 
 def test_normalized_theta_expansion_of_delta():
@@ -126,23 +127,33 @@ def test_params_validation():
         ModularParams(tau=1.0 + 0j)
     with pytest.raises(ValueError):
         ModularParams(tau=-0.5j)
-    with pytest.raises(ValueError):
-        ModularParams(n_terms=0)
-    # truncation guard: |q|^n_terms must be negligible
-    with pytest.raises(ValueError):
-        ModularParams(tau=0.05j, n_terms=40)
+    # truncation guard: |q|^40 must be negligible
+    with pytest.raises(ValueError, match="increase Im"):
+        ModularParams(tau=0.05j)
 
 
-def _theta_fixed_length(x, p):
-    """Reference: the q-product over all n_terms factors, with no cutoff."""
+def _theta_fixed_length(x, p, factors=_MAX_FACTORS):
+    """Reference: the q-product over a fixed number of factors, with no cutoff."""
     z = cmath.exp(2j * math.pi * x)
     zinv = 1.0 / z
     prod = 1.0 + 0j
     qn = 1.0 + 0j
-    for _ in range(p.n_terms):
+    for _ in range(factors):
         qn *= p.q
         prod *= (1.0 - qn) * (1.0 - qn * z) * (1.0 - qn * zinv)
     return 2.0 * p.q_eighth * cmath.sin(math.pi * x) * prod
+
+
+def _delta_fixed_length(a, b, p, factors):
+    """delta from the fixed-length product, normalised by its own theta'(0)."""
+    euler = 1.0 + 0j
+    qn = 1.0 + 0j
+    for _ in range(factors):
+        qn *= p.q
+        euler *= 1.0 - qn
+    mult_norm = p.q_eighth * euler**3 / 1j  # theta'(0) / (2 pi i)
+    ta, tb, tab = (_theta_fixed_length(x, p, factors) for x in (a, b, a + b))
+    return mult_norm * tab / (ta * tb)
 
 
 @pytest.mark.parametrize(
@@ -151,14 +162,12 @@ def _theta_fixed_length(x, p):
         ModularParams(tau=0.5j),
         ModularParams(tau=1j),
         ModularParams(tau=2j),
-        ModularParams(tau=1j, n_terms=6),
     ],
-    ids=["tau0.5i", "tau1i", "tau2i", "tau1i_n6"],
+    ids=["tau0.5i", "tau1i", "tau2i"],
 )
 def test_cut_product_equals_fixed_length_product(p):
     """On the sampling boxes the adaptive cut drops only factors that do not
-    change the value, and it never goes past n_terms (n_terms=6 at tau = i
-    stops before the cutoff would)."""
+    change the value, and it never goes past 40 factors."""
     rng = Random(18)
     for _ in range(4000):
         x = complex(rng.uniform(-0.8, 0.8), rng.uniform(-1.9, 1.9))
