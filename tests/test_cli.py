@@ -189,7 +189,8 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
         ["compute"],
         ["verify", "all", "--samples", "x"],
         ["orbits", "4,2", "--tol", "5"],
-        ["compute", "4,2:3>1,4>2", "--q-terms", "40", "--samples", "1"],
+        ["compute", "4,2:3>1,4>2", "--q-terms", "0", "--samples", "1"],
+        ["compute", "4,2:3>1,4>2", "--q-terms", "-5", "--samples", "1"],
         ["multiplicities", "3,1:1>2", "--lam", "abc"],
         ["multiplicities", "3,1:1>2", "--lam", "1/0"],
     ],
@@ -197,7 +198,8 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
         "missing-pattern",
         "bad-int",
         "unread-option",
-        "q-terms-removed",
+        "q-terms-zero",
+        "q-terms-negative",
         "lam-not-rational",
         "lam-zero-denominator",
     ],
