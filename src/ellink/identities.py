@@ -7,7 +7,9 @@ fails.  All of them sample through ``efun.sample``: one seeded stream per
 check, points drawn from the [-0.4, 0.4]² box by ``efun.draw``, and a
 whole sample drawn again whenever it lands on a theta zero, up to
 ``RESAMPLE_CAP`` times; the report counts those redraws.
-Checks are independent and deterministic for a fixed seed.
+Checks are independent and deterministic for a fixed seed.  Word
+independence compares a whole orbit lattice on one joint tape, at one
+point stream shared by all its arc sets.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from random import Random
 from typing import Callable, Iterator
 
@@ -327,23 +330,42 @@ def check_word_independence(
     """All patterns of one lattice: every minimal word must give the same
     parameter multiset and type exactly and the same class numerically.
     The last step of every minimal word is a down edge, so by induction it
-    suffices that the ``edge_candidates`` of each arc set agree."""
+    suffices that the ``edge_candidates`` of each arc set agree.
+
+    The exact checks run over the whole lattice first; a failure reports
+    0 samples.  Then the classes of every arc set with more than one edge
+    go on one ``joint_tape``, replayed at one stream of ``samples`` points
+    drawn from Random(seed), and each arc set's classes are compared
+    pairwise within its own slice of the roots.  A pole near any leaf
+    redraws the point for all arc sets.  The report counts samples times
+    arc sets compared."""
     name = f"word_independence_{m}_{r}"
-    rng = Random(seed)
-    worst = 0.0
-    resamples = 0
-    total_points = 0
-    for _, edges in edge_candidates(m, r, VarSpace(m, r)):
+    space = VarSpace(m, r)
+    roots = []
+    slices = []
+    for _, edges in edge_candidates(m, r, space):
         multisets = {tuple(sorted(str(nu) for nu in nus)) for nus, _ in edges}
         classes = [cls for _, cls in edges]
         if len(multisets) != 1 or any(c.qtype != classes[0].qtype for c in classes):
-            return IdentityReport.make(name, total_points, math.inf, tol, resamples)
+            return IdentityReport.make(name, 0, math.inf, tol)
         if len(classes) > 1:
-            w, rs = sample_agreement(classes, params, rng, samples)
-            worst = max(worst, w)
-            resamples += rs
-            total_points += samples
-    return IdentityReport.make(name, total_points, worst, tol, resamples)
+            slices.append(slice(len(roots), len(roots) + len(classes)))
+            roots.extend(classes)
+    if not roots:
+        return IdentityReport.make(name, 0, 0.0, tol)
+    tape = joint_tape(roots)
+    points, redraws = sample(
+        lambda rng: evaluate_many(tape, random_point(space, rng, params)), samples, Random(seed)
+    )
+    residuals = (
+        relative_residual(a, b)
+        for vals in points
+        for part in slices
+        for a, b in combinations(vals[part], 2)
+    )
+    return IdentityReport.make(
+        name, samples * len(slices), worst_residual(residuals), tol, redraws
+    )
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from ellink.efun import (
     ell_min,
     evaluate_many,
     inv_theta_leaf,
+    joint_tape,
+    random_point,
+    sample,
     sample_agreement,
     theta_leaf,
     worst_residual,
@@ -182,6 +185,50 @@ def test_edge_check_covers_every_minimal_presentation(monkeypatch, m, r):
         classes = [ell_class(p, space)] + [cls for _, cls in edges]
         worst, _ = sample_agreement(classes, P, rng, 2)
         assert worst < 1e-8, (m, r, p)
+
+
+def _record_lattice_tapes(monkeypatch):
+    """Record what check_word_independence walks and every joint_tape it
+    compiles: (arc set, edges) pairs, and (roots, tape) pairs."""
+    seen, tapes = [], []
+
+    def recorded(*args):
+        for item in edge_candidates(*args):
+            seen.append(item)
+            yield item
+
+    def counted(fs):
+        tapes.append((list(fs), joint_tape(fs)))
+        return tapes[-1][1]
+
+    monkeypatch.setattr("ellink.identities.edge_candidates", recorded)
+    monkeypatch.setattr("ellink.identities.joint_tape", counted)
+    return seen, tapes
+
+
+@pytest.mark.parametrize("m,r,compiled", [(2, 1, 0), (3, 1, 1), (4, 2, 1), (5, 2, 1)])
+def test_word_independence_compiles_one_lattice_tape(monkeypatch, m, r, compiled):
+    """Every arc set with more than one edge is compared on one tape.  At
+    three seeded points, each arc set's slice of that tape is bit for bit
+    what the arc set's own joint_tape gives."""
+    seen, tapes = _record_lattice_tapes(monkeypatch)
+    rep = check_word_independence(m, r, 1e-8, 2, P, seed=0)
+    assert rep.passed
+    assert len(tapes) == compiled
+    own = [joint_tape([cls for _, cls in edges]) for _, edges in seen if len(edges) > 1]
+    assert rep.samples == 2 * len(own)
+    if not compiled:
+        return
+    (_, lattice_tape), = tapes
+    space = VarSpace(m, r)
+
+    def trial(rng):
+        pt = random_point(space, rng, P)
+        return lattice_tape.run(pt), [tape.run(pt) for tape in own]
+
+    points, _ = sample(trial, 3, Random(m))
+    for joint, parts in points:
+        assert list(map(repr, joint)) == [repr(v) for part in parts for v in part]
 
 
 @pytest.mark.parametrize(
@@ -367,11 +414,12 @@ GUARDED_REPORTS = {
         ("flip_6_3_1", 20, 5.3327394828206945e-15, 3),
         ("flip_6_3_2", 20, 3.7650383763106494e-15, 1),
     ],
-    # re-recorded when the check became one comparison per lattice edge
+    # (4,2) re-recorded when the lattice's arc sets came to share one tape
+    # and one point stream: a redraw now replaces the point for all of them
     "independence": [
         ("word_independence_2_1", 0, 0.0, 0),
         ("word_independence_3_1", 20, 9.654152661174517e-14, 1),
-        ("word_independence_4_2", 120, 1.0343983555564445e-13, 30),
+        ("word_independence_4_2", 120, 8.796646415546023e-14, 4),
     ],
     "vanishing": [("vanishing", 20, 1.0598280823385295e-14, 9)],
 }

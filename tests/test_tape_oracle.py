@@ -250,16 +250,28 @@ def test_flip_sides_agree_exactly_at_q0(k):
         assert lhs == rhs
 
 
-def test_word_independence_is_exact_at_q0():
-    """Each arc set of (4, 2) reached by more than one down edge gets the
-    same class from every edge."""
-    checked = 0
-    for s, edges in edge_candidates(4, 2, VarSpace(4, 2)):
+def assert_lattice_exact(m: int, r: int, arc_sets: int):
+    """Each arc set of the lattice reached by more than one down edge gets
+    the same class from every edge.  The classes of all those arc sets are
+    replayed on one tape, as ``check_word_independence`` samples them."""
+    roots, slices = [], {}
+    for s, edges in edge_candidates(m, r, VarSpace(m, r)):
         if len(edges) > 1:
-            for values in exact_values([cls for _, cls in edges], 2):
-                assert all(v == values[0] for v in values), sorted(s)
-            checked += 1
-    assert checked == 6
+            slices[tuple(sorted(s))] = slice(len(roots), len(roots) + len(edges))
+            roots.extend(cls for _, cls in edges)
+    assert len(slices) == arc_sets
+    for values in exact_values(roots, 2):
+        for s, part in slices.items():
+            first, *rest = values[part]
+            assert all(v == first for v in rest), s
+
+
+def test_word_independence_is_exact_at_q0():
+    assert_lattice_exact(4, 2, 6)
+
+
+def test_whole_5_2_lattice_is_exact_at_q0():
+    assert_lattice_exact(5, 2, 45)
 
 
 def test_vanishing_classes_are_exactly_zero_at_q0():
