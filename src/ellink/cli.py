@@ -40,10 +40,15 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a bad command line as a UsageError instead of exiting."""
+    """Raises a bad command line as a UsageError instead of exiting, and
+    reads a token of a dash and a digit as a value."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def _parse_optional(self, arg_string):
+        # "-3,1" or "-4,2:3>1,4>2" is a value to check, not an unknown option
+        return None if arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
 
 
 @dataclass(frozen=True)

@@ -155,17 +155,27 @@ def efun_product(*factors: EFun) -> EFun:
     return EFun(Product(tuple(f.node for f in factors)), qtype)
 
 
+def _sum_type(qtypes: Sequence[QForm]) -> QForm:
+    """The one type all summands carry (purity)."""
+    if any(qtype != qtypes[0] for qtype in qtypes[1:]):
+        raise ImpurityError(
+            "summands are sections of different bundles; the combination is not pure"
+        )
+    return qtypes[0]
+
+
 def efun_sum(*terms: EFun) -> EFun:
     if not terms:
         raise ValueError("empty sum needs a space; use efun_const")
-    qtype = terms[0].qtype
-    for t in terms[1:]:
-        if t.qtype != qtype:
-            raise ImpurityError(
-                "summands are sections of different bundles; "
-                "the combination is not pure"
-            )
-    return EFun(Sum(tuple(t.node for t in terms)), qtype)
+    return EFun(Sum(tuple(t.node for t in terms)), _sum_type([t.qtype for t in terms]))
+
+
+def _twisted(w: tuple[int, ...], node):
+    if isinstance(node, XPermuted):
+        # evaluation applies the outer permutation first, so stacked twists
+        # compose as (w . v)(i) = w(v(i)) with v the inner one
+        return XPermuted(compose(w, node.w), node.child)
+    return XPermuted(w, node)
 
 
 def x_permuted(w: Sequence[int], f: EFun) -> EFun:
@@ -173,14 +183,7 @@ def x_permuted(w: Sequence[int], f: EFun) -> EFun:
     w = tuple(w)
     if w == identity_perm(f.space.m):
         return f
-    node = f.node
-    if isinstance(node, XPermuted):
-        # evaluation applies the outer permutation first, so stacked twists
-        # compose as (w . v)(i) = w(v(i)) with v the inner one
-        node = XPermuted(compose(w, node.w), node.child)
-    else:
-        node = XPermuted(w, node)
-    return EFun(node, f.qtype.x_permute(w))
+    return EFun(_twisted(w, f.node), f.qtype.x_permute(w))
 
 
 def _fold(node, leaf, join, w=None):
@@ -697,23 +700,30 @@ def ell_min(m: int, r: int, space: VarSpace | None = None) -> EFun:
     return efun_product(*factors)
 
 
-def demazure(i: int, mu: LinearForm, f: EFun) -> EFun:
-    """delta(x_{i+1}/x_i, mu) f + delta(x_i/x_{i+1}, h) s_i f.
+def demazure_node(i: int, mu: LinearForm, node):
+    """The node of delta(x_{i+1}/x_i, mu) f + delta(x_i/x_{i+1}, h) s_i f,
+    for the node of f, with no type.  The operator identities apply it at
+    parameters that need not be admissible for any type."""
+    space = mu.space
+    step = space.x(i + 1) - space.x(i)
+    swapped = Product((DeltaLeaf(-step, space.h()), _twisted(transposition(space.m, i), node)))
+    return Sum((Product((DeltaLeaf(step, mu), node)), swapped))
 
-    The Sum constructor enforces purity, so this only succeeds when mu is
-    the admissible parameter for f's type.
-    """
+
+def demazure(i: int, mu: LinearForm, f: EFun) -> EFun:
+    """``demazure_node`` on f, typed: both summands must carry one type
+    (purity), so this only succeeds when mu is the admissible parameter."""
     space = f.space
     if not mu.is_x_free():
         raise ValueError(f"operator parameter must be x-free, got {mu}")
     if mu.is_zero():
         raise TrivialCharacter("operator parameter 1 poles delta(., 1)")
     step = space.x(i + 1) - space.x(i)
-    t1 = efun_product(delta_leaf(step, mu), f)
-    t2 = efun_product(
-        delta_leaf(-step, space.h()), x_permuted(transposition(space.m, i), f)
+    swapped = f.qtype.x_permute(transposition(space.m, i))
+    qtype = _sum_type(
+        [qf_of_delta(step, mu) + f.qtype, qf_of_delta(-step, space.h()) + swapped]
     )
-    return efun_sum(t1, t2)
+    return EFun(demazure_node(i, mu, f.node), qtype)
 
 
 def demazure_reduced(i: int, mu: LinearForm, f: EFun) -> EFun:

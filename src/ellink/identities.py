@@ -4,12 +4,12 @@ Every check evaluates both sides of an identity at random points and
 reports the maximal relative residual |LHS - RHS| / max(|LHS|, |RHS|, 1e-30)
 against a tolerance; a NaN residual is reported as infinite, so the check
 fails.  All of them sample through ``efun.sample``: one seeded stream per
-check, points drawn from the [-0.4, 0.4]² box by ``efun.draw``, and a
-whole sample drawn again whenever it lands on a theta zero, up to
-``RESAMPLE_CAP`` times; the report counts those redraws.
-Checks are independent and deterministic for a fixed seed.  Word
-independence compares a whole orbit lattice on one joint tape, at one
-point stream shared by all its arc sets.
+check, points drawn from the [-0.4, 0.4]² box by ``efun.draw``, and a whole
+sample drawn again on a theta zero, up to ``RESAMPLE_CAP`` times, counted in
+the report.  Checks are deterministic for a fixed seed.  The operator and
+class identities replay one tape per check: the operator sides are untyped
+``efun.demazure_node`` composites, and word independence puts a whole orbit
+lattice on one tape, at one point stream shared by all its arc sets.
 """
 
 from __future__ import annotations
@@ -23,9 +23,15 @@ from typing import Callable, Iterator
 
 from .efun import (
     RESIDUAL_FLOOR,
+    DeltaLeaf,
     EFun,
+    PointAssignment,
+    Product,
+    ThetaLeaf,
+    _Compiler,
     demazure,
     demazure_diamond,
+    demazure_node,
     draw,
     ell_class,
     ell_min,
@@ -67,14 +73,7 @@ class IdentityReport:
 
     @staticmethod
     def make(name, samples, residual, tol, resamples=0) -> "IdentityReport":
-        return IdentityReport(
-            name=name,
-            samples=samples,
-            max_relative_residual=residual,
-            tolerance=tol,
-            passed=residual < tol,
-            resamples=resamples,
-        )
+        return IdentityReport(name, samples, residual, tol, residual < tol, resamples)
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -182,25 +181,22 @@ def check_monstrous(
 
 
 # --------------------------------------------------------------------------
-# operator-level identities (closure-based; parameters need not be admissible)
+# operator-level identities (untyped: drawn characters need not be admissible)
 
 
-def _num_demazure(i: int, mu: complex, h: complex, params: ModularParams, f):
-    """Numeric operator on functions of an x-tuple; i is 1-based.
+def _operator_report(name, space, sides, draws, samples, tol, params, seed) -> IdentityReport:
+    """Compare the two side nodes on one tape.  Each sample draws the symbols
+    named in ``draws``, in that order, then x_1..x_m; the others read 0."""
+    tape = _Compiler(space.m).tape(sides)
+    order = [*map(space.symbol_names.index, draws), *range(space.m)]
 
-    This stays separate from the typed ``efun.demazure``: the operator
-    checks draw parameters that are not admissible for the function's type,
-    and a typed ``efun_sum`` rejects such a combination with ImpurityError.
-    """
+    def one(rng: Random) -> float:
+        values = [0j] * space.n_symbols
+        for k in order:
+            values[k] = draw(rng)
+        return relative_residual(*evaluate_many(tape, PointAssignment(tuple(values), params)))
 
-    def g(xs):
-        ys = list(xs)
-        ys[i - 1], ys[i] = ys[i], ys[i - 1]
-        return delta(xs[i] - xs[i - 1], mu, params) * f(xs) + delta(
-            xs[i - 1] - xs[i], h, params
-        ) * f(tuple(ys))
-
-    return g
+    return _sampled_report(name, one, samples, tol, seed)
 
 
 def check_braid_operator(
@@ -210,25 +206,19 @@ def check_braid_operator(
     seed: int = 0,
 ) -> IdentityReport:
     """Twisted braid relation as an operator statement on a generic pure
-    three-variable test function, with random characters."""
-
-    def one(rng: Random) -> float:
-        mu, nu, h, c1, c2, c3 = (draw(rng) for _ in range(6))
-
-        def f(xs):
-            return (
-                delta(xs[0] - xs[1], c1, params)
-                * delta(xs[1] - xs[2], c2, params)
-                * theta(xs[0] + 2 * xs[1] + 3 * xs[2] + c3, params)
-            )
-
-        op = lambda i, m, g: _num_demazure(i, m, h, params, g)
-        lhs = op(1, nu, op(2, mu + nu, op(1, mu, f)))
-        rhs = op(2, mu, op(1, mu + nu, op(2, nu, f)))
-        xs = (draw(rng), draw(rng), draw(rng))
-        return relative_residual(lhs(xs), rhs(xs))
-
-    return _sampled_report("braid_operator", one, samples, tol, seed)
+    three-variable test function, with random characters mu, nu, h and
+    c1, c2, c3 (the symbols mu1, mu2, h, mu3, mu4, mu5)."""
+    space = VarSpace(3, 5)
+    x = space.x
+    mu, nu, c1, c2, c3 = map(space.mu, range(1, 6))
+    t = ThetaLeaf(x(1) + x(2).scale(2) + x(3).scale(3) + c3)
+    f = Product((DeltaLeaf(x(1) - x(2), c1), DeltaLeaf(x(2) - x(3), c2), t))
+    op = demazure_node
+    lhs = op(1, nu, op(2, mu + nu, op(1, mu, f)))
+    rhs = op(2, mu, op(1, mu + nu, op(2, nu, f)))
+    draws = ("mu1", "mu2", "h", "mu3", "mu4", "mu5")
+    return _operator_report("braid_operator", space, (lhs, rhs), draws,
+                            samples, tol, params, seed)
 
 
 def check_quadratic_operator(
@@ -237,23 +227,17 @@ def check_quadratic_operator(
     params: ModularParams = ModularParams(),
     seed: int = 0,
 ) -> IdentityReport:
-    """c_i^mu c_i^{1/mu} = delta(h, mu) delta(h, 1/mu) id, m = 2."""
-
-    def one(rng: Random) -> float:
-        mu, h, c1, c2 = (draw(rng) for _ in range(4))
-
-        def f(xs):
-            return delta(xs[0] - xs[1], c1, params) * theta(
-                xs[0] + 2 * xs[1] + c2, params
-            )
-
-        op = lambda m, g: _num_demazure(1, m, h, params, g)
-        lhs = op(mu, op(-mu, f))
-        xs = (draw(rng), draw(rng))
-        rv = delta(h, mu, params) * delta(h, -mu, params) * f(xs)
-        return relative_residual(lhs(xs), rv)
-
-    return _sampled_report("quadratic_operator", one, samples, tol, seed)
+    """c_i^mu c_i^{1/mu} = delta(h, mu) delta(h, 1/mu) id, m = 2, with
+    random characters mu, h and c1, c2 (the symbols mu1, h, mu2, mu3)."""
+    space = VarSpace(2, 3)
+    x, h = space.x, space.h()
+    mu, c1, c2 = map(space.mu, range(1, 4))
+    f = Product((DeltaLeaf(x(1) - x(2), c1), ThetaLeaf(x(1) + x(2).scale(2) + c2)))
+    lhs = demazure_node(1, mu, demazure_node(1, -mu, f))
+    rhs = Product((DeltaLeaf(h, mu), DeltaLeaf(h, -mu), f))
+    draws = ("mu1", "h", "mu2", "mu3")
+    return _operator_report("quadratic_operator", space, (lhs, rhs), draws,
+                            samples, tol, params, seed)
 
 
 # --------------------------------------------------------------------------

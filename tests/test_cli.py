@@ -184,15 +184,19 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, kind",
     [
-        ["compute"],
-        ["verify", "all", "--samples", "x"],
-        ["orbits", "4,2", "--tol", "5"],
-        ["compute", "4,2:3>1,4>2", "--q-terms", "0", "--samples", "1"],
-        ["compute", "4,2:3>1,4>2", "--q-terms", "-5", "--samples", "1"],
-        ["multiplicities", "3,1:1>2", "--lam", "abc"],
-        ["multiplicities", "3,1:1>2", "--lam", "1/0"],
+        (["compute"], "usage"),
+        (["verify", "all", "--samples", "x"], "usage"),
+        (["orbits", "4,2", "--tol", "5"], "usage"),
+        (["compute", "4,2:3>1,4>2", "--q-terms", "0", "--samples", "1"], "usage"),
+        (["compute", "4,2:3>1,4>2", "--q-terms", "-5", "--samples", "1"], "usage"),
+        (["multiplicities", "3,1:1>2", "--lam", "abc"], "usage"),
+        (["multiplicities", "3,1:1>2", "--lam", "1/0"], "usage"),
+        (["compute", "4,2:3>1,4>2", "--samples", "-5"], "usage"),
+        # a positional that starts with a dash and a digit is a value
+        (["orbits", "-3,1"], "NoNodes"),
+        (["compute", "-4,2:3>1,4>2"], "PatternSyntaxError"),
     ],
     ids=[
         "missing-pattern",
@@ -202,12 +206,15 @@ def test_resource_exhaustion_is_a_structured_error(monkeypatch, capsys, exc, mes
         "q-terms-negative",
         "lam-not-rational",
         "lam-zero-denominator",
+        "samples-negative",
+        "orbits-negative-size",
+        "compute-negative-size",
     ],
 )
-def test_bad_command_line_is_a_structured_error(capsys, argv):
+def test_bad_command_line_is_a_structured_error(capsys, argv, kind):
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["error"]["kind"] == "usage"
+    assert json.loads(captured.out)["error"]["kind"] == kind
     assert captured.err == ""
 
 
