@@ -21,8 +21,8 @@ so a shared node is rebuilt once per path that reaches it.
 Permutation nodes accumulate lazily.  Evaluation compiles expressions into
 a tape: one walk per root threads the composed permutation down to the
 leaves, visits each (node, permutation) pair once, and records a
-straight-line program of seven opcodes: equal leaves, products and sums
-share one slot, and each distinct leaf argument is one sparse linear form.
+straight-line program of six opcodes, one op per Demazure step: equal
+ops share one slot, and each distinct leaf argument is one linear form.
 The compiler is one loop with its own stack: a node's leaf seen before is
 found by the images of its x-indices, a twist steps the permutation, and
 only a composite pair not yet compiled opens a frame, so compiling a
@@ -376,9 +376,9 @@ def random_point(space: VarSpace, rng: Random, params: ModularParams) -> PointAs
     return PointAssignment(tuple(draw(rng) for _ in range(space.n_symbols)), params)
 
 
-# Opcodes of the evaluation tape.  Every op is a triple (code, a, b); the
-# binary forms are split out because demazure steps build binary nodes.
-_PRODUCT2, _SUM2, _DELTA, _INV_THETA, _THETA, _PRODUCT, _SUM = range(7)
+# Opcodes of the evaluation tape; every op is a triple (code, a, b).  _DOT2
+# is one Demazure step, a[0] a[1] + a[2] a[3] over its four factors' slots.
+_DOT2, _DELTA, _INV_THETA, _THETA, _PRODUCT, _SUM = range(6)
 
 # id(node) * stride + permutation number keys the compile memo.  It is unique
 # while there are fewer permutations than the stride, and the odd stride
@@ -394,7 +394,8 @@ class _Tape:
     tuple of (value index, coefficient) pairs with the x-permutation already
     applied.  ``ops`` run in the order the recursive walk over (node,
     x-permutation) pairs first reaches them, so a replay performs the same
-    floating-point operations, and the same theta calls, as that walk.
+    floating-point operations, and the same theta calls, as that walk; a
+    Demazure step, two binary products and their sum, is one ``_DOT2`` op.
     ``leaves`` maps the slot of each leaf op to the first node that produced
     it, for the PoleProximity message.  ``roots`` are the slots of the
     expressions' values, in order.
@@ -425,10 +426,9 @@ class _Tape:
         # the recursive walk did; dropping them can flip the sign of a zero
         one = 1.0 + 0j
         for code, a, b in self.ops:
-            if code == _PRODUCT2:
-                push(one * out[a] * out[b])
-            elif code == _SUM2:
-                push(0j + out[a] + out[b])
+            if code == _DOT2:
+                p, q, r, s = a
+                push(0j + one * out[p] * out[q] + one * out[r] * out[s])
             elif code == _DELTA:
                 x = forms[a]
                 y = forms[b]
@@ -583,17 +583,23 @@ class _Compiler:
                     raise TypeError(f"unknown node {node!r}")
                 stack.append((parent, pkey, kids, perm, pid, slots))
                 parent, pkey, perm, pid, slots = node, key, p, q, []
-                kids = iter(node.children)
+                kids = node.children
+                if kind is Sum and len(kids) == 2:
+                    a, b = kids
+                    if type(a) is type(b) is Product and len(a.children) == len(b.children) == 2:
+                        # a Demazure step: its four factors in this one frame
+                        kids = a.children + b.children
+                kids = iter(kids)
                 break
             else:
                 if parent is None:
                     return _Tape(tuple(self.forms), tuple(ops), self.leaves, tuple(slots))
                 kind = type(parent)
-                if len(slots) == 2:
-                    op = (_PRODUCT2 if kind is Product else _SUM2, *slots)
+                if kind is Sum and len(slots) > len(parent.children):
+                    code = _DOT2  # a Demazure step's frame took its four factors
                 else:
-                    op = (_PRODUCT if kind is Product else _SUM, tuple(slots), None)
-                slot = memo[pkey] = ops.setdefault(op, len(ops))
+                    code = _PRODUCT if kind is Product else _SUM
+                slot = memo[pkey] = ops.setdefault((code, tuple(slots), None), len(ops))
                 parent, pkey, kids, perm, pid, slots = stack.pop()
                 slots.append(slot)
 

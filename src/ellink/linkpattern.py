@@ -428,7 +428,8 @@ def parse_pattern(text: str) -> LinkPattern:
     pos = 0
 
     def fail(msg: str) -> PatternSyntaxError:
-        return PatternSyntaxError(msg, pos)
+        found = repr(text[pos]) if pos < len(text) else "end of input"
+        return PatternSyntaxError(f"{msg}, got {found}", pos)
 
     def read_int() -> int:
         nonlocal pos

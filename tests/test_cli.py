@@ -218,6 +218,22 @@ def test_bad_command_line_is_a_structured_error(capsys, argv, kind):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-4,2:3>1,4>2", "expected an integer, got '-' (at offset 0)"),
+        ("4,2:3>1,4>", "expected an integer, got end of input (at offset 10)"),
+        ("4;2:3>1,4>2", "expected ',', got ';' (at offset 1)"),
+        ("4,2:3>1", "expected ',', got end of input (at offset 7)"),
+    ],
+    ids=["negative-size", "cut-integer", "wrong-separator", "cut-separator"],
+)
+def test_pattern_syntax_error_names_what_it_found(capsys, text, message):
+    assert main(["compute", text]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"kind": "PatternSyntaxError", "message": message}
+
+
 def test_config_validation():
     assert main(["verify", "fourterm", "--tau-im", "0.1"]) == 2
     assert main(["verify", "fourterm", "--samples", "0"]) == 2

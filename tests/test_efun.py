@@ -21,6 +21,7 @@ from ellink.efun import (
     Sum,
     ThetaLeaf,
     XPermuted,
+    _DOT2,
     _SUM,
     _Compiler,
     _Tape,
@@ -414,10 +415,10 @@ def _unique_nodes(root) -> int:
 # (ops, forms) of the compiled tape: the three classes of the benchmark's
 # sample workload, and a twisted class, whose label twist unfolds it to a tree
 TAPE_SIZES = {
-    "8,4:1>5,2>6,3>7,4>8": (47816, 151),
-    "7,3:1>5,2>6,3>7": (15298, 124),
-    "8,3:1>6,5>7,8>4": (12972, 133),
-    "6,2:2>6,5>3": (790, 76),
+    "8,4:1>5,2>6,3>7,4>8": (20826, 151),
+    "7,3:1>5,2>6,3>7": (6592, 124),
+    "8,3:1>6,5>7,8>4": (5182, 133),
+    "6,2:2>6,5>3": (408, 76),
 }
 
 
@@ -430,6 +431,28 @@ def test_tape_size_is_pinned(pattern):
     tape = compiler.tape([f.node])
     assert (len(tape.ops), len(tape.forms)) == TAPE_SIZES[pattern]
     assert len(tape.ops) <= _unique_nodes(f.node) * len(compiler.perm_ids)
+
+
+def test_each_demazure_step_is_one_op():
+    """The sample class's 13,495 (Demazure step, permutation) pairs each
+    compile to one _DOT2 op, where the two products and the sum of the
+    binary forms took three."""
+    f = ell_class(parse_pattern("8,4:1>5,2>6,3>7,4>8"))
+    assert sum(op[0] == _DOT2 for op in joint_tape([f]).ops) == 13495
+
+
+def test_two_term_restriction_replays_through_the_sum():
+    """A flat sum of two products that are not binary is no Demazure step:
+    it compiles to the n-ary _SUM and replays as the recursive walk does."""
+    f = restrict_fixed_point(reduced_class(LinkPattern(4, 2, ((3, 2), (4, 1)))), (1, 2))
+    assert type(f.node) is Sum and len(f.node.children) == 2
+    tape = joint_tape([f])
+    codes = [op[0] for op in tape.ops]
+    assert _DOT2 not in codes and codes[tape.roots[0]] == _SUM
+    ident = identity_perm(f.space.m)
+    for pt in _reference_points(f.space, 18):
+        want = _outcome(lambda: _Evaluator(f.space, pt).eval(f.node, ident))
+        assert _outcome(lambda: evaluate(f, pt)) == want
 
 
 # pattern: (unique nodes twisting ell_min first, unique nodes of ell_class)

@@ -18,11 +18,10 @@ import pytest
 
 from ellink.efun import (
     _DELTA,
+    _DOT2,
     _INV_THETA,
     _PRODUCT,
-    _PRODUCT2,
     _SUM,
-    _SUM2,
     _THETA,
     EFun,
     demazure,
@@ -71,10 +70,8 @@ def mp_replay(tape, pt) -> list:
         forms = [mpmath.fsum(c * values[i] for i, c in terms) for terms in tape.forms]
         out = []
         for code, a, b in tape.ops:
-            if code == _PRODUCT2:
-                v = out[a] * out[b]
-            elif code == _SUM2:
-                v = out[a] + out[b]
+            if code == _DOT2:
+                v = out[a[0]] * out[a[1]] + out[a[2]] * out[a[3]]
             elif code == _DELTA:
                 x, y = forms[a], forms[b]
                 v = norm * theta(x + y) / (theta(x) * theta(y))
@@ -186,10 +183,8 @@ def q0_replay(tape, es, one) -> list:
 
     out = []
     for code, a, b in tape.ops:
-        if code == _PRODUCT2:
-            v = out[a] * out[b]
-        elif code == _SUM2:
-            v = out[a] + out[b]
+        if code == _DOT2:
+            v = out[a[0]] * out[a[1]] + out[a[2]] * out[a[3]]
         elif code == _DELTA:
             v = thn(es[a] * es[b]) / (nonzero_thn(es[a]) * nonzero_thn(es[b]))
         elif code == _INV_THETA:
