@@ -32,7 +32,6 @@ from .linkpattern import (
     BadRank,
     DistinctnessError,
     LinkPattern,
-    LooseLoose,
     PatternError,
     Presentation,
     act_labels,
@@ -43,7 +42,6 @@ from .linkpattern import (
     multiplicities,
     nu_list,
     parse_pattern,
-    six_move_mu,
 )
 from .efun import (
     EFun,

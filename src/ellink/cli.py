@@ -51,6 +51,12 @@ class _Parser(argparse.ArgumentParser):
         return None if arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
 
 
+# |q| = e^{-2 pi Im(tau)} is about 1e-273 at Im(tau) = 100, far enough above the
+# smallest normal double (about 1e-308) that q times a sampled z^{+-1} stays
+# normal; from about 112.6 the theta checks read subnormal values.
+TAU_IM_MAX = 100.0
+
+
 @dataclass(frozen=True)
 class RunConfig:
     tau: complex = 1j
@@ -59,8 +65,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau.imag) and self.tau.imag >= 0.3):
-            raise UsageError(f"Im(tau) must be finite and at least 0.3, got {self.tau.imag}")
+        if not 0.3 <= self.tau.imag <= TAU_IM_MAX:
+            raise UsageError(f"Im(tau) must lie in [0.3, {TAU_IM_MAX:g}], got {self.tau.imag}")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -135,7 +141,7 @@ def cmd_orbits(size: str) -> dict:
         patterns.append(
             {
                 "pattern": format_pattern(p),
-                "distance": lattice.dist[p.arc_set()],
+                "distance": lattice.level(p.arc_set()),
                 "word": list(pres.word),
                 "sigma": list(pres.sigma),
                 "nu_multiset": sorted(str(nu) for nu in nu_list(pres)),
@@ -210,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_sampling(sp):
         sp.add_argument("--tau-im", type=float, default=1.0, metavar="T",
-                        help="imaginary part of tau (default 1.0)")
+                        help=f"imaginary part of tau, in [0.3, {TAU_IM_MAX:g}] (default 1.0)")
         sp.add_argument("--samples", type=int, default=64,
                         help="sample points per check (default 64)")
         sp.add_argument("--seed", type=int, default=0,

@@ -164,26 +164,12 @@ def _sum_type(qtypes: Sequence[QForm]) -> QForm:
     return qtypes[0]
 
 
-def efun_sum(*terms: EFun) -> EFun:
-    if not terms:
-        raise ValueError("empty sum needs a space; use efun_const")
-    return EFun(Sum(tuple(t.node for t in terms)), _sum_type([t.qtype for t in terms]))
-
-
 def _twisted(w: tuple[int, ...], node):
     if isinstance(node, XPermuted):
         # evaluation applies the outer permutation first, so stacked twists
         # compose as (w . v)(i) = w(v(i)) with v the inner one
         return XPermuted(compose(w, node.w), node.child)
     return XPermuted(w, node)
-
-
-def x_permuted(w: Sequence[int], f: EFun) -> EFun:
-    """The twist f(x) -> f(x_{w(1)}, ..., x_{w(m)}); composes lazily."""
-    w = tuple(w)
-    if w == identity_perm(f.space.m):
-        return f
-    return EFun(_twisted(w, f.node), f.qtype.x_permute(w))
 
 
 def _fold(node, leaf, join, w=None):

@@ -3,24 +3,25 @@
 A link pattern on m nodes of rank r is a sequence of r directed arcs
 (source, target) with 2r pairwise distinct endpoints.  The symmetric group
 S_m relabels nodes, S_r relabels arcs.  Every pattern is reachable from the
-minimal one (arcs m-r+i -> i) by adjacent node transpositions, and the
-breadth-first search over that move graph provides minimal words,
-presentations and the per-step admissible parameters.
+minimal one (arcs m-r+i -> i) by adjacent node transpositions.  A
+pattern's level in that move graph is its Borel orbit's dimension above the
+minimal orbit, which has a closed form, so minimal words, presentations
+and the per-step admissible parameters walk back one level at a time with
+no search; only whole-lattice walks enumerate the move graph.
 
 Node values: relative to the rho_m-shifted type of the minimal class, the
 node carrying the target of arc a is worth mu_a + r h, the source of arc a
 is worth (m-r+1) h - mu_a, and the t-th loose node (in node order) is worth
 (r+t) h.  Transposing nodes i, i+1 consumes the parameter
 value(i) - value(i+1); two adjacent loose nodes would consume -h, for which
-the reduced operator is undefined, so such moves never enter the search.
+the reduced operator is undefined, so such moves never enter a walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -43,12 +44,8 @@ class DistinctnessError(PatternError):
     """Arc endpoints are not pairwise distinct."""
 
 
-class LooseLoose(PatternError):
-    """Transposition of two adjacent loose nodes: reduced operator undefined."""
-
-
 class Unreachable(PatternError):
-    """Defensive: a valid pattern was not found in the orbit lattice."""
+    """An arc set that is no pattern of the orbit lattice's size."""
 
 
 class BadCharacterShape(PatternError):
@@ -189,29 +186,6 @@ def _swap_arcs(arcs: tuple[tuple[int, int], ...], i: int) -> tuple[tuple[int, in
     return tuple((f(a), f(b)) for a, b in arcs)
 
 
-def six_move_mu(p: LinkPattern, i: int) -> tuple[LinearForm, bool]:
-    """Move-table parameter for transposing nodes i, i+1, and whether the
-    move lengthens the minimal word.
-
-    The parameter is value(i) - value(i+1); the classification into the six
-    pictured cases (and their reversed-arrow analogues) is exactly the case
-    split of the node values.  Raises LooseLoose when both nodes are loose.
-    """
-    if not 1 <= i <= p.m - 1:
-        raise PatternError(f"move index {i} outside 1..{p.m - 1}")
-    loose = set(p.loose_nodes)
-    if i in loose and i + 1 in loose:
-        raise LooseLoose(
-            f"nodes {i},{i + 1} both loose: parameter -h, reduced operator undefined"
-        )
-    vals = node_values(p)
-    mu = vals[i - 1] - vals[i]
-    lat = _lattice(p.m, p.r)
-    here = lat.dist[p.arc_set()]
-    there = lat.dist[frozenset(_swap_arcs(p.arcs, i))]
-    return mu, there > here
-
-
 @dataclass(frozen=True)
 class Presentation:
     """pattern = sigma^mu . w . minimal_pattern, with w of minimal length."""
@@ -223,43 +197,72 @@ class Presentation:
 
 
 class OrbitLattice:
-    """BFS closure of the move graph over arc sets for fixed (m, r).
+    """The orbit lattice of arc sets for fixed (m, r).
 
-    Loose-loose transpositions fix the arc set, so they are self-loops and
-    never occur on shortest paths; the search skips them outright.  Walks
-    over minimal words step back along ``down_edges``, one level at a time.
+    An arc set's level is its orbit's dimension above the minimal orbit,
+    read off in closed form by ``level``, so walks over minimal words need
+    no search: they step back along ``down_edges``, one level at a time.
+    Only a walk over the whole lattice (``order``, ``dist``) enumerates it,
+    breadth first, on first use.  Loose-loose transpositions fix the arc
+    set, so they are self-loops, and the walk skips them outright.
     """
 
     def __init__(self, m: int, r: int):
         self.m = m
         self.r = r
-        start = minimal_pattern(m, r).arc_set()
-        self.start = start
-        dist: dict[frozenset, int] = {start: 0}
-        order = [start]
-        queue = deque([start])
-        while queue:
-            s = queue.popleft()
+        self.start = minimal_pattern(m, r).arc_set()
+        self._stab_start = self._stab(self.start)
+
+    def _stab(self, s: frozenset) -> int:
+        """The dimension of the upper-triangular Y commuting with
+        X = sum E_{target,source} over the arcs.  An entry y_{p,q} with p
+        not a source and q not a target is free.  For each arc pair (a, b)
+        the entries y_{source a, source b} and y_{target a, target b} are
+        tied, and count once when both lie on or above the diagonal.  Every
+        other entry is zero."""
+        sources = {a for a, _ in s}
+        targets = {b for _, b in s}
+        free = rows = 0
+        for q in range(1, self.m + 1):
+            rows += q not in sources
+            if q not in targets:
+                free += rows
+        return free + sum(1 for a, b in s for c, d in s if a <= c and b <= d)
+
+    def level(self, s: frozenset) -> int:
+        """dim B.X_s - dim B.X_min: the length of every minimal word of s."""
+        return self._stab_start - self._stab(s)
+
+    @cached_property
+    def order(self) -> list[frozenset]:
+        """Every arc set, breadth first from the start (so by level)."""
+        order = [self.start]
+        seen = {self.start}
+        for s in order:  # the list grows behind the loop: a FIFO queue
             arcs = tuple(sorted(s))
             used = {e for arc in arcs for e in arc}
-            for i in range(1, m):
+            for i in range(1, self.m):
                 if i not in used and i + 1 not in used:
                     continue
                 t = frozenset(_swap_arcs(arcs, i))
-                if t not in dist:
-                    dist[t] = dist[s] + 1
+                if t not in seen:
+                    seen.add(t)
                     order.append(t)
-                    queue.append(t)
-        self.dist = dist
-        self.order = order
+        return order
+
+    @cached_property
+    def dist(self) -> dict[frozenset, int]:
+        """The level of every arc set, in ``order``."""
+        return {s: self.level(s) for s in self.order}
 
     def down_edges(self, s: frozenset) -> Iterator[tuple[int, frozenset]]:
         """Each (i, t) with t = s_i(s) one level below s, in increasing i:
         the last letters of the minimal words of s and where they lead."""
+        below = self.level(s) - 1
         arcs = tuple(sorted(s))
         for i in range(1, self.m):
             t = frozenset(_swap_arcs(arcs, i))
-            if self.dist[t] == self.dist[s] - 1:
+            if self.level(t) == below:
                 yield i, t
 
     def all_min_words(self, arc_set: frozenset, cap: int | None = None) -> list[tuple[int, ...]]:
@@ -268,9 +271,13 @@ class OrbitLattice:
 
         The word (i_1 .. i_l) satisfies arcs = s_{i_1}(...(s_{i_l}(min))),
         so the first letter is the move undone first when walking back.
+        Every arc set of r arcs with distinct endpoints in 1..m is in the
+        lattice; any other raises Unreachable.
         """
-        if arc_set not in self.dist:
-            raise Unreachable(f"arc set {sorted(arc_set)} not in the lattice")
+        try:
+            LinkPattern(self.m, self.r, tuple(sorted(arc_set)))
+        except PatternError:
+            raise Unreachable(f"arc set {sorted(arc_set)} not in the lattice") from None
         return self._min_words(arc_set, cap, {self.start: [()]})
 
     def _min_words(self, s: frozenset, cap: int | None, memo: dict) -> list[tuple[int, ...]]:

@@ -246,14 +246,26 @@ def test_config_validation():
         ["verify", "all", "--tau-im", "nan"],
         ["compute", "4,2:3>1,4>2", "--tau-im", "nan", "--samples", "1"],
         ["compute", "4,2:3>1,4>2", "--tau-im", "inf", "--samples", "1"],
+        ["compute", "4,2:3>1,4>2", "--tau-im", "1e308", "--samples", "1"],
+        ["verify", "all", "--tau-im", "100.01"],
         ["verify", "theta", "--tol", "nan"],
         ["verify", "theta", "--tol", "inf"],
     ],
-    ids=["tau-nan-verify", "tau-nan-compute", "tau-inf", "tol-nan", "tol-inf"],
+    ids=["tau-nan-verify", "tau-nan-compute", "tau-inf", "tau-1e308", "tau-above-bound",
+         "tol-nan", "tol-inf"],
 )
 def test_non_finite_config_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "usage"
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "usage"
+    if "--tau-im" in argv:
+        assert "100]" in error["message"]
+
+
+def test_verify_all_passes_at_the_tau_bound(capsys):
+    """At the largest accepted Im(tau) every suite still passes."""
+    assert main(["verify", "all", "--samples", "8", "--tau-im", "100"]) == 0
+    assert all(r["passed"] for r in json.loads(capsys.readouterr().out))
 
 
 def _reject_constant(name):

@@ -34,7 +34,6 @@ from ellink.efun import (
     efun_const,
     efun_product,
     efun_reciprocal,
-    efun_sum,
     ell_class,
     ell_class_from_presentation,
     ell_min,
@@ -50,7 +49,6 @@ from ellink.efun import (
     sample_agreement,
     substitute_symbols,
     theta_leaf,
-    x_permuted,
 )
 from ellink.cli import main
 from ellink.identities import check_word_independence, flip_sides
@@ -77,6 +75,7 @@ from ellink.typecalc import (
     decompose_type,
     qf_of_delta,
 )
+from expressions import efun_sum, x_permuted
 
 P = ModularParams()
 SP = VarSpace(8, 2)

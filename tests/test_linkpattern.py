@@ -1,5 +1,6 @@
 """Link patterns, orbit lattice, presentations and step parameters."""
 
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -13,8 +14,11 @@ from ellink.linkpattern import (
     BadRank,
     DistinctnessError,
     LinkPattern,
-    LooseLoose,
     NoNodes,
+    OrbitLattice,
+    PatternError,
+    Unreachable,
+    _lattice,
     PatternSyntaxError,
     act_labels,
     act_nodes,
@@ -31,11 +35,37 @@ from ellink.linkpattern import (
     nu_list,
     orbit_lattice,
     parse_pattern,
-    six_move_mu,
     transposition,
     word_to_perm,
 )
 from ellink.typecalc import VarSpace
+
+
+class LooseLoose(PatternError):
+    """Transposition of two adjacent loose nodes: reduced operator undefined."""
+
+
+def six_move_mu(p, i):
+    """Move-table parameter for transposing nodes i, i+1, and whether the
+    move lengthens the minimal word.
+
+    The parameter is value(i) - value(i+1); the classification into the six
+    pictured cases (and their reversed-arrow analogues) is exactly the case
+    split of the node values.  Raises LooseLoose when both nodes are loose.
+    """
+    if not 1 <= i <= p.m - 1:
+        raise PatternError(f"move index {i} outside 1..{p.m - 1}")
+    loose = set(p.loose_nodes)
+    if i in loose and i + 1 in loose:
+        raise LooseLoose(
+            f"nodes {i},{i + 1} both loose: parameter -h, reduced operator undefined"
+        )
+    vals = node_values(p)
+    mu = vals[i - 1] - vals[i]
+    lat = orbit_lattice(p.m, p.r)
+    here = lat.level(p.arc_set())
+    there = lat.level(act_nodes(transposition(p.m, i), p).arc_set())
+    return mu, there > here
 
 
 def test_minimal_pattern_examples():
@@ -411,7 +441,70 @@ def test_lattice_sizes():
 
 
 def test_unreachable_is_defensive():
-    from ellink.linkpattern import Unreachable
+    """An arc set that is no pattern of the lattice's size is refused
+    before any walk, and the lattice enumerates nothing for it."""
+    lat = OrbitLattice(4, 2)
+    for arcs in [{(1, 99)}, {(1, 2)}, {(1, 2), (3, 4), (4, 1)}, {(1, 2), (2, 3)},
+                 {(1, 2), (3, 5)}, {(0, 2), (3, 4)}]:
+        with pytest.raises(Unreachable):
+            lat.all_min_words(frozenset(arcs))
+    assert "order" not in vars(lat) and "dist" not in vars(lat)
 
-    with pytest.raises(Unreachable):
-        orbit_lattice(4, 2).all_min_words(frozenset({(1, 99)}))
+
+def _bfs_levels(m, r):
+    """Reference: breadth-first distance from the minimal arc set over all
+    node transpositions."""
+    start = minimal_pattern(m, r).arc_set()
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            p = LinkPattern(m, r, tuple(sorted(s)))
+            for i in range(1, m):
+                t = act_nodes(transposition(m, i), p).arc_set()
+                if t not in dist:
+                    dist[t] = dist[s] + 1
+                    nxt.append(t)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize(
+    "m,r",
+    [(2, 1), (3, 1), (4, 2), (5, 2), (6, 2), (6, 3), (7, 3), (8, 2), (8, 3), (8, 4), (9, 4)],
+)
+def test_level_is_the_bfs_distance(m, r):
+    """The closed-form level (orbit dimension above the minimal orbit) is
+    the move-graph distance on every arc set, and the lattice's own walk
+    visits exactly those arc sets, level by level."""
+    ref = _bfs_levels(m, r)
+    lat = OrbitLattice(m, r)
+    assert all(lat.level(s) == d for s, d in ref.items())
+    assert lat.dist == ref
+    levels = [lat.level(s) for s in lat.order]
+    assert levels == sorted(levels)
+
+
+def test_one_pattern_builds_no_lattice():
+    """A presentation or class of one (9,4) pattern reads levels along its
+    minimal word and never enumerates the lattice."""
+    from ellink.efun import ell_class
+
+    _lattice.cache_clear()
+    p = parse_pattern("9,4:6>5,7>3,8>2,9>1")
+    assert len(minimal_presentation(p).word) == orbit_lattice(9, 4).level(p.arc_set())
+    ell_class(p)
+    lat = orbit_lattice(9, 4)
+    assert "order" not in vars(lat) and "dist" not in vars(lat)
+
+
+def test_deep_square_pattern_is_fast():
+    """(12,6) has 665,280 arc sets; its longest pattern's presentation and
+    multiplicities walk one minimal word."""
+    text = "12,6:12>1,11>2,10>3,9>4,8>5,7>6"
+    t0 = time.perf_counter()
+    pres = minimal_presentation(parse_pattern(text))
+    alphas = multiplicities(pres, [Fraction(1, 2)] * 6)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(alphas) == len(pres.word) == orbit_lattice(12, 6).level(pres.pattern.arc_set())

@@ -12,7 +12,6 @@ from ellink.efun import (
     demazure_diamond,
     distribute_products,
     efun_product,
-    efun_sum,
     ell_min,
     evaluate,
     inv_theta_leaf,
@@ -21,7 +20,6 @@ from ellink.efun import (
     sample_agreement,
     substitute_symbols,
     theta_leaf,
-    x_permuted,
 )
 from ellink.linkpattern import (
     LinkPattern,
@@ -47,6 +45,7 @@ from ellink.schubert import (
 )
 from ellink.theta import ModularParams
 from ellink.typecalc import VarSpace, admissible_mu
+from expressions import efun_sum, x_permuted
 
 P = ModularParams()
 
