@@ -34,7 +34,6 @@ from .linkpattern import (
     LinkPattern,
     PatternError,
     Presentation,
-    act_labels,
     act_nodes,
     extend_pattern,
     minimal_pattern,
@@ -47,11 +46,9 @@ from .efun import (
     EFun,
     ImpurityError,
     PointAssignment,
-    ReducedUndefined,
     delta_leaf,
     demazure,
     demazure_diamond,
-    demazure_reduced,
     ell_class,
     ell_min,
     evaluate,

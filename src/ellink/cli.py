@@ -31,7 +31,7 @@ from .linkpattern import (
     parse_pattern,
 )
 from .schubert import reduced_class, restrict_fixed_point, weight_function
-from .theta import ModularParams
+from .theta import TAU_IM_MAX, ModularParams
 from .typecalc import VarSpace
 
 
@@ -49,12 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def _parse_optional(self, arg_string):
         # "-3,1" or "-4,2:3>1,4>2" is a value to check, not an unknown option
         return None if arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
-
-
-# |q| = e^{-2 pi Im(tau)} is about 1e-273 at Im(tau) = 100, far enough above the
-# smallest normal double (about 1e-308) that q times a sampled z^{+-1} stays
-# normal; from about 112.6 the theta checks read subnormal values.
-TAU_IM_MAX = 100.0
 
 
 @dataclass(frozen=True)

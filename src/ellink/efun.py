@@ -70,10 +70,6 @@ class ImpurityError(ValueError):
     """Summands with different types: the result is not a section."""
 
 
-class ReducedUndefined(ValueError):
-    """The reduced operator at parameter -h divides by delta(-h, h) = 0."""
-
-
 # --------------------------------------------------------------------------
 # nodes
 
@@ -716,16 +712,6 @@ def demazure(i: int, mu: LinearForm, f: EFun) -> EFun:
         [qf_of_delta(step, mu) + f.qtype, qf_of_delta(-step, space.h()) + swapped]
     )
     return EFun(demazure_node(i, mu, f.node), qtype)
-
-
-def demazure_reduced(i: int, mu: LinearForm, f: EFun) -> EFun:
-    """The operator rescaled by 1/delta(mu, h); undefined at mu = -h."""
-    space = f.space
-    h = space.h()
-    if mu == -h:
-        raise ReducedUndefined("parameter -h: the normalising delta(-h, h) vanishes")
-    inv_norm = efun_product(theta_leaf(mu), theta_leaf(h), inv_theta_leaf(mu + h))
-    return efun_product(inv_norm, demazure(i, mu, f))
 
 
 def demazure_diamond(i: int, f: EFun) -> EFun:

@@ -149,14 +149,6 @@ def act_nodes(w: Sequence[int], p: LinkPattern) -> LinkPattern:
     return LinkPattern(p.m, p.r, tuple((w[a - 1], w[b - 1]) for a, b in p.arcs))
 
 
-def act_labels(sigma: Sequence[int], p: LinkPattern) -> LinkPattern:
-    """Give the arc that carried label j the new label sigma(j)."""
-    if len(sigma) != p.r or not is_permutation(sigma):
-        raise PatternError(f"label permutation must be a bijection of 1..{p.r}")
-    inv = inverse_perm(sigma)
-    return LinkPattern(p.m, p.r, tuple(p.arcs[inv[j - 1] - 1] for j in range(1, p.r + 1)))
-
-
 def node_values(p: LinkPattern, space: VarSpace | None = None) -> tuple[LinearForm, ...]:
     """The rho-shifted x-coefficients carried by the nodes of p.
 

@@ -7,15 +7,21 @@ arguments" means adding them.  The basic objects are
     theta(x)            2 q^{1/8} sin(pi x) prod_{n>=1} (1-q^n)(1-q^n z)(1-q^n/z)
     delta(a, b)         theta'(0)/(2 pi i) * theta(a+b) / (theta(a) theta(b))
 
-with q = e^{2 pi i tau}.  The infinite product is cut adaptively: it stops
-at the first n with |q^n| max(|z|, 1/|z|) < 2^-64, where each remaining
-factor lies within 2^-64 of 1, and it never takes more than 40 factors.
-That cap is safe as long as |q|^40 stays below machine precision, which
-construction enforces as a bound on tau alone.  On every sampled point
-tested the cut value equals the full 40-factor product bit for bit.  Only
-a component far below |theta| can move, such as the rounding-noise
-imaginary part at real x when tau is imaginary, and then by less than
-2^-64 |theta|.
+with q = e^{2 pi i tau}.  theta takes each pair of z-factors at once,
+
+    (1 - q^n z)(1 - q^n/z) = (1 + q^2n) - q^n (z + 1/z),
+
+so with c = z + 1/z formed once per call a factor costs one complex
+multiply, and the Euler factors prod (1 - q^n) are applied once, as a
+precomputed prefix, after the loop.  The infinite product is cut
+adaptively: it stops at the first n with |q^n| max(|z|, 1/|z|) < 2^-64,
+where each remaining factor lies within 2^-64 of 1, and it never takes
+more than 40 factors.  That cap is safe as long as |q|^40 stays below
+machine precision, which construction enforces as a bound on tau alone.
+On every sampled point tested the cut value equals the same pair-form
+product taken over all 40 factors bit for bit.  Only a component far
+below |theta| could move, such as the rounding-noise imaginary part at
+real x when tau is imaginary, and then by less than 2^-64 |theta|.
 
 The 2 pi i in delta's normalisation converts the additive derivative at 0
 into the derivative with respect to the multiplicative variable at 1, so
@@ -40,9 +46,14 @@ _TRUNCATION_FLOOR = 1e-16
 # The most q-product factors theta ever takes.
 _MAX_FACTORS = 40
 # theta stops its q-product once |q^n| max(|z|, 1/|z|) drops below this.
-# At 2^-54 a dropped factor still moves the last bit of ~6% of values on
+# At 2^-54 a dropped factor still moves the last bit of ~4% of values on
 # the sampling boxes; at 2^-64 none moved on 400k points.
 _PRODUCT_CUTOFF = 2.0 ** -64
+# |q| = e^{-2 pi Im(tau)} is about 1e-273 at Im(tau) = 100, far enough above the
+# smallest normal double (about 1e-308) that q times a sampled z^{+-1} stays
+# normal; from about 112.6 the theta checks read subnormal values, and from
+# about 470 delta divides by zero on the sampling box.
+TAU_IM_MAX = 100.0
 
 
 class PoleProximity(ArithmeticError):
@@ -56,7 +67,8 @@ class PoleProximity(ArithmeticError):
 @dataclass(frozen=True)
 class ModularParams:
     """Modular parameter tau, with Im(tau) large enough that |q|^40 is
-    negligible, so theta's q-product needs at most 40 factors.
+    negligible, so theta's q-product needs at most 40 factors, and at most
+    ``TAU_IM_MAX``, so that q stays a normal double.
 
     ``pole_guard`` is the relative threshold below which |theta(x)| is
     treated as a pole of 1/theta: the cutoff is pole_guard * |theta'(0)|.
@@ -68,6 +80,8 @@ class ModularParams:
     def __post_init__(self):
         if self.tau.imag <= 0:
             raise ValueError(f"tau must satisfy Im(tau) > 0, got {self.tau}")
+        if not self.tau.imag <= TAU_IM_MAX:
+            raise ValueError(f"tau must satisfy Im(tau) <= {TAU_IM_MAX:g}, got {self.tau}")
         tail = abs(self.q) ** _MAX_FACTORS
         if tail >= _TRUNCATION_FLOOR:
             raise ValueError(
@@ -88,23 +102,29 @@ class ModularParams:
         return 2.0 * self.q_eighth
 
     @cached_property
-    def q_factors(self) -> tuple[tuple[complex, complex, float], ...]:
-        """(q^n, 1 - q^n, |q^n|) for n = 1 .. 40."""
+    def q_factors(self) -> tuple[tuple[complex, complex, float, complex], ...]:
+        """(q^n, 1 + q^2n, |q^n|, prod_{k<n} (1 - q^k)) for n = 1 .. 40.
+
+        The one table of the q-product: theta's pair factor n is
+        (1 + q^2n) - q^n (z + 1/z), and the last column is the Euler prefix
+        of the factors before n, so a product cut before factor n takes its
+        Euler part from row n.
+        """
         q = self.q
         out = []
         qn = 1.0 + 0j
+        prefix = 1.0 + 0j
         for _ in range(_MAX_FACTORS):
             qn *= q
-            out.append((qn, 1.0 - qn, abs(qn)))
+            out.append((qn, 1.0 + qn * qn, abs(qn), prefix))
+            prefix *= 1.0 - qn
         return tuple(out)
 
     @cached_property
     def euler_product(self) -> complex:
         """prod_{n=1}^{40} (1 - q^n)."""
-        p = 1.0 + 0j
-        for _, one_minus_qn, _ in self.q_factors:
-            p *= one_minus_qn
-        return p
+        qn, _, _, prefix = self.q_factors[-1]
+        return prefix * (1.0 - qn)
 
     @cached_property
     def theta_prime_zero(self) -> complex:
@@ -122,18 +142,22 @@ class ModularParams:
 
 
 def theta(x: complex, p: ModularParams) -> complex:
-    """Jacobi theta product at the additive argument x, cut adaptively."""
+    """Jacobi theta product at the additive argument x, cut adaptively and
+    taken one pair factor (1 + q^2n) - q^n (z + 1/z) at a time."""
     z = cmath.exp(TWO_PI_I * x)
-    zinv = 1.0 / z
+    c = z + 1.0 / z
     # |q^n| max(|z|, 1/|z|) < cutoff  <=>  |q^n| < limit
     zabs = abs(z)
     limit = _PRODUCT_CUTOFF * zabs if zabs < 1.0 else _PRODUCT_CUTOFF / zabs
     prod = 1.0 + 0j
-    for qn, one_minus_qn, qn_abs in p.q_factors:
+    # the row that stops the loop holds the Euler prefix of the factors taken
+    for qn, one_plus_q2n, qn_abs, euler in p.q_factors:
         if qn_abs < limit:
             break
-        prod *= one_minus_qn * (1.0 - qn * z) * (1.0 - qn * zinv)
-    return p.two_q_eighth * cmath.sin(math.pi * x) * prod
+        prod *= one_plus_q2n - qn * c
+    else:
+        euler = p.euler_product
+    return p.two_q_eighth * cmath.sin(math.pi * x) * (prod * euler)
 
 
 def theta_normalized(x: complex, p: ModularParams) -> complex:

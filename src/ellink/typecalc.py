@@ -283,13 +283,6 @@ class TypeDecomposition:
     alpha: tuple[LinearForm, ...]
     q_mu: QForm
 
-    def recompose(self) -> QForm:
-        space = self.q_mu.space
-        total = self.q_mu + qf_of_delta(rho(space), space.h())
-        for i, a in enumerate(self.alpha, 1):
-            total = total + qf_of_delta(space.x(i), a)
-        return total
-
 
 def transposition(m: int, i: int) -> tuple[int, ...]:
     """The simple transposition s_i of 1..m in one-line notation."""

@@ -1,10 +1,21 @@
-"""Expression builders that only the tests use: a typed sum and a lazy
-x-twist, built with the engine's own purity rule and twist composition."""
+"""Expression builders that only the tests use: a typed sum, a lazy
+x-twist and the reduced Demazure operator, built with the engine's own
+purity rule, twist composition and typed operator."""
 
 from typing import Sequence
 
-from ellink.efun import EFun, Sum, _sum_type, _twisted
+from ellink.efun import (
+    EFun,
+    Sum,
+    _sum_type,
+    _twisted,
+    demazure,
+    efun_product,
+    inv_theta_leaf,
+    theta_leaf,
+)
 from ellink.linkpattern import identity_perm
+from ellink.typecalc import LinearForm
 
 
 def efun_sum(*terms: EFun) -> EFun:
@@ -19,3 +30,17 @@ def x_permuted(w: Sequence[int], f: EFun) -> EFun:
     if w == identity_perm(f.space.m):
         return f
     return EFun(_twisted(w, f.node), f.qtype.x_permute(w))
+
+
+class ReducedUndefined(ValueError):
+    """The reduced operator at parameter -h divides by delta(-h, h) = 0."""
+
+
+def demazure_reduced(i: int, mu: LinearForm, f: EFun) -> EFun:
+    """The operator rescaled by 1/delta(mu, h); undefined at mu = -h."""
+    space = f.space
+    h = space.h()
+    if mu == -h:
+        raise ReducedUndefined("parameter -h: the normalising delta(-h, h) vanishes")
+    inv_norm = efun_product(theta_leaf(mu), theta_leaf(h), inv_theta_leaf(mu + h))
+    return efun_product(inv_norm, demazure(i, mu, f))

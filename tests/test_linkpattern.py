@@ -20,7 +20,6 @@ from ellink.linkpattern import (
     Unreachable,
     _lattice,
     PatternSyntaxError,
-    act_labels,
     act_nodes,
     all_minimal_presentations,
     compose,
@@ -28,6 +27,7 @@ from ellink.linkpattern import (
     format_pattern,
     identity_perm,
     inverse_perm,
+    is_permutation,
     minimal_pattern,
     minimal_presentation,
     multiplicities,
@@ -39,6 +39,14 @@ from ellink.linkpattern import (
     word_to_perm,
 )
 from ellink.typecalc import VarSpace
+
+
+def act_labels(sigma, p):
+    """Give the arc that carried label j the new label sigma(j)."""
+    if len(sigma) != p.r or not is_permutation(sigma):
+        raise PatternError(f"label permutation must be a bijection of 1..{p.r}")
+    inv = inverse_perm(sigma)
+    return LinkPattern(p.m, p.r, tuple(p.arcs[inv[j - 1] - 1] for j in range(1, p.r + 1)))
 
 
 class LooseLoose(PatternError):
