@@ -4,8 +4,9 @@ Every command writes a single JSON document (or array) to stdout or to
 ``--out``; every failure is a structured JSON error object and a nonzero
 exit status.  Complex numbers are serialised as [re, im] pairs of decimal
 strings with 17 significant digits so doubles round-trip exactly.  The
-output is strict JSON: a NaN or infinite float (the residual of a failing
-check) is written as null.
+output is strict JSON: a report writes a failing residual that is not
+finite as null, and any other NaN or infinite float is refused as a
+structured error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cache
 from random import Random
 
 from .efun import EFun, ell_class_from_presentation, evaluate, random_point, sample
-from .identities import SUITES, UnknownSuite, run_all, run_suite
+from .identities import SUITES
 from .linkpattern import (
     PatternError,
     format_pattern,
@@ -109,13 +110,12 @@ def cmd_compute(pattern_text: str, config: RunConfig) -> dict:
 
 
 def cmd_verify(suite: str, config: RunConfig) -> tuple[list[dict], bool]:
-    if suite == "all":
-        reports = run_all(config.samples, config.tol, config.params, config.seed)
-    else:
-        try:
-            reports = run_suite(suite, config.samples, config.tol, config.params, config.seed)
-        except UnknownSuite as exc:
-            raise UsageError(exc.args[0]) from None
+    if suite != "all" and suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}, all")
+    # looked up per request, so a suite wrapped in SUITES after import is the one run
+    runs = SUITES.values() if suite == "all" else [SUITES[suite]]
+    args = (config.samples, config.tol, config.params, config.seed)
+    reports = [r for run in runs for r in run(*args)]
     return [r.to_json() for r in reports], all(r.passed for r in reports)
 
 
@@ -253,20 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finite(doc):
-    """The document with each NaN or infinite float written as None, which
-    strict JSON can carry (a failing check reports an infinite residual)."""
-    if isinstance(doc, float):
-        return doc if math.isfinite(doc) else None
-    if isinstance(doc, dict):
-        return {k: _finite(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_finite(v) for v in doc]
-    return doc
-
-
 def _emit(doc, out_path: str | None):
-    text = json.dumps(_finite(doc), indent=2, allow_nan=False)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out_path and out_path != "-":
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -649,19 +649,29 @@ def worst_residual(residuals: Iterable[float]) -> float:
 
 
 def sample_agreement(
-    fs: Sequence[EFun],
+    groups: Sequence[Sequence[EFun]],
     params: ModularParams,
     rng: Random,
     samples: int = 32,
 ) -> tuple[float, int]:
-    """Max pairwise relative residual of the expressions over shared points;
-    returns (max residual, number of redraws)."""
-    space = fs[0].space
+    """Max pairwise relative residual within each group of expressions over
+    shared points: all groups go on one ``joint_tape``, replayed at one
+    point stream, and a redraw replaces the point for all of them.  Returns
+    (max residual, number of redraws)."""
+    fs, parts = [], []
+    for group in groups:
+        parts.append(slice(len(fs), len(fs) + len(group)))
+        fs.extend(group)
     tape = joint_tape(fs)
     points, redraws = sample(
-        lambda r: evaluate_many(tape, random_point(space, r, params)), samples, rng
+        lambda r: evaluate_many(tape, random_point(fs[0].space, r, params)), samples, rng
     )
-    residuals = (relative_residual(a, b) for vals in points for a, b in combinations(vals, 2))
+    residuals = (
+        relative_residual(a, b)
+        for vals in points
+        for part in parts
+        for a, b in combinations(vals[part], 2)
+    )
     return worst_residual(residuals), redraws
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations
 from random import Random
 from typing import Callable, Iterator
 
@@ -58,10 +57,6 @@ from .theta import ModularParams, delta, theta
 from .typecalc import VarSpace
 
 
-class UnknownSuite(KeyError):
-    """No suite of that name is registered in SUITES."""
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     name: str
@@ -76,7 +71,12 @@ class IdentityReport:
         return IdentityReport(name, samples, residual, tol, residual < tol, resamples)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The report as strict JSON: a failing residual that is not finite
+        is written as None (null)."""
+        doc = asdict(self)
+        if not math.isfinite(self.max_relative_residual):
+            doc["max_relative_residual"] = None
+        return doc
 
 
 def _sampled_report(
@@ -273,11 +273,14 @@ def check_flip(
     params: ModularParams = ModularParams(),
     seed: int = 0,
 ) -> IdentityReport:
+    """Both ``flip_sides`` agree in type exactly and in value at sampled
+    points; sides of different types report 0 samples and fail."""
+    name = f"flip_{m}_{r}_{k}"
     lhs, rhs = flip_sides(m, r, k)
     if lhs.qtype != rhs.qtype:
-        raise AssertionError("flip sides carry different types")
-    worst, resamples = sample_agreement([lhs, rhs], params, Random(seed), samples)
-    return IdentityReport.make(f"flip_{m}_{r}_{k}", samples, worst, tol, resamples)
+        return IdentityReport.make(name, 0, math.inf, tol)
+    worst, resamples = sample_agreement([[lhs, rhs]], params, Random(seed), samples)
+    return IdentityReport.make(name, samples, worst, tol, resamples)
 
 
 def edge_candidates(m: int, r: int, space: VarSpace) -> Iterator[tuple[frozenset, list]]:
@@ -318,38 +321,24 @@ def check_word_independence(
 
     The exact checks run over the whole lattice first; a failure reports
     0 samples.  Then the classes of every arc set with more than one edge
-    go on one ``joint_tape``, replayed at one stream of ``samples`` points
-    drawn from Random(seed), and each arc set's classes are compared
-    pairwise within its own slice of the roots.  A pole near any leaf
-    redraws the point for all arc sets.  The report counts samples times
-    arc sets compared."""
+    form one group of ``sample_agreement``: one tape, one stream of
+    ``samples`` points drawn from Random(seed), and each arc set's classes
+    compared pairwise among themselves.  A pole near any leaf redraws the
+    point for all arc sets.  The report counts samples times arc sets
+    compared."""
     name = f"word_independence_{m}_{r}"
-    space = VarSpace(m, r)
-    roots = []
-    slices = []
-    for _, edges in edge_candidates(m, r, space):
+    groups = []
+    for _, edges in edge_candidates(m, r, VarSpace(m, r)):
         multisets = {tuple(sorted(str(nu) for nu in nus)) for nus, _ in edges}
         classes = [cls for _, cls in edges]
         if len(multisets) != 1 or any(c.qtype != classes[0].qtype for c in classes):
             return IdentityReport.make(name, 0, math.inf, tol)
         if len(classes) > 1:
-            slices.append(slice(len(roots), len(roots) + len(classes)))
-            roots.extend(classes)
-    if not roots:
+            groups.append(classes)
+    if not groups:
         return IdentityReport.make(name, 0, 0.0, tol)
-    tape = joint_tape(roots)
-    points, redraws = sample(
-        lambda rng: evaluate_many(tape, random_point(space, rng, params)), samples, Random(seed)
-    )
-    residuals = (
-        relative_residual(a, b)
-        for vals in points
-        for part in slices
-        for a, b in combinations(vals[part], 2)
-    )
-    return IdentityReport.make(
-        name, samples * len(slices), worst_residual(residuals), tol, redraws
-    )
+    worst, redraws = sample_agreement(groups, params, Random(seed), samples)
+    return IdentityReport.make(name, samples * len(groups), worst, tol, redraws)
 
 
 # --------------------------------------------------------------------------
@@ -414,26 +403,7 @@ def check_vanishing(
 
 
 # --------------------------------------------------------------------------
-# suite registry for the CLI
-
-
-def run_suite(
-    name: str,
-    samples: int = 100,
-    tol: float = 1e-8,
-    params: ModularParams = ModularParams(),
-    seed: int = 0,
-) -> list[IdentityReport]:
-    if name not in SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITES)}, all")
-    return SUITES[name](samples, tol, params, seed)
-
-
-def run_all(samples=100, tol=1e-8, params=ModularParams(), seed=0) -> list[IdentityReport]:
-    out = []
-    for suite in SUITES.values():
-        out.extend(suite(samples, tol, params, seed))
-    return out
+# the suites that ``verify`` runs by name
 
 
 def _suite_theta(samples, tol, params, seed):
@@ -481,7 +451,7 @@ def _suite_vanishing(samples, tol, params, seed):
     return [check_vanishing(max(10, samples // 5), min(tol, 1e-10), params, seed)]
 
 
-# Insertion order is the order in which run_all (``verify all``) runs them.
+# Insertion order is the order in which ``verify all`` runs them.
 SUITES = {
     "theta": _suite_theta,
     "fourterm": _suite_fourterm,

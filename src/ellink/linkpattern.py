@@ -77,13 +77,6 @@ def compose(w: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(w[v[i] - 1] for i in range(len(v)))
 
 
-def inverse_perm(w: Sequence[int]) -> tuple[int, ...]:
-    inv = [0] * len(w)
-    for i, wi in enumerate(w, 1):
-        inv[wi - 1] = i
-    return tuple(inv)
-
-
 def word_to_perm(m: int, word: Sequence[int]) -> tuple[int, ...]:
     """s_{i_1} o s_{i_2} o ... o s_{i_l} (rightmost factor applied first)."""
     w = identity_perm(m)

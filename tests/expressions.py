@@ -1,6 +1,7 @@
 """Expression builders that only the tests use: a typed sum, a lazy
 x-twist and the reduced Demazure operator, built with the engine's own
-purity rule, twist composition and typed operator."""
+purity rule, twist composition and typed operator; and the inverse of a
+permutation."""
 
 from typing import Sequence
 
@@ -22,6 +23,13 @@ def efun_sum(*terms: EFun) -> EFun:
     if not terms:
         raise ValueError("empty sum needs a space; use efun_const")
     return EFun(Sum(tuple(t.node for t in terms)), _sum_type([t.qtype for t in terms]))
+
+
+def inverse_perm(w: Sequence[int]) -> tuple[int, ...]:
+    inv = [0] * len(w)
+    for i, wi in enumerate(w, 1):
+        inv[wi - 1] = i
+    return tuple(inv)
 
 
 def x_permuted(w: Sequence[int], f: EFun) -> EFun:

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from ellink.cli import main
+from ellink.efun import ell_min
+from ellink.identities import SUITES, IdentityReport, flip_sides
 from ellink.theta import PoleProximity
 
 
@@ -283,6 +285,49 @@ def test_failing_residual_is_strict_json(monkeypatch, capsys):
     assert report["max_relative_residual"] is None
     assert report["passed"] is False
     assert '"max_relative_residual": null' in out
+
+
+def test_flip_sides_of_different_types_fail_the_report(monkeypatch, capsys):
+    """Flip sides whose types differ fail their report without sampling,
+    with the infinite residual written as null."""
+
+    def mismatched(m, r, k):
+        return flip_sides(m, r, k)[0], ell_min(m, r)
+
+    monkeypatch.setattr("ellink.identities.flip_sides", mismatched)
+    assert main(["verify", "flip"]) == 1
+    reports = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert reports == [
+        {"name": name, "samples": 0, "max_relative_residual": None,
+         "tolerance": 1e-08, "passed": False, "resamples": 0}
+        for name in ("flip_4_2_1", "flip_6_3_1", "flip_6_3_2")
+    ]
+
+
+def test_other_non_finite_floats_are_a_structured_error(monkeypatch, capsys):
+    """Only a report writes its residual as null; any other non-finite
+    float in a document is refused rather than written as Infinity."""
+    monkeypatch.setattr("ellink.cli.cmd_orbits", lambda size: {"x": float("inf")})
+    assert main(["orbits", "4,2"]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["kind"] == "ValueError"
+
+
+def test_verify_runs_the_suites_in_the_registry(monkeypatch, capsys):
+    """verify looks each suite up in SUITES per request, so a suite put
+    there after import (as a tracer wraps them) is the one that runs."""
+    stub = IdentityReport("stub", 1, 0.0, 1e-8, True)
+    monkeypatch.setitem(SUITES, "fourterm", lambda samples, tol, params, seed: [stub])
+    assert main(["verify", "fourterm"]) == 0
+    assert json.loads(capsys.readouterr().out) == [stub.to_json()]
+    assert main(["verify", "all", "--samples", "8"]) == 0
+    names = [r["name"] for r in json.loads(capsys.readouterr().out)]
+    assert names == [
+        "theta_laws", "stub", "braid_coefficients", "braid_operator",
+        "quadratic_operator", "monstrous", "flip_4_2_1", "flip_6_3_1", "flip_6_3_2",
+        "word_independence_2_1", "word_independence_3_1", "word_independence_4_2",
+        "vanishing",
+    ]
 
 
 def _report(name, samples, residual, tol):

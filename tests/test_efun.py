@@ -56,7 +56,6 @@ from ellink.linkpattern import (
     all_minimal_presentations,
     compose,
     identity_perm,
-    inverse_perm,
     minimal_pattern,
     minimal_presentation,
     node_values,
@@ -73,7 +72,7 @@ from ellink.typecalc import (
     decompose_type,
     qf_of_delta,
 )
-from expressions import ReducedUndefined, demazure_reduced, efun_sum, x_permuted
+from expressions import ReducedUndefined, demazure_reduced, efun_sum, inverse_perm, x_permuted
 
 P = ModularParams()
 SP = VarSpace(8, 2)
@@ -229,7 +228,7 @@ def test_demazure_reduced():
     # inverse parameter gives the identity
     g2 = demazure_reduced(1, admissible_mu(g.qtype, 1), g)
     assert g2.qtype == f.qtype
-    worst, _ = sample_agreement([g2, f], P, Random(7), 32)
+    worst, _ = sample_agreement([[g2, f]], P, Random(7), 32)
     assert worst < 1e-8
     # type differs from the unreduced operator by -mu h
     assert g.qtype == demazure(1, mu, f).qtype - qf_of_delta(mu, sp.h())
@@ -243,7 +242,7 @@ def test_diamond_uses_inferred_character():
     g = demazure_diamond(1, f)
     expected = demazure(1, SP.mu(1) - SP.mu(2), f)
     assert g.qtype == expected.qtype
-    worst, _ = sample_agreement([g, expected], P, Random(8), 10)
+    worst, _ = sample_agreement([[g, expected]], P, Random(8), 10)
     assert worst == 0.0
 
 
@@ -253,7 +252,7 @@ def test_diamond_braid_composite():
     lhs = demazure_diamond(1, demazure_diamond(2, demazure_diamond(1, f)))
     rhs = demazure_diamond(2, demazure_diamond(1, demazure_diamond(2, f)))
     assert lhs.qtype == rhs.qtype
-    worst, _ = sample_agreement([lhs, rhs], P, Random(9), 50)
+    worst, _ = sample_agreement([[lhs, rhs]], P, Random(9), 50)
     assert worst < 1e-8
 
 
@@ -261,7 +260,7 @@ def test_ell_class_of_minimal_is_starting_product():
     f = ell_class(minimal_pattern(8, 2), SP)
     g = ell_min(8, 2, SP)
     assert f.qtype == g.qtype
-    worst, _ = sample_agreement([f, g], P, Random(10), 10)
+    worst, _ = sample_agreement([[f, g]], P, Random(10), 10)
     assert worst == 0.0
 
 
@@ -278,7 +277,7 @@ def test_ell_class_presentation_independent():
             continue
         classes = [ell_class_from_presentation(pr, sp) for pr in presentations]
         assert all(c.qtype == classes[0].qtype for c in classes)
-        worst, _ = sample_agreement(classes, P, rng, 50)
+        worst, _ = sample_agreement([classes], P, rng, 50)
         assert worst < 1e-8, (p.arcs, worst)
 
 

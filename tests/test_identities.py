@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from ellink.identities import (
+    SUITES,
     IdentityReport,
     _sampled_report,
     check_braid_coefficients,
@@ -21,8 +22,6 @@ from ellink.identities import (
     edge_candidates,
     flip_sides,
     monstrous_sides,
-    run_all,
-    run_suite,
 )
 from ellink.efun import (
     RESAMPLE_CAP,
@@ -184,7 +183,7 @@ def test_edge_check_covers_every_minimal_presentation(monkeypatch, m, r):
         want = {_multiset(nu_list(q)) for q in all_minimal_presentations(p)}
         assert {_multiset(nus) for nus, _ in edges} == want
         classes = [ell_class(p, space)] + [cls for _, cls in edges]
-        worst, _ = sample_agreement(classes, P, rng, 2)
+        worst, _ = sample_agreement([classes], P, rng, 2)
         assert worst < 1e-8, (m, r, p)
 
 
@@ -203,7 +202,7 @@ def _record_lattice_tapes(monkeypatch):
         return tapes[-1][1]
 
     monkeypatch.setattr("ellink.identities.edge_candidates", recorded)
-    monkeypatch.setattr("ellink.identities.joint_tape", counted)
+    monkeypatch.setattr("ellink.efun.joint_tape", counted)
     return seen, tapes
 
 
@@ -474,14 +473,12 @@ def test_report_invariant():
 
 
 def test_suite_registry():
-    with pytest.raises(KeyError):
-        run_suite("nonsense", 10, 1e-8, P, 0)
-    reports = run_suite("fourterm", 50, 1e-8, P, 0)
+    reports = SUITES["fourterm"](50, 1e-8, P, 0)
     assert len(reports) == 1 and reports[0].passed
 
 
 def test_run_all_passes_quickly():
-    reports = run_all(32, 1e-8, P, seed=0)
+    reports = [r for suite in SUITES.values() for r in suite(32, 1e-8, P, 0)]
     assert reports and all(r.passed for r in reports)
 
 
@@ -522,15 +519,24 @@ GUARDED_REPORTS = {
 
 @pytest.mark.parametrize("suite", list(GUARDED_REPORTS))
 def test_redraws_are_pinned(suite):
-    reports = run_suite(suite, 40, 1e-8, GUARDED, 3)
+    reports = SUITES[suite](40, 1e-8, GUARDED, 3)
     got = [(r.name, r.samples, r.max_relative_residual, r.resamples) for r in reports]
     assert got == GUARDED_REPORTS[suite]
     assert all(r.passed for r in reports)
 
 
 def test_sample_agreement_redraws_are_pinned():
-    worst, redraws = sample_agreement(list(flip_sides(6, 3, 1)), GUARDED, Random(5), 20)
+    worst, redraws = sample_agreement([list(flip_sides(6, 3, 1))], GUARDED, Random(5), 20)
     assert (worst, redraws) == (2.3588595595505103e-14, 4)
+
+
+def test_sample_agreement_compares_within_groups_only():
+    """Groups share one tape and one point stream, but an expression is
+    compared only with the others of its own group."""
+    f, g = flip_sides(4, 2, 1)[0], ell_min(4, 2)
+    assert sample_agreement([[f, f], [g, g]], P, Random(0), 4) == (0.0, 0)
+    worst, _ = sample_agreement([[f, g]], P, Random(0), 4)
+    assert worst > 1e-3
 
 
 def test_exhausted_redraws_name_the_draw_count():
@@ -553,7 +559,7 @@ def test_nan_residual_fails_the_report(monkeypatch):
 
     f = ell_min(4, 2)
     monkeypatch.setattr("ellink.efun.evaluate_many", lambda tape, pt: [1.0, math.nan])
-    worst, _ = sample_agreement([f, f], P, Random(0), 3)
+    worst, _ = sample_agreement([[f, f]], P, Random(0), 3)
     assert worst == math.inf
 
     monkeypatch.setattr("ellink.identities.evaluate_many", lambda tape, pt: [1.0, math.nan])

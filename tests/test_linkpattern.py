@@ -26,7 +26,6 @@ from ellink.linkpattern import (
     extend_pattern,
     format_pattern,
     identity_perm,
-    inverse_perm,
     is_permutation,
     minimal_pattern,
     minimal_presentation,
@@ -39,6 +38,8 @@ from ellink.linkpattern import (
     word_to_perm,
 )
 from ellink.typecalc import VarSpace
+
+from expressions import inverse_perm
 
 
 def act_labels(sigma, p):
