@@ -20,14 +20,11 @@ from .typecalc import (
     admissible_mu,
     decompose_type,
     divided_difference,
-    phi,
     qf_of_delta,
     qf_of_theta,
-    rho,
     s_action,
 )
 from .linkpattern import (
-    AlreadySquare,
     BadCharacterShape,
     BadRank,
     DistinctnessError,
@@ -35,7 +32,6 @@ from .linkpattern import (
     PatternError,
     Presentation,
     act_nodes,
-    extend_pattern,
     minimal_pattern,
     minimal_presentation,
     multiplicities,

@@ -32,7 +32,7 @@ from .linkpattern import (
     parse_pattern,
 )
 from .schubert import reduced_class, restrict_fixed_point, weight_function
-from .theta import TAU_IM_MAX, ModularParams
+from .theta import TAU_IM_MAX, TAU_IM_MIN, ModularParams
 from .typecalc import VarSpace
 
 
@@ -60,8 +60,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.3 <= self.tau.imag <= TAU_IM_MAX:
-            raise UsageError(f"Im(tau) must lie in [0.3, {TAU_IM_MAX:g}], got {self.tau.imag}")
+        try:
+            ModularParams(tau=self.tau)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -210,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_sampling(sp):
         sp.add_argument("--tau-im", type=float, default=1.0, metavar="T",
-                        help=f"imaginary part of tau, in [0.3, {TAU_IM_MAX:g}] (default 1.0)")
+                        help=f"imaginary part of tau, in [{TAU_IM_MIN:g}, {TAU_IM_MAX:g}] (default 1.0)")
         sp.add_argument("--samples", type=int, default=64,
                         help="sample points per check (default 64)")
         sp.add_argument("--seed", type=int, default=0,

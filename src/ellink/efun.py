@@ -600,12 +600,9 @@ def evaluate(f: EFun, pt: PointAssignment) -> complex:
     return tape.run(pt)[0]
 
 
-def evaluate_many(fs: Sequence[EFun] | _Tape, pt: PointAssignment) -> list[complex]:
-    """Evaluate several expressions at one shared point, each shared op once.
-
-    ``fs`` is the expressions, compiled here, or their ``joint_tape``,
-    which a caller that evaluates them at many points compiles once."""
-    tape = fs if isinstance(fs, _Tape) else joint_tape(fs)
+def evaluate_many(tape: _Tape, pt: PointAssignment) -> list[complex]:
+    """The value of each root of a ``joint_tape`` at one shared point,
+    each shared op computed once."""
     return tape.run(pt)
 
 

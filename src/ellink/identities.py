@@ -7,9 +7,10 @@ fails.  All of them sample through ``efun.sample``: one seeded stream per
 check, points drawn from the [-0.4, 0.4]² box by ``efun.draw``, and a whole
 sample drawn again on a theta zero, up to ``RESAMPLE_CAP`` times, counted in
 the report.  Checks are deterministic for a fixed seed.  The operator and
-class identities replay one tape per check: the operator sides are untyped
-``efun.demazure_node`` composites, and word independence puts a whole orbit
-lattice on one tape, at one point stream shared by all its arc sets.
+class identities replay one tape per check at ``efun.random_point`` draws
+(every symbol of the check's space, in order): the operator sides are
+``efun.demazure_node`` composites, the two vanishing classes share a tape,
+and word independence puts a whole orbit lattice on one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .efun import (
     RESIDUAL_FLOOR,
     DeltaLeaf,
     EFun,
-    PointAssignment,
     Product,
     ThetaLeaf,
     _Compiler,
@@ -184,18 +184,10 @@ def check_monstrous(
 # operator-level identities (untyped: drawn characters need not be admissible)
 
 
-def _operator_report(name, space, sides, draws, samples, tol, params, seed) -> IdentityReport:
-    """Compare the two side nodes on one tape.  Each sample draws the symbols
-    named in ``draws``, in that order, then x_1..x_m; the others read 0."""
+def _operator_report(name, space, sides, samples, tol, params, seed) -> IdentityReport:
+    """Compare the two side nodes on one tape at ``random_point`` draws."""
     tape = _Compiler(space.m).tape(sides)
-    order = [*map(space.symbol_names.index, draws), *range(space.m)]
-
-    def one(rng: Random) -> float:
-        values = [0j] * space.n_symbols
-        for k in order:
-            values[k] = draw(rng)
-        return relative_residual(*evaluate_many(tape, PointAssignment(tuple(values), params)))
-
+    one = lambda rng: relative_residual(*evaluate_many(tape, random_point(space, rng, params)))
     return _sampled_report(name, one, samples, tol, seed)
 
 
@@ -216,9 +208,7 @@ def check_braid_operator(
     op = demazure_node
     lhs = op(1, nu, op(2, mu + nu, op(1, mu, f)))
     rhs = op(2, mu, op(1, mu + nu, op(2, nu, f)))
-    draws = ("mu1", "mu2", "h", "mu3", "mu4", "mu5")
-    return _operator_report("braid_operator", space, (lhs, rhs), draws,
-                            samples, tol, params, seed)
+    return _operator_report("braid_operator", space, (lhs, rhs), samples, tol, params, seed)
 
 
 def check_quadratic_operator(
@@ -235,9 +225,7 @@ def check_quadratic_operator(
     f = Product((DeltaLeaf(x(1) - x(2), c1), ThetaLeaf(x(1) + x(2).scale(2) + c2)))
     lhs = demazure_node(1, mu, demazure_node(1, -mu, f))
     rhs = Product((DeltaLeaf(h, mu), DeltaLeaf(h, -mu), f))
-    draws = ("mu1", "h", "mu2", "mu3")
-    return _operator_report("quadratic_operator", space, (lhs, rhs), draws,
-                            samples, tol, params, seed)
+    return _operator_report("quadratic_operator", space, (lhs, rhs), samples, tol, params, seed)
 
 
 # --------------------------------------------------------------------------
@@ -387,18 +375,16 @@ def check_vanishing(
     params: ModularParams = ModularParams(),
     seed: int = 0,
 ) -> IdentityReport:
-    """Both ``vanishing_classes`` evaluate to zero."""
-    rng = Random(seed)
-    residuals = []
-    redraws = 0
+    """Both ``vanishing_classes`` evaluate to zero at one stream of points on
+    one tape, each scaled by the summand before it: its cancelling pair's first."""
+    fs = []
     for zero in vanishing_classes():
-        # scale the residual by the first summand of the cancelling pair
-        tape = joint_tape([EFun(zero.node.children[0], zero.qtype), zero])
-        values, n = sample(
-            lambda r: evaluate_many(tape, random_point(zero.space, r, params)), samples, rng
-        )
-        redraws += n
-        residuals.extend(abs(zv) / max(abs(tv), RESIDUAL_FLOOR) for tv, zv in values)
+        fs += [EFun(zero.node.children[0], zero.qtype), zero]
+    tape = joint_tape(fs)
+    trial = lambda r: evaluate_many(tape, random_point(fs[0].space, r, params))
+    values, redraws = sample(trial, samples, Random(seed))
+    pairs = (pair for vals in values for pair in zip(vals[::2], vals[1::2]))
+    residuals = (abs(zv) / max(abs(tv), RESIDUAL_FLOOR) for tv, zv in pairs)
     return IdentityReport.make("vanishing", 2 * samples, worst_residual(residuals), tol, redraws)
 
 
@@ -441,7 +427,6 @@ def _suite_flip(samples, tol, params, seed):
 def _suite_independence(samples, tol, params, seed):
     n = max(10, samples // 2)
     return [
-        check_word_independence(2, 1, tol, n, params, seed),
         check_word_independence(3, 1, tol, n, params, seed),
         check_word_independence(4, 2, tol, n, params, seed),
     ]

@@ -52,10 +52,6 @@ class BadCharacterShape(PatternError):
     """A step parameter is not of the form s mu_a + t mu_b - k h."""
 
 
-class AlreadySquare(PatternError):
-    """extend_pattern needs m > 2r."""
-
-
 class PatternSyntaxError(PatternError):
     """Pattern text failed to parse; carries the byte offset."""
 
@@ -380,29 +376,6 @@ def multiplicities(pres: Presentation, lambdas: Sequence[Fraction]) -> list[Frac
             alpha += s * lambdas[j - 1] - s
         out.append(alpha)
     return out
-
-
-@dataclass(frozen=True)
-class ExtensionResult:
-    """Extension to a square pattern plus the uniform mu shift it records.
-
-    Original labels j <= r become mu'_j = mu_j - mu_shift * h; the new
-    labels r < j <= m - r satisfy mu'_j = (j - m/2) h.
-    """
-
-    pattern: LinkPattern
-    mu_shift: Fraction
-
-
-def extend_pattern(p: LinkPattern) -> ExtensionResult:
-    """Add m - 2r nodes with arcs onto the loose nodes, preserving order."""
-    if p.m == 2 * p.r:
-        raise AlreadySquare(f"pattern with m = 2r = {p.m} cannot be extended")
-    new_arcs = list(p.arcs)
-    for t, j in enumerate(p.loose_nodes, 1):
-        new_arcs.append((p.m + t, j))
-    big = LinkPattern(2 * (p.m - p.r), p.m - p.r, tuple(new_arcs))
-    return ExtensionResult(big, Fraction(p.m, 2) - p.r)
 
 
 # --------------------------------------------------------------------------

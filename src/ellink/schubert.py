@@ -92,6 +92,7 @@ def b_class(n: int) -> EFun:
 
 
 def _check_permutation_pattern(p: LinkPattern) -> int:
+    """n, for a square pattern whose targets fill 1..n, so its sources fill the rest."""
     if p.m != 2 * p.r or p.r == 0:
         raise NotPermutationPattern(f"need m = 2r > 0, got m={p.m}, r={p.r}")
     n = p.r
@@ -106,8 +107,6 @@ def pattern_permutation(p: LinkPattern) -> tuple[int, ...]:
     w = [0] * n
     for a, b in p.arcs:
         w[a - n - 1] = b
-    if not is_permutation(w):
-        raise NotPermutationPattern("arc sources must fill the last block")
     return tuple(w)
 
 
@@ -118,8 +117,7 @@ def reduced_class(p: LinkPattern, mu_inverted: bool = False) -> EFun:
     matching Schubert-variety conventions; the raw form is what the
     fixed-point and recursion identities are stated in.
     """
-    pattern_permutation(p)  # shape check
-    n = p.r
+    n = _check_permutation_pattern(p)
     space = VarSpace(2 * n, n)
     ell = ell_class(p, space)
     quotient = efun_product(

@@ -17,7 +17,8 @@ precomputed prefix, after the loop.  The infinite product is cut
 adaptively: it stops at the first n with |q^n| max(|z|, 1/|z|) < 2^-64,
 where each remaining factor lies within 2^-64 of 1, and it never takes
 more than 40 factors.  That cap is safe as long as |q|^40 stays below
-machine precision, which construction enforces as a bound on tau alone.
+machine precision, which the lower bound on Im(tau) ensures:
+|q|^40 = e^{-80 pi Im(tau)} <= e^{-24 pi}, about 1.8e-33.
 On every sampled point tested the cut value equals the same pair-form
 product taken over all 40 factors bit for bit.  Only a component far
 below |theta| could move, such as the rounding-noise imaginary part at
@@ -42,13 +43,14 @@ from functools import cached_property
 
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
-_TRUNCATION_FLOOR = 1e-16
 # The most q-product factors theta ever takes.
 _MAX_FACTORS = 40
 # theta stops its q-product once |q^n| max(|z|, 1/|z|) drops below this.
 # At 2^-54 a dropped factor still moves the last bit of ~4% of values on
 # the sampling boxes; at 2^-64 none moved on 400k points.
 _PRODUCT_CUTOFF = 2.0 ** -64
+# From Im(tau) = TAU_IM_MIN up, |q|^40 <= e^{-24 pi}: 40 factors are enough.
+TAU_IM_MIN = 0.3
 # |q| = e^{-2 pi Im(tau)} is about 1e-273 at Im(tau) = 100, far enough above the
 # smallest normal double (about 1e-308) that q times a sampled z^{+-1} stays
 # normal; from about 112.6 the theta checks read subnormal values, and from
@@ -66,9 +68,9 @@ class PoleProximity(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModularParams:
-    """Modular parameter tau, with Im(tau) large enough that |q|^40 is
-    negligible, so theta's q-product needs at most 40 factors, and at most
-    ``TAU_IM_MAX``, so that q stays a normal double.
+    """Modular parameter tau, with Im(tau) in [``TAU_IM_MIN``, ``TAU_IM_MAX``]:
+    large enough that theta's q-product needs at most 40 factors, small
+    enough that q stays a normal double.
 
     ``pole_guard`` is the relative threshold below which |theta(x)| is
     treated as a pole of 1/theta: the cutoff is pole_guard * |theta'(0)|.
@@ -78,15 +80,9 @@ class ModularParams:
     pole_guard: float = 1e-6
 
     def __post_init__(self):
-        if self.tau.imag <= 0:
-            raise ValueError(f"tau must satisfy Im(tau) > 0, got {self.tau}")
-        if not self.tau.imag <= TAU_IM_MAX:
-            raise ValueError(f"tau must satisfy Im(tau) <= {TAU_IM_MAX:g}, got {self.tau}")
-        tail = abs(self.q) ** _MAX_FACTORS
-        if tail >= _TRUNCATION_FLOOR:
+        if not TAU_IM_MIN <= self.tau.imag <= TAU_IM_MAX:
             raise ValueError(
-                f"|q|^{_MAX_FACTORS} = {tail:.3e} is not below "
-                f"{_TRUNCATION_FLOOR:.0e}; increase Im(tau)"
+                f"Im(tau) must lie in [{TAU_IM_MIN:g}, {TAU_IM_MAX:g}], got {self.tau.imag}"
             )
 
     @cached_property

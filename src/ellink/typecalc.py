@@ -329,29 +329,6 @@ def divided_difference(i: int, q: QForm) -> LinearForm:
     return LinearForm(space, tuple(coeffs))
 
 
-def rho(space: VarSpace) -> LinearForm:
-    """The fixed origin shift -sum_i i*x_i (half sum of positive roots up
-    to a multiple of sum x_i; this choice makes node decompositions unique).
-    """
-    c = [ZERO] * space.n_symbols
-    for i in range(1, space.m + 1):
-        c[i - 1] = Fraction(-i)
-    return LinearForm(space, tuple(c))
-
-
-def phi(w: Sequence[int], alpha: Sequence[LinearForm]) -> LinearForm:
-    """Inversion cocycle: sum over i<j with w(i)>w(j) of alpha_i - alpha_j."""
-    m = len(w)
-    if len(alpha) != m:
-        raise ValueError("phi needs one coefficient form per x-symbol")
-    total = alpha[0].space.zero_form()
-    for i in range(m):
-        for j in range(i + 1, m):
-            if w[i] > w[j]:
-                total = total + alpha[i] - alpha[j]
-    return total
-
-
 def admissible_mu(q: QForm, i: int) -> LinearForm:
     """The unique purity-preserving parameter for the i-th operator.
 

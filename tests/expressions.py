@@ -1,8 +1,9 @@
 """Expression builders that only the tests use: a typed sum, a lazy
 x-twist and the reduced Demazure operator, built with the engine's own
-purity rule, twist composition and typed operator; and the inverse of a
-permutation."""
+purity rule, twist composition and typed operator; the inverse of a
+permutation; the origin shift rho and the inversion cocycle phi."""
 
+from fractions import Fraction
 from typing import Sequence
 
 from ellink.efun import (
@@ -16,7 +17,7 @@ from ellink.efun import (
     theta_leaf,
 )
 from ellink.linkpattern import identity_perm
-from ellink.typecalc import LinearForm
+from ellink.typecalc import LinearForm, VarSpace
 
 
 def efun_sum(*terms: EFun) -> EFun:
@@ -30,6 +31,29 @@ def inverse_perm(w: Sequence[int]) -> tuple[int, ...]:
     for i, wi in enumerate(w, 1):
         inv[wi - 1] = i
     return tuple(inv)
+
+
+def rho(space: VarSpace) -> LinearForm:
+    """The fixed origin shift -sum_i i*x_i (half sum of positive roots up
+    to a multiple of sum x_i; this choice makes node decompositions unique).
+    """
+    c = [Fraction(0)] * space.n_symbols
+    for i in range(1, space.m + 1):
+        c[i - 1] = Fraction(-i)
+    return LinearForm(space, tuple(c))
+
+
+def phi(w: Sequence[int], alpha: Sequence[LinearForm]) -> LinearForm:
+    """Inversion cocycle: sum over i<j with w(i)>w(j) of alpha_i - alpha_j."""
+    m = len(w)
+    if len(alpha) != m:
+        raise ValueError("phi needs one coefficient form per x-symbol")
+    total = alpha[0].space.zero_form()
+    for i in range(m):
+        for j in range(i + 1, m):
+            if w[i] > w[j]:
+                total = total + alpha[i] - alpha[j]
+    return total
 
 
 def x_permuted(w: Sequence[int], f: EFun) -> EFun:

@@ -49,7 +49,7 @@ from ellink.efun import (
     theta_leaf,
 )
 from ellink.cli import main
-from ellink.identities import check_word_independence, flip_sides
+from ellink.identities import check_word_independence, edge_candidates, flip_sides
 from ellink.linkpattern import (
     LinkPattern,
     act_nodes,
@@ -346,7 +346,7 @@ def test_evaluate_many_shares_points():
     g = demazure_diamond(1, f)
     rng = Random(15)
     pt = random_point(sp, rng, P)
-    a, b = evaluate_many([f, g], pt)
+    a, b = evaluate_many(joint_tape([f, g]), pt)
     assert a == evaluate(f, pt)
     assert b == evaluate(g, pt)
 
@@ -370,10 +370,11 @@ def test_joint_tape_matches_separate_evaluation():
     assert len(families) > 1
     poles = 0
     for k, classes in enumerate(families):
-        assert len(joint_tape(classes).ops) < sum(len(joint_tape([c]).ops) for c in classes)
+        tape = joint_tape(classes)
+        assert len(tape.ops) < sum(len(joint_tape([c]).ops) for c in classes)
         for pt in _reference_points(classes[0].space, 30 + k, 1 + k % 3):
             want = _outcome(lambda: [evaluate(c, pt) for c in classes])
-            assert _outcome(lambda: evaluate_many(classes, pt)) == want
+            assert _outcome(lambda: evaluate_many(tape, pt)) == want
             poles += isinstance(want, str)
     assert poles > 0
 
@@ -427,6 +428,35 @@ def test_tape_size_is_pinned(pattern):
     tape = compiler.tape([f.node])
     assert (len(tape.ops), len(tape.forms)) == TAPE_SIZES[pattern]
     assert len(tape.ops) <= _unique_nodes(f.node) * len(compiler.perm_ids)
+
+
+def _tape_digest(tape) -> str:
+    """sha256 over the tape's forms, ops, roots and leaf slots, in order."""
+    text = repr((tape.forms, tape.ops, tape.roots, list(tape.leaves)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each compiled tape: the TAPE_SIZES classes, and one joint tape of
+# the classes of every down edge of the (4,2) lattice, in edge_candidates order
+TAPE_DIGESTS = {
+    "8,4:1>5,2>6,3>7,4>8": "2463f00abde65a9d6c14d4a37781819502f2f5334ee51fe84bf94d442cc1844b",
+    "7,3:1>5,2>6,3>7": "acc0c2a418277e85605712f1be2374e80640118bf10c37a65ceacfd5a14df3d2",
+    "8,3:1>6,5>7,8>4": "71d9037a6a5ded475d828a7d9d8625a0b9ab10c8f06f0b941fc538f45a59f864",
+    "6,2:2>6,5>3": "f5b53afe3911054bedc2b081947e7ecf5f3713f6f7048f0e684610376feaaab7",
+    "4,2 lattice": "0752456116b738bde1e7c6e6e58be3fbd3dcd2545fdff8feb9f1b2545f389247",
+}
+
+
+@pytest.mark.parametrize("key", list(TAPE_DIGESTS))
+def test_tape_contents_are_pinned(key):
+    """The compiled tape itself, not only its size: a change to the
+    compiler that moves any form, op, root or leaf slot shows here."""
+    if key == "4,2 lattice":
+        edges = edge_candidates(4, 2, VarSpace(4, 2))
+        fs = [cls for _, pairs in edges for _, cls in pairs]
+    else:
+        fs = [ell_class(parse_pattern(key))]
+    assert _tape_digest(joint_tape(fs)) == TAPE_DIGESTS[key]
 
 
 def test_each_demazure_step_is_one_op():
@@ -594,12 +624,13 @@ def test_tape_matches_recursive_reference(pattern):
 @pytest.mark.parametrize("k", [1, 2])
 def test_tape_matches_recursive_reference_many(k):
     fs = flip_sides(6, 3, k)
+    tape = joint_tape(fs)
     ident = identity_perm(6)
     poles = 0
     for pt in _reference_points(fs[0].space, 17 + k, k):
         ev = _Evaluator(fs[0].space, pt)
         want = _outcome(lambda: [ev.eval(f.node, ident) for f in fs])
-        assert _outcome(lambda: evaluate_many(fs, pt)) == want
+        assert _outcome(lambda: evaluate_many(tape, pt)) == want
         poles += isinstance(want, str)
     assert poles == 2
 

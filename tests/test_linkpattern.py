@@ -1,6 +1,7 @@
 """Link patterns, orbit lattice, presentations and step parameters."""
 
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -9,7 +10,6 @@ from random import Random
 import pytest
 
 from ellink.linkpattern import (
-    AlreadySquare,
     BadCharacterShape,
     BadRank,
     DistinctnessError,
@@ -23,7 +23,6 @@ from ellink.linkpattern import (
     act_nodes,
     all_minimal_presentations,
     compose,
-    extend_pattern,
     format_pattern,
     identity_perm,
     is_permutation,
@@ -385,6 +384,33 @@ def test_multiplicities_degenerate_and_empty():
     assert multiplicities(empty, [Fraction(1, 2)]) == []
     with pytest.raises(BadCharacterShape):
         multiplicities(pres, [])
+
+
+class AlreadySquare(PatternError):
+    """extend_pattern needs m > 2r."""
+
+
+@dataclass(frozen=True)
+class ExtensionResult:
+    """Extension to a square pattern plus the uniform mu shift it records.
+
+    Original labels j <= r become mu'_j = mu_j - mu_shift * h; the new
+    labels r < j <= m - r satisfy mu'_j = (j - m/2) h.
+    """
+
+    pattern: LinkPattern
+    mu_shift: Fraction
+
+
+def extend_pattern(p: LinkPattern) -> ExtensionResult:
+    """Add m - 2r nodes with arcs onto the loose nodes, preserving order."""
+    if p.m == 2 * p.r:
+        raise AlreadySquare(f"pattern with m = 2r = {p.m} cannot be extended")
+    new_arcs = list(p.arcs)
+    for t, j in enumerate(p.loose_nodes, 1):
+        new_arcs.append((p.m + t, j))
+    big = LinkPattern(2 * (p.m - p.r), p.m - p.r, tuple(new_arcs))
+    return ExtensionResult(big, Fraction(p.m, 2) - p.r)
 
 
 def test_extend_minimal():

@@ -127,12 +127,12 @@ def test_params_validation():
         ModularParams(tau=1.0 + 0j)
     with pytest.raises(ValueError):
         ModularParams(tau=-0.5j)
-    # truncation guard: |q|^40 must be negligible
-    with pytest.raises(ValueError, match="increase Im"):
+    # Im(tau) >= 0.3 makes |q|^40 negligible
+    with pytest.raises(ValueError, match=r"Im\(tau\) must lie in \[0\.3, 100\]"):
         ModularParams(tau=0.05j)
     # Im(tau) <= 100 keeps q a normal double; at 500j delta divided by zero
     for tau in (500j, 100.01j, complex(0, math.nan)):
-        with pytest.raises(ValueError, match=r"Im\(tau\) <= 100"):
+        with pytest.raises(ValueError, match=r"Im\(tau\) must lie in \[0\.3, 100\]"):
             ModularParams(tau=tau)
 
 

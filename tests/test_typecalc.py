@@ -15,12 +15,12 @@ from ellink.typecalc import (
     admissible_mu,
     decompose_type,
     divided_difference,
-    phi,
     qf_of_delta,
     qf_of_theta,
-    rho,
     s_action,
 )
+
+from expressions import phi, rho
 
 SP = VarSpace(8, 2)
 
