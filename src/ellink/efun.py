@@ -727,19 +727,24 @@ def demazure_diamond(i: int, f: EFun) -> EFun:
     return demazure(i, mu, f)
 
 
+def diamond_word(word: Sequence[int], f: EFun) -> EFun:
+    """The right-to-left diamond composite of the word applied to f; each
+    step reads its parameter from the type the previous one left."""
+    for step, i in enumerate(reversed(word), 1):
+        try:
+            f = demazure_diamond(i, f)
+        except (ValueError, ArithmeticError) as exc:
+            exc.args = (f"step {step} of word {word} (index {i}): {exc}",)
+            raise
+    return f
+
+
 def ell_class_from_presentation(pres: Presentation, space: VarSpace | None = None) -> EFun:
     """Right-to-left diamond composite for the word, then the label twist."""
     p = pres.pattern
     if space is None:
         space = VarSpace(p.m, p.r)
-    f = ell_min(p.m, p.r, space)
-    for step, i in enumerate(reversed(pres.word), 1):
-        try:
-            f = demazure_diamond(i, f)
-        except (ValueError, ArithmeticError) as exc:
-            exc.args = (f"step {step} of word {pres.word} (index {i}): {exc}",)
-            raise
-    return mu_permuted(pres.sigma, f)
+    return mu_permuted(pres.sigma, diamond_word(pres.word, ell_min(p.m, p.r, space)))
 
 
 def ell_class(p: LinkPattern, space: VarSpace | None = None) -> EFun:

@@ -12,6 +12,10 @@ Both pictures live on a symbol space with r = n, so the space fixes the
 picture: z_i is x_i for i <= n, and y_j (or gamma_j) is x_{n+j} for
 j <= m - n, which is n in the square picture and n - 1 in the weight
 picture.  The free variable u is specialised to 1 (additively 0).
+
+u := 1 and the mu maps touch no symbol that the Demazure steps move, so
+they are applied to the flat minimal class ell_min, before the steps,
+never to the finished class, which the rewrite would unfold.
 """
 
 from __future__ import annotations
@@ -21,17 +25,19 @@ from typing import Sequence
 from .efun import (
     EFun,
     cancel_theta_pairs,
+    diamond_word,
     distribute_products,
     efun_const,
     efun_product,
     efun_reciprocal,
-    ell_class,
+    ell_min,
     expand_deltas,
     inv_theta_leaf,
+    mu_permuted,
     substitute_symbols,
     theta_leaf,
 )
-from .linkpattern import LinkPattern, is_permutation
+from .linkpattern import LinkPattern, is_permutation, minimal_presentation
 from .typecalc import VarSpace
 
 
@@ -101,33 +107,31 @@ def _check_permutation_pattern(p: LinkPattern) -> int:
     return n
 
 
-def pattern_permutation(p: LinkPattern) -> tuple[int, ...]:
-    """The W-image of a square pattern: source n+j points at target w(j)."""
-    n = _check_permutation_pattern(p)
-    w = [0] * n
-    for a, b in p.arcs:
-        w[a - n - 1] = b
-    return tuple(w)
-
-
 def reduced_class(p: LinkPattern, mu_inverted: bool = False) -> EFun:
     """The localised reduced class eu_M / (eu_Fl B) * class(p) with u := 1.
 
     ``mu_inverted`` applies the substitution mu_i := 1/mu_i used when
     matching Schubert-variety conventions; the raw form is what the
     fixed-point and recursion identities are stated in.
+
+    Both substitutions go into the minimal class, before the word's steps.
+    A step moves only x-symbols and reads its parameter linearly from the
+    type, so a map of u and the mu_i to x-free forms commutes with it, and
+    the inversion commutes with the label twist, which permutes the mu_i.
+    The Euler factors carry no u and no mu.  So the substitution walks
+    the flat product ell_min, never the finished class.
     """
     n = _check_permutation_pattern(p)
     space = VarSpace(2 * n, n)
-    ell = ell_class(p, space)
-    quotient = efun_product(
-        eu_ell_M(n), efun_reciprocal(eu_ell_Fl(n)), efun_reciprocal(b_class(n)), ell
-    )
-    # The Euler factors carry no u and no mu: one walk substitutes both.
     mapping = {space.u_index: space.zero_form()}
     if mu_inverted:
         mapping.update({space.mu_index(j): -space.mu(j) for j in range(1, n + 1)})
-    return substitute_symbols(quotient, mapping)
+    pres = minimal_presentation(p)
+    start = substitute_symbols(ell_min(p.m, p.r, space), mapping)
+    ell = mu_permuted(pres.sigma, diamond_word(pres.word, start))
+    return efun_product(
+        eu_ell_M(n), efun_reciprocal(eu_ell_Fl(n)), efun_reciprocal(b_class(n)), ell
+    )
 
 
 def restrict_fixed_point(f: EFun, sigma: Sequence[int]) -> EFun:
@@ -182,22 +186,30 @@ def weight_function(p: LinkPattern, rtv_substitution: bool = True) -> EFun:
 
     With ``rtv_substitution`` the dynamical variables are rewritten as
     mu_i := h mu_n / mu_i for i < n, which lands on the classical elliptic
-    weight functions."""
+    weight functions.
+
+    As in ``reduced_class`` the substitutions go into the minimal class,
+    before the steps.  The map commutes with the label twist, which
+    permutes mu_1..mu_{n-1} and fixes mu_n, since it treats each i < n
+    alike.
+    """
     n = p.r + 1
     _check_weight_pattern(p, n)
     space = weight_space(n)
-    quotient = efun_product(ell_class(p, space), *_matrix_factors(space))
-    b_factors = _borel_factors(space)
-    if b_factors:
-        quotient = efun_product(quotient, efun_reciprocal(efun_product(*b_factors)))
-    # The Euler factors carry no u and no mu: one walk substitutes both.
     mapping = {space.u_index: space.zero_form()}
     if rtv_substitution:
         h = space.h()
         mapping.update(
             {space.mu_index(i): h + space.mu(n) - space.mu(i) for i in range(1, n)}
         )
-    return substitute_symbols(quotient, mapping)
+    pres = minimal_presentation(p)
+    start = substitute_symbols(ell_min(p.m, p.r, space), mapping)
+    ell = mu_permuted(pres.sigma, diamond_word(pres.word, start))
+    quotient = efun_product(ell, *_matrix_factors(space))
+    b_factors = _borel_factors(space)
+    if b_factors:
+        quotient = efun_product(quotient, efun_reciprocal(efun_product(*b_factors)))
+    return quotient
 
 
 def restrict_weight(f: EFun, sigma: Sequence[int]) -> EFun:

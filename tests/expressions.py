@@ -1,7 +1,8 @@
 """Expression builders that only the tests use: a typed sum, a lazy
 x-twist and the reduced Demazure operator, built with the engine's own
 purity rule, twist composition and typed operator; the inverse of a
-permutation; the origin shift rho and the inversion cocycle phi."""
+permutation; the W-image of a square pattern; the origin shift rho and
+the inversion cocycle phi."""
 
 from fractions import Fraction
 from typing import Sequence
@@ -16,7 +17,8 @@ from ellink.efun import (
     inv_theta_leaf,
     theta_leaf,
 )
-from ellink.linkpattern import identity_perm
+from ellink.linkpattern import LinkPattern, identity_perm
+from ellink.schubert import _check_permutation_pattern
 from ellink.typecalc import LinearForm, VarSpace
 
 
@@ -31,6 +33,15 @@ def inverse_perm(w: Sequence[int]) -> tuple[int, ...]:
     for i, wi in enumerate(w, 1):
         inv[wi - 1] = i
     return tuple(inv)
+
+
+def pattern_permutation(p: LinkPattern) -> tuple[int, ...]:
+    """The W-image of a square pattern: source n+j points at target w(j)."""
+    n = _check_permutation_pattern(p)
+    w = [0] * n
+    for a, b in p.arcs:
+        w[a - n - 1] = b
+    return tuple(w)
 
 
 def rho(space: VarSpace) -> LinearForm:

@@ -7,16 +7,22 @@ import pytest
 
 from ellink.efun import (
     PointAssignment,
+    Product,
     Sum,
+    XPermuted,
     delta_leaf,
     demazure_diamond,
     distribute_products,
     efun_product,
+    efun_reciprocal,
+    ell_class,
     ell_min,
     evaluate,
     inv_theta_leaf,
+    joint_tape,
     mu_permuted,
     random_point,
+    sample,
     sample_agreement,
     substitute_symbols,
     theta_leaf,
@@ -32,10 +38,11 @@ from ellink.linkpattern import (
 from ellink.schubert import (
     NotPermutationPattern,
     NotWeightPattern,
+    _borel_factors,
+    _matrix_factors,
     b_class,
     eu_ell_Fl,
     eu_ell_M,
-    pattern_permutation,
     reduced_class,
     restrict_fixed_point,
     restrict_weight,
@@ -44,7 +51,7 @@ from ellink.schubert import (
 )
 from ellink.theta import ModularParams
 from ellink.typecalc import VarSpace, admissible_mu
-from expressions import efun_sum, inverse_perm, x_permuted
+from expressions import efun_sum, inverse_perm, pattern_permutation, x_permuted
 
 P = ModularParams()
 
@@ -301,11 +308,17 @@ RESTRICTION_PINS = {
 }
 
 
+def _square_pattern(w) -> LinkPattern:
+    """The square pattern whose source n+j points at target w(j)."""
+    n = len(w)
+    return LinkPattern(2 * n, n, tuple(sorted((n + j, b) for j, b in enumerate(w, 1))))
+
+
 def _square_pairs():
     """Every square pattern and sigma with n <= 3, both mu conventions at n = 2."""
     for n in (1, 2, 3):
         for w in itertools.permutations(range(1, n + 1)):
-            p = LinkPattern(2 * n, n, tuple(sorted((n + j, b) for j, b in enumerate(w, 1))))
+            p = _square_pattern(w)
             for inv in ((False, True) if n == 2 else (False,)):
                 for sigma in itertools.permutations(range(1, n + 1)):
                     yield format_pattern(p), sigma, inv
@@ -495,3 +508,166 @@ def test_weight_function_shape_validation():
         weight_function(minimal_pattern(4, 2))
     with pytest.raises(NotWeightPattern):
         weight_function(LinkPattern(5, 2, ((1, 4), (5, 2))))
+
+
+# --------------------------------------------------------------------------
+# substitute first: u := 0 and the mu maps go into the minimal class
+
+
+def _substituted_last(p: LinkPattern, flag: bool):
+    """The normalised class with its substitution applied to the whole
+    quotient: ell_class, the Euler factors, then u := 0 and the mu map
+    (the inversion for square patterns, the RTV map for weight patterns)
+    in one walk over the product.  The oracle for ``reduced_class`` and
+    ``weight_function``, which substitute into ell_min."""
+    if p.m == 2 * p.r:
+        n = p.r
+        space = VarSpace(2 * n, n)
+        quotient = efun_product(
+            eu_ell_M(n), efun_reciprocal(eu_ell_Fl(n)), efun_reciprocal(b_class(n)),
+            ell_class(p, space),
+        )
+        mu_map = {space.mu_index(j): -space.mu(j) for j in range(1, n + 1)}
+    else:
+        n = p.r + 1
+        space = weight_space(n)
+        quotient = efun_product(ell_class(p, space), *_matrix_factors(space))
+        b_factors = _borel_factors(space)
+        if b_factors:
+            quotient = efun_product(quotient, efun_reciprocal(efun_product(*b_factors)))
+        h = space.h()
+        mu_map = {space.mu_index(i): h + space.mu(n) - space.mu(i) for i in range(1, n)}
+    mapping = {space.u_index: space.zero_form(), **(mu_map if flag else {})}
+    return substitute_symbols(quotient, mapping)
+
+
+def _weight_patterns(n: int):
+    """Every weight pattern for n: source n+j points at target t(j), the
+    targets n-1 distinct nodes of the first n."""
+    for targets in itertools.permutations(range(1, n + 1), n - 1):
+        yield LinkPattern(2 * n - 1, n - 1, tuple((n + j, b) for j, b in enumerate(targets, 1)))
+
+
+def _normalisation_cases():
+    """Every square pattern with n <= 3 in both mu conventions, and every
+    weight pattern with n <= 4 with and without the RTV map."""
+    for n in (1, 2, 3):
+        for w in itertools.permutations(range(1, n + 1)):
+            for flag in (False, True):
+                yield format_pattern(_square_pattern(w)), flag
+    for n in (2, 3, 4):
+        for p in _weight_patterns(n):
+            for flag in (False, True):
+                yield format_pattern(p), flag
+
+
+@pytest.mark.parametrize("pattern, flag", list(_normalisation_cases()), ids=str)
+def test_substituting_the_minimal_class_matches_the_whole_quotient(pattern, flag):
+    """u := 0 and the mu map commute with the word's steps and the label
+    twist, so substituting into ell_min gives the type and, bit for bit,
+    the values of substituting into the finished quotient."""
+    p = parse_pattern(pattern)
+    if p.m == 2 * p.r:
+        f = reduced_class(p, mu_inverted=flag)
+    else:
+        f = weight_function(p, rtv_substitution=flag)
+    oracle = _substituted_last(p, flag)
+    assert f.qtype == oracle.qtype
+    rng = Random(41)
+    for _ in range(3):
+        pt = random_point(f.space, rng, P)
+        assert evaluate(f, pt) == evaluate(oracle, pt)
+
+
+def _node_kinds(node) -> set:
+    """The types of every node reachable from ``node``."""
+    kinds, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        kinds.add(type(node))
+        if type(node) is XPermuted:
+            stack.append(node.child)
+        elif type(node) in (Product, Sum):
+            stack.extend(node.children)
+    return kinds
+
+
+def test_substitution_walks_only_the_minimal_class(monkeypatch):
+    """``reduced_class`` and ``weight_function`` hand ``substitute_symbols``
+    the minimal class, a product with no Sum node, never a class after
+    the word's steps."""
+    seen = []
+
+    def recorded(f, mapping):
+        seen.append(f)
+        return substitute_symbols(f, mapping)
+
+    monkeypatch.setattr("ellink.schubert.substitute_symbols", recorded)
+    for flag in (False, True):
+        reduced_class(parse_pattern("8,4:5>2,6>4,7>1,8>3"), mu_inverted=flag)
+        weight_function(parse_pattern("9,4:6>5,7>3,8>2,9>1"), rtv_substitution=flag)
+    assert len(seen) == 4
+    for f in seen:
+        assert Sum not in _node_kinds(f.node)
+
+
+def _bruhat_le(s, w) -> bool:
+    """s <= w in Bruhat order, by the tableau criterion."""
+    n = len(w)
+    return all(
+        sum(s[j] >= k for j in range(i)) <= sum(w[j] >= k for j in range(i))
+        for i in range(1, n + 1)
+        for k in range(2, n + 1)
+    )
+
+
+def _frobenius(rows) -> float:
+    return sum(abs(v) ** 2 for row in rows for v in row) ** 0.5
+
+
+@pytest.mark.parametrize("n, mu_inverted", [(2, False), (2, True), (3, False), (3, True)])
+def test_restriction_matrix_at_x_and_mu_exchanged_is_the_inverse(n, mu_inverted):
+    """With E[w][s] the restriction of the reduced class of the square
+    pattern of w at the fixed point s, and A[w][s] = E[w][s] / E[s][s],
+    the matrix B[w][s] = A[w^-1][s^-1] taken with x_i and mu_i exchanged
+    is the inverse of A.  In the inverted mu convention the exchange is
+    x_i <-> -mu_i.  E[w][s] is a structural zero unless s <= w in Bruhat
+    order, and S_3 has 19 such pairs."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    keys, fs = [], []
+    for w in perms:
+        rc = reduced_class(_square_pattern(w), mu_inverted)
+        for s in perms:
+            if _bruhat_le(s, w):
+                keys.append((w, s))
+                fs.append(restrict_fixed_point(rc, s))
+    assert len(keys) == {2: 3, 3: 19}[n]
+    tape = joint_tape(fs)
+    space = fs[0].space
+    sign = -1 if mu_inverted else 1
+
+    def trial(rng):
+        pt = random_point(space, rng, P)
+        values = list(pt.values)
+        for i in range(1, n + 1):
+            x, mu = space.x_index(i), space.mu_index(i)
+            values[x], values[mu] = sign * pt.values[mu], sign * pt.values[x]
+        return tape.run(pt), tape.run(PointAssignment(tuple(values), P))
+
+    [(at_pt, exchanged)], _ = sample(trial, 1, Random(43))
+    e = dict(zip(keys, at_pt))
+    e_exchanged = dict(zip(keys, exchanged))
+    index = {w: k for k, w in enumerate(perms)}
+    size = len(perms)
+    a = [[0j] * size for _ in range(size)]
+    b = [[0j] * size for _ in range(size)]
+    for w, s in keys:
+        a[index[w]][index[s]] = e[w, s] / e[s, s]
+        b[index[inverse_perm(w)]][index[inverse_perm(s)]] = (
+            e_exchanged[w, s] / e_exchanged[s, s]
+        )
+    residual = [
+        [sum(b[i][k] * a[k][j] for k in range(size)) - (i == j) for j in range(size)]
+        for i in range(size)
+    ]
+    assert _frobenius(residual) <= 1e-8 * _frobenius(a) * _frobenius(b)
