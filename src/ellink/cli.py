@@ -97,8 +97,7 @@ def _sample_values(f: EFun, config: RunConfig) -> list[dict]:
 def cmd_compute(pattern_text: str, config: RunConfig) -> dict:
     p = parse_pattern(pattern_text)
     pres = minimal_presentation(p)
-    space = VarSpace(p.m, p.r)
-    f = ell_class_from_presentation(pres, space)
+    f = ell_class_from_presentation(pres)
     return {
         "pattern": format_pattern(p),
         "m": p.m,

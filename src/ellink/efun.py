@@ -18,6 +18,10 @@ cancellation, the reciprocal) is one walk, ``_fold``, given a function
 for the leaves and one that joins folded children.  It does not memoise,
 so a shared node is rebuilt once per path that reaches it.
 
+Every class is built by ``ell_class_from_presentation``: the word's
+diamond steps on a start class (ell_min, perhaps with u and the mu
+substituted), then the label twist.
+
 Permutation nodes accumulate lazily.  Evaluation compiles expressions into
 a tape: one walk per root threads the composed permutation down to the
 leaves, visits each (node, permutation) pair once, and records a
@@ -30,8 +34,9 @@ shared DAG costs about one frame per distinct (node, permutation) pair.
 A tape has one root per expression.  ``evaluate`` keeps a one-root tape
 on the EFun; a sampled check compiles its expressions into one joint tape
 (``joint_tape``) so that an operation they share runs once per point.
-Every replay computes the forms first, then the ops in the order of the
-walks, so deep operator composites cost one pass over their distinct
+Every replay computes the forms first, then one table of theta values
+keyed by distinct form value, then the ops in the order of the walks,
+so deep operator composites cost one pass over their distinct
 operations per point.
 """
 
@@ -376,8 +381,10 @@ class _Tape:
     tuple of (value index, coefficient) pairs with the x-permutation already
     applied.  ``ops`` run in the order the recursive walk over (node,
     x-permutation) pairs first reaches them, so a replay performs the same
-    floating-point operations, and the same theta calls, as that walk; a
-    Demazure step, two binary products and their sum, is one ``_DOT2`` op.
+    floating-point operations as that walk; a Demazure step, two binary
+    products and their sum, is one ``_DOT2`` op.  Forms are keyed by their
+    permuted term order, so two forms may share a value; theta is computed
+    once per distinct value, as the walk's cache did.
     ``leaves`` maps the slot of each leaf op to the first node that produced
     it, for the PoleProximity message.  ``roots`` are the slots of the
     expressions' values, in order.
@@ -389,8 +396,8 @@ class _Tape:
     roots: tuple[int, ...]
 
     def run(self, pt: PointAssignment) -> list[complex]:
-        """The value of each root at pt."""
-        cache: dict[complex, complex] = {}
+        """The value of each root at pt.  The leaf ops read ``thetas``, one
+        theta per distinct form value, and add a delta's sum to it."""
         values = pt.values
         params = pt.params
         norm = params.mult_norm
@@ -402,6 +409,7 @@ class _Tape:
             for i, c in terms:
                 acc += c * values[i]
             forms.append(acc)
+        thetas = {x: theta(x, params) for x in dict.fromkeys(forms)}
         out: list[complex] = []
         push = out.append
         # products start from 1 + 0j and sums from 0j, as the accumulators of
@@ -414,27 +422,20 @@ class _Tape:
             elif code == _DELTA:
                 x = forms[a]
                 y = forms[b]
-                tx = cache.get(x)
-                if tx is None:
-                    tx = cache[x] = theta(x, params)
-                ty = cache.get(y)
-                if ty is None:
-                    ty = cache[y] = theta(y, params)
+                tx = thetas[x]
+                ty = thetas[y]
                 if abs(tx) < floor or abs(ty) < floor:
                     leaf = self.leaves[len(out)]
                     raise PoleProximity(
                         f"delta leaf ({leaf.a}, {leaf.b}) too close to a theta zero"
                     )
                 xy = x + y
-                txy = cache.get(xy)
+                txy = thetas.get(xy)
                 if txy is None:
-                    txy = cache[xy] = theta(xy, params)
+                    txy = thetas[xy] = theta(xy, params)
                 push(norm * txy / (tx * ty))
             elif code == _INV_THETA:
-                x = forms[a]
-                t = cache.get(x)
-                if t is None:
-                    t = cache[x] = theta(x, params)
+                t = thetas[forms[a]]
                 if abs(t) < floor:
                     leaf = self.leaves[len(out)]
                     raise PoleProximity(
@@ -442,11 +443,7 @@ class _Tape:
                     )
                 push(norm / t)
             elif code == _THETA:
-                x = forms[a]
-                t = cache.get(x)
-                if t is None:
-                    t = cache[x] = theta(x, params)
-                push(t / norm)
+                push(thetas[forms[a]] / norm)
             elif code == _PRODUCT:
                 v = one
                 for s in a:
@@ -727,24 +724,21 @@ def demazure_diamond(i: int, f: EFun) -> EFun:
     return demazure(i, mu, f)
 
 
-def diamond_word(word: Sequence[int], f: EFun) -> EFun:
-    """The right-to-left diamond composite of the word applied to f; each
-    step reads its parameter from the type the previous one left."""
-    for step, i in enumerate(reversed(word), 1):
+def ell_class_from_presentation(pres: Presentation, start: EFun | None = None) -> EFun:
+    """The word's diamond steps, right to left, on ``start``, then the
+    label twist.  Each step reads its parameter from the type the previous
+    one left.  ``start`` defaults to ell_min of the pattern's size; a
+    caller that substitutes x-free forms for u and the mu passes its
+    substituted ell_min."""
+    p = pres.pattern
+    f = ell_min(p.m, p.r) if start is None else start
+    for step, i in enumerate(reversed(pres.word), 1):
         try:
             f = demazure_diamond(i, f)
         except (ValueError, ArithmeticError) as exc:
-            exc.args = (f"step {step} of word {word} (index {i}): {exc}",)
+            exc.args = (f"step {step} of word {pres.word} (index {i}): {exc}",)
             raise
-    return f
-
-
-def ell_class_from_presentation(pres: Presentation, space: VarSpace | None = None) -> EFun:
-    """Right-to-left diamond composite for the word, then the label twist."""
-    p = pres.pattern
-    if space is None:
-        space = VarSpace(p.m, p.r)
-    return mu_permuted(pres.sigma, diamond_word(pres.word, ell_min(p.m, p.r, space)))
+    return mu_permuted(pres.sigma, f)
 
 
 def ell_class(p: LinkPattern, space: VarSpace | None = None) -> EFun:
@@ -754,5 +748,4 @@ def ell_class(p: LinkPattern, space: VarSpace | None = None) -> EFun:
     presentation yields the same section, which the verification suite
     checks numerically.
     """
-    return ell_class_from_presentation(minimal_presentation(p), space)
-
+    return ell_class_from_presentation(minimal_presentation(p), ell_min(p.m, p.r, space))

@@ -13,9 +13,9 @@ picture: z_i is x_i for i <= n, and y_j (or gamma_j) is x_{n+j} for
 j <= m - n, which is n in the square picture and n - 1 in the weight
 picture.  The free variable u is specialised to 1 (additively 0).
 
-u := 1 and the mu maps touch no symbol that the Demazure steps move, so
-they are applied to the flat minimal class ell_min, before the steps,
-never to the finished class, which the rewrite would unfold.
+Both pictures build the class with ``efun.ell_class_from_presentation``
+from an ell_min that already carries u := 1 and the mu map; the helper
+``_class_at_u_one`` says why that commutes with the steps and the twist.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ from typing import Sequence
 from .efun import (
     EFun,
     cancel_theta_pairs,
-    diamond_word,
     distribute_products,
     efun_const,
     efun_product,
     efun_reciprocal,
+    ell_class_from_presentation,
     ell_min,
     expand_deltas,
     inv_theta_leaf,
-    mu_permuted,
     substitute_symbols,
     theta_leaf,
 )
@@ -107,28 +106,36 @@ def _check_permutation_pattern(p: LinkPattern) -> int:
     return n
 
 
+def _class_at_u_one(p: LinkPattern, space: VarSpace, mu_map: dict) -> EFun:
+    """ell_class(p) on ``space`` with u := 1 and ``mu_map`` applied.
+
+    Both substitutions go into the minimal class, before the word's steps.
+    A step moves only x-symbols and reads its parameter linearly from the
+    type, so a map of u and the mu_i to x-free forms commutes with it.  The
+    label twist permutes mu_1..mu_r; the inversion treats every mu_i alike
+    and the RTV map every mu_i the twist moves (i < n, mu_n fixed), so both
+    commute with the twist too.  So the substitution walks the flat product
+    ell_min, never the finished class, which the rewrite would unfold.
+    """
+    mapping = {space.u_index: space.zero_form(), **mu_map}
+    start = substitute_symbols(ell_min(p.m, p.r, space), mapping)
+    return ell_class_from_presentation(minimal_presentation(p), start)
+
+
 def reduced_class(p: LinkPattern, mu_inverted: bool = False) -> EFun:
     """The localised reduced class eu_M / (eu_Fl B) * class(p) with u := 1.
 
     ``mu_inverted`` applies the substitution mu_i := 1/mu_i used when
     matching Schubert-variety conventions; the raw form is what the
-    fixed-point and recursion identities are stated in.
-
-    Both substitutions go into the minimal class, before the word's steps.
-    A step moves only x-symbols and reads its parameter linearly from the
-    type, so a map of u and the mu_i to x-free forms commutes with it, and
-    the inversion commutes with the label twist, which permutes the mu_i.
-    The Euler factors carry no u and no mu.  So the substitution walks
-    the flat product ell_min, never the finished class.
+    fixed-point and recursion identities are stated in.  The Euler factors
+    carry no u and no mu, so only the class is substituted.
     """
     n = _check_permutation_pattern(p)
     space = VarSpace(2 * n, n)
-    mapping = {space.u_index: space.zero_form()}
+    mu_map = {}
     if mu_inverted:
-        mapping.update({space.mu_index(j): -space.mu(j) for j in range(1, n + 1)})
-    pres = minimal_presentation(p)
-    start = substitute_symbols(ell_min(p.m, p.r, space), mapping)
-    ell = mu_permuted(pres.sigma, diamond_word(pres.word, start))
+        mu_map = {space.mu_index(j): -space.mu(j) for j in range(1, n + 1)}
+    ell = _class_at_u_one(p, space, mu_map)
     return efun_product(
         eu_ell_M(n), efun_reciprocal(eu_ell_Fl(n)), efun_reciprocal(b_class(n)), ell
     )
@@ -187,24 +194,15 @@ def weight_function(p: LinkPattern, rtv_substitution: bool = True) -> EFun:
     With ``rtv_substitution`` the dynamical variables are rewritten as
     mu_i := h mu_n / mu_i for i < n, which lands on the classical elliptic
     weight functions.
-
-    As in ``reduced_class`` the substitutions go into the minimal class,
-    before the steps.  The map commutes with the label twist, which
-    permutes mu_1..mu_{n-1} and fixes mu_n, since it treats each i < n
-    alike.
     """
     n = p.r + 1
     _check_weight_pattern(p, n)
     space = weight_space(n)
-    mapping = {space.u_index: space.zero_form()}
+    mu_map = {}
     if rtv_substitution:
         h = space.h()
-        mapping.update(
-            {space.mu_index(i): h + space.mu(n) - space.mu(i) for i in range(1, n)}
-        )
-    pres = minimal_presentation(p)
-    start = substitute_symbols(ell_min(p.m, p.r, space), mapping)
-    ell = mu_permuted(pres.sigma, diamond_word(pres.word, start))
+        mu_map = {space.mu_index(i): h + space.mu(n) - space.mu(i) for i in range(1, n)}
+    ell = _class_at_u_one(p, space, mu_map)
     quotient = efun_product(ell, *_matrix_factors(space))
     b_factors = _borel_factors(space)
     if b_factors:

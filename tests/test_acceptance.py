@@ -178,7 +178,7 @@ def test_criterion_6_lattice_reproduction():
             p = LinkPattern(4, 2, arcs)
             pres = all_minimal_presentations(p)
             assert len({q.sigma for q in pres}) == 2
-            classes = [ell_class_from_presentation(q, space) for q in pres]
+            classes = [ell_class_from_presentation(q) for q in pres]
             assert all(c.qtype == classes[0].qtype for c in classes)
             worst, _ = sample_agreement([classes], P, rng, 50)
             assert worst < 1e-8, (arcs, worst)

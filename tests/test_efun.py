@@ -267,7 +267,6 @@ def test_ell_class_of_minimal_is_starting_product():
 def test_ell_class_presentation_independent():
     """Every pattern of the (4, 2) lattice with several minimal
     presentations evaluates identically through each of them."""
-    sp = VarSpace(4, 2)
     from ellink.linkpattern import orbit_lattice
 
     rng = Random(11)
@@ -275,7 +274,7 @@ def test_ell_class_presentation_independent():
         presentations = all_minimal_presentations(p)
         if len(presentations) < 2:
             continue
-        classes = [ell_class_from_presentation(pr, sp) for pr in presentations]
+        classes = [ell_class_from_presentation(pr) for pr in presentations]
         assert all(c.qtype == classes[0].qtype for c in classes)
         worst, _ = sample_agreement([classes], P, rng, 50)
         assert worst < 1e-8, (p.arcs, worst)
@@ -354,12 +353,11 @@ def test_evaluate_many_shares_points():
 def _classes_4_2():
     """The classes of every (4,2) pattern with more than one minimal
     presentation, one list per pattern."""
-    sp = VarSpace(4, 2)
     out = []
     for p in orbit_lattice(4, 2).patterns():
         pres = all_minimal_presentations(p)
         if len(pres) > 1:
-            out.append([ell_class_from_presentation(q, sp) for q in pres])
+            out.append([ell_class_from_presentation(q) for q in pres])
     return out
 
 
@@ -457,6 +455,31 @@ def test_tape_contents_are_pinned(key):
     else:
         fs = [ell_class(parse_pattern(key))]
     assert _tape_digest(joint_tape(fs)) == TAPE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("pattern", list(TAPE_SIZES))
+def test_one_theta_per_distinct_argument(pattern, monkeypatch):
+    """A replay calls theta once per distinct value among its leaf
+    arguments and its delta leaves' sums, however many ops read it."""
+    f = ell_class(parse_pattern(pattern))
+    tape = joint_tape([f])
+    pt = random_point(f.space, Random(7), P)
+    forms = []
+    for terms in tape.forms:
+        acc = 0j
+        for i, c in terms:
+            acc += c * pt.values[i]
+        forms.append(acc)
+    sums = [forms[a] + forms[b] for code, a, b in tape.ops if code == efun._DELTA]
+    calls = []
+
+    def counted(x, params):
+        calls.append(x)
+        return theta(x, params)
+
+    monkeypatch.setattr(efun, "_theta_product", counted)
+    tape.run(pt)
+    assert len(calls) == len(set(forms + sums))
 
 
 def test_each_demazure_step_is_one_op():

@@ -31,7 +31,9 @@ from ellink.linkpattern import (
     LinkPattern,
     act_nodes,
     format_pattern,
+    identity_perm,
     minimal_pattern,
+    minimal_presentation,
     parse_pattern,
     transposition,
 )
@@ -550,18 +552,23 @@ def _weight_patterns(n: int):
 
 def _normalisation_cases():
     """Every square pattern with n <= 3 in both mu conventions, and every
-    weight pattern with n <= 4 with and without the RTV map."""
-    for n in (1, 2, 3):
-        for w in itertools.permutations(range(1, n + 1)):
+    weight pattern with n <= 4 with and without the RTV map; each pattern
+    of rank >= 2 also with its arcs in reverse order."""
+    patterns = [
+        _square_pattern(w) for n in (1, 2, 3) for w in itertools.permutations(range(1, n + 1))
+    ]
+    patterns += [p for n in (2, 3, 4) for p in _weight_patterns(n)]
+    for p in patterns:
+        # reversed arcs run the labels backwards, so the label twist is no identity
+        for q in [p, LinkPattern(p.m, p.r, p.arcs[::-1])] if p.r >= 2 else [p]:
             for flag in (False, True):
-                yield format_pattern(_square_pattern(w)), flag
-    for n in (2, 3, 4):
-        for p in _weight_patterns(n):
-            for flag in (False, True):
-                yield format_pattern(p), flag
+                yield format_pattern(q), flag
 
 
-@pytest.mark.parametrize("pattern, flag", list(_normalisation_cases()), ids=str)
+NORMALISATION_CASES = list(_normalisation_cases())
+
+
+@pytest.mark.parametrize("pattern, flag", NORMALISATION_CASES, ids=str)
 def test_substituting_the_minimal_class_matches_the_whole_quotient(pattern, flag):
     """u := 0 and the mu map commute with the word's steps and the label
     twist, so substituting into ell_min gives the type and, bit for bit,
@@ -577,6 +584,18 @@ def test_substituting_the_minimal_class_matches_the_whole_quotient(pattern, flag
     for _ in range(3):
         pt = random_point(f.space, rng, P)
         assert evaluate(f, pt) == evaluate(oracle, pt)
+
+
+def test_normalisation_cases_include_a_real_label_twist():
+    """Both pictures have cases whose label twist is not the identity, so
+    the oracle sees the mu maps meet a twist that moves labels."""
+    twisted = {"square": 0, "weight": 0}
+    for pattern, _ in NORMALISATION_CASES:
+        p = parse_pattern(pattern)
+        sigma = minimal_presentation(p).sigma
+        if tuple(sigma) != identity_perm(len(sigma)):
+            twisted["square" if p.m == 2 * p.r else "weight"] += 1
+    assert min(twisted.values()) > 0, twisted
 
 
 def _node_kinds(node) -> set:
