@@ -15,12 +15,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from random import Random
 
 from .efun import EFun, ell_class_from_presentation, evaluate, random_point, sample
+from .frozen import Frozen
 from .identities import SUITES
 from .linkpattern import (
     PatternError,
@@ -52,22 +52,26 @@ class _Parser(argparse.ArgumentParser):
         return None if arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    tau: complex = 1j
-    tol: float = 1e-8
-    samples: int = 64
-    seed: int = 0
+# the residual tolerance of a verify run; other commands do not read it
+DEFAULT_TOL = 1e-8
 
-    def __post_init__(self):
+
+class RunConfig(Frozen):
+    def __init__(
+        self, tau: complex = 1j, tol: float = DEFAULT_TOL, samples: int = 64, seed: int = 0
+    ):
         try:
-            ModularParams(tau=self.tau)
+            ModularParams(tau=tau)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        if self.samples < 1:
+        if samples < 1:
             raise UsageError("samples must be >= 1")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise UsageError(f"tol must be finite and positive, got {self.tol}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise UsageError(f"tol must be finite and positive, got {tol}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def params(self) -> ModularParams:
@@ -224,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run identity suites")
     sp.add_argument("suite", help=f"one of {', '.join(SUITES)}, or all")
-    sp.add_argument("--tol", type=float, default=1e-8,
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                     help="residual tolerance (default 1e-8)")
     add_sampling(sp)
 
@@ -276,7 +280,7 @@ def main(argv=None) -> int:
             return 0
         config = RunConfig(
             tau=complex(0.0, args.tau_im),
-            tol=getattr(args, "tol", RunConfig.tol),
+            tol=getattr(args, "tol", DEFAULT_TOL),
             samples=args.samples,
             seed=args.seed,
         )

@@ -43,12 +43,12 @@ operations per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
 from itertools import combinations
 from operator import itemgetter
 from random import Random
-from typing import Callable, Iterable, Sequence
 
+from .frozen import Frozen
 from .theta import theta as _theta_product
 from .linkpattern import (
     LinkPattern,
@@ -79,48 +79,48 @@ class ImpurityError(ValueError):
 # nodes
 
 
-@dataclass(frozen=True)
-class DeltaLeaf:
-    a: LinearForm
-    b: LinearForm
+class DeltaLeaf(Frozen):
+    def __init__(self, a: LinearForm, b: LinearForm):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class ThetaLeaf:
-    a: LinearForm
+class ThetaLeaf(Frozen):
+    def __init__(self, a: LinearForm):
+        object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True)
-class InvThetaLeaf:
-    a: LinearForm
+class InvThetaLeaf(Frozen):
+    def __init__(self, a: LinearForm):
+        object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True)
-class Product:
-    children: tuple
+class Product(Frozen):
+    def __init__(self, children: tuple):
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
-class Sum:
-    children: tuple
+class Sum(Frozen):
+    def __init__(self, children: tuple):
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True)
-class XPermuted:
-    w: tuple[int, ...]
-    child: object
+class XPermuted(Frozen):
+    def __init__(self, w: tuple[int, ...], child: object):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
-class EFun:
+class EFun(Frozen):
     """An expression tree together with its exact bundle type.
 
     ``_tape`` holds the compiled evaluation program once the first
-    evaluation has built it; it takes no part in equality."""
+    evaluation has built it; it is no field, so equality ignores it."""
 
-    node: object
-    qtype: QForm
-    _tape: "_Tape | None" = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, node: object, qtype: QForm):
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "qtype", qtype)
+        object.__setattr__(self, "_tape", None)
 
     @property
     def space(self) -> VarSpace:
@@ -345,12 +345,12 @@ def efun_reciprocal(f: EFun) -> EFun:
 # evaluation
 
 
-@dataclass(frozen=True)
-class PointAssignment:
+class PointAssignment(Frozen):
     """Complex values per symbol (additive coordinates) plus the modulus."""
 
-    values: tuple[complex, ...]
-    params: ModularParams
+    def __init__(self, values: tuple[complex, ...], params: ModularParams):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "params", params)
 
 
 def draw(rng: Random) -> complex:
@@ -373,8 +373,7 @@ _DOT2, _DELTA, _INV_THETA, _THETA, _PRODUCT, _SUM = range(6)
 _PERM_STRIDE = (1 << 32) + 1
 
 
-@dataclass(frozen=True, eq=False)
-class _Tape:
+class _Tape(Frozen):
     """A straight-line program computing one or more expressions at any point.
 
     ``forms`` are the distinct linear forms of the leaf arguments, each a
@@ -387,13 +386,18 @@ class _Tape:
     once per distinct value, as the walk's cache did.
     ``leaves`` maps the slot of each leaf op to the first node that produced
     it, for the PoleProximity message.  ``roots`` are the slots of the
-    expressions' values, in order.
+    expressions' values, in order.  Two tapes are equal only when they are
+    one object.
     """
 
-    forms: tuple[tuple[tuple[int, float], ...], ...]
-    ops: tuple[tuple, ...]
-    leaves: dict[int, object]
-    roots: tuple[int, ...]
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, forms: tuple, ops: tuple, leaves: dict[int, object], roots: tuple[int, ...]):
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "roots", roots)
 
     def run(self, pt: PointAssignment) -> list[complex]:
         """The value of each root at pt.  The leaf ops read ``thetas``, one

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Callable, Iterator
 from random import Random
-from typing import Callable, Iterator
 
 from .efun import (
     RESIDUAL_FLOOR,
@@ -43,6 +42,7 @@ from .efun import (
     sample_agreement,
     worst_residual,
 )
+from .frozen import Frozen
 from .linkpattern import (
     LinkPattern,
     act_nodes,
@@ -57,14 +57,22 @@ from .theta import ModularParams, delta, theta
 from .typecalc import VarSpace
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    samples: int
-    max_relative_residual: float
-    tolerance: float
-    passed: bool
-    resamples: int = 0
+class IdentityReport(Frozen):
+    def __init__(
+        self,
+        name: str,
+        samples: int,
+        max_relative_residual: float,
+        tolerance: float,
+        passed: bool,
+        resamples: int = 0,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "max_relative_residual", max_relative_residual)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "resamples", resamples)
 
     @staticmethod
     def make(name, samples, residual, tol, resamples=0) -> "IdentityReport":
@@ -73,7 +81,7 @@ class IdentityReport:
     def to_json(self) -> dict:
         """The report as strict JSON: a failing residual that is not finite
         is written as None (null)."""
-        doc = asdict(self)
+        doc = {name: getattr(self, name) for name in self._fields}
         if not math.isfinite(self.max_relative_residual):
             doc["max_relative_residual"] = None
         return doc

@@ -19,12 +19,12 @@ the reduced operator is undefined, so such moves never enter a walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Iterator, Sequence
 
+from .frozen import Frozen
 from .typecalc import LinearForm, VarSpace, transposition
 
 
@@ -88,31 +88,27 @@ def is_permutation(w: Sequence[int]) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkPattern:
+class LinkPattern(Frozen):
     """m nodes and r labelled directed arcs with distinct endpoints."""
 
-    m: int
-    r: int
-    arcs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise NoNodes(f"a pattern needs at least one node, got m = {self.m}")
-        if self.r < 0 or 2 * self.r > self.m:
-            raise BadRank(f"rank {self.r} impossible on {self.m} nodes")
-        if len(self.arcs) != self.r:
-            raise PatternError(
-                f"expected {self.r} arcs, got {len(self.arcs)}"
-            )
+    def __init__(self, m: int, r: int, arcs: tuple[tuple[int, int], ...]):
+        if m < 1:
+            raise NoNodes(f"a pattern needs at least one node, got m = {m}")
+        if r < 0 or 2 * r > m:
+            raise BadRank(f"rank {r} impossible on {m} nodes")
+        if len(arcs) != r:
+            raise PatternError(f"expected {r} arcs, got {len(arcs)}")
         seen = set()
-        for a, b in self.arcs:
+        for a, b in arcs:
             for e in (a, b):
-                if not 1 <= e <= self.m:
-                    raise PatternError(f"endpoint {e} outside 1..{self.m}")
+                if not 1 <= e <= m:
+                    raise PatternError(f"endpoint {e} outside 1..{m}")
                 if e in seen:
                     raise DistinctnessError(f"endpoint {e} used twice")
                 seen.add(e)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "arcs", arcs)
 
     @property
     def loose_nodes(self) -> tuple[int, ...]:
@@ -167,14 +163,16 @@ def _swap_arcs(arcs: tuple[tuple[int, int], ...], i: int) -> tuple[tuple[int, in
     return tuple((f(a), f(b)) for a, b in arcs)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """pattern = sigma^mu . w . minimal_pattern, with w of minimal length."""
 
-    pattern: LinkPattern
-    sigma: tuple[int, ...]
-    w: tuple[int, ...]
-    word: tuple[int, ...]
+    def __init__(
+        self, pattern: LinkPattern, sigma: tuple[int, ...], w: tuple[int, ...], word: tuple[int, ...]
+    ):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "word", word)
 
 
 class OrbitLattice:

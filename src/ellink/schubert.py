@@ -20,7 +20,7 @@ from an ell_min that already carries u := 1 and the mu map; the helper
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .efun import (
     EFun,

@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
+
+from .frozen import Frozen
 
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
@@ -66,8 +67,7 @@ class PoleProximity(ArithmeticError):
     """
 
 
-@dataclass(frozen=True)
-class ModularParams:
+class ModularParams(Frozen):
     """Modular parameter tau, with Im(tau) in [``TAU_IM_MIN``, ``TAU_IM_MAX``]:
     large enough that theta's q-product needs at most 40 factors, small
     enough that q stays a normal double.
@@ -76,14 +76,13 @@ class ModularParams:
     treated as a pole of 1/theta: the cutoff is pole_guard * |theta'(0)|.
     """
 
-    tau: complex = 1j
-    pole_guard: float = 1e-6
-
-    def __post_init__(self):
-        if not TAU_IM_MIN <= self.tau.imag <= TAU_IM_MAX:
+    def __init__(self, tau: complex = 1j, pole_guard: float = 1e-6):
+        if not TAU_IM_MIN <= tau.imag <= TAU_IM_MAX:
             raise ValueError(
-                f"Im(tau) must lie in [{TAU_IM_MIN:g}, {TAU_IM_MAX:g}], got {self.tau.imag}"
+                f"Im(tau) must lie in [{TAU_IM_MIN:g}, {TAU_IM_MAX:g}], got {tau.imag}"
             )
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "pole_guard", pole_guard)
 
     @cached_property
     def q(self) -> complex:

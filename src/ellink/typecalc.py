@@ -16,10 +16,11 @@ evaluator compiles from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+
+from .frozen import Frozen
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -42,16 +43,14 @@ class CrossTerm(TypeError_):
     """The form has an x_i * x_j entry and cannot be node-decomposed."""
 
 
-@dataclass(frozen=True)
-class VarSpace:
+class VarSpace(Frozen):
     """The symbol universe {x_1..x_m, u, h, mu_1..mu_r} in its fixed order."""
 
-    m: int
-    r: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.r < 0:
-            raise ValueError(f"bad symbol space ({self.m}, {self.r})")
+    def __init__(self, m: int, r: int):
+        if m < 1 or r < 0:
+            raise ValueError(f"bad symbol space ({m}, {r})")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
 
     @property
     def n_symbols(self) -> int:
@@ -109,16 +108,22 @@ class VarSpace:
         return QForm(self, ())
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """An exact rational linear combination of the symbols."""
+class LinearForm(Frozen):
+    """An exact rational linear combination of the symbols.  Its hash is
+    computed once: forms key dicts, and a tuple of Fractions hashes slowly."""
 
-    space: VarSpace
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.space.n_symbols:
+    def __init__(self, space: VarSpace, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != space.n_symbols:
             raise ValueError("coefficient vector does not match symbol space")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.space, self.coeffs))
+
+    def __hash__(self):
+        return self._hash
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         return LinearForm(
@@ -187,14 +192,14 @@ class LinearForm:
         return {names[i]: str(a) for i, a in enumerate(self.coeffs) if a != 0}
 
 
-@dataclass(frozen=True)
-class QForm:
+class QForm(Frozen):
     """A symmetric matrix of exact rationals over the symbol universe,
     stored as the sorted (a, b, value) triples of its nonzero entries with
     a <= b, so equal forms compare and hash equal."""
 
-    space: VarSpace
-    entries: tuple[tuple[int, int, Fraction], ...]
+    def __init__(self, space: VarSpace, entries: tuple[tuple[int, int, Fraction], ...]):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "entries", entries)
 
     def entry(self, a: int, b: int) -> Fraction:
         a, b = min(a, b), max(a, b)
@@ -276,12 +281,12 @@ def _symmetrised(c: Fraction, u, v) -> list[tuple[int, int, Fraction]]:
     ]
 
 
-@dataclass(frozen=True)
-class TypeDecomposition:
+class TypeDecomposition(Frozen):
     """type = sum_i alpha_i x_i + rho_m h + q_mu, with x-free alpha_i, q_mu."""
 
-    alpha: tuple[LinearForm, ...]
-    q_mu: QForm
+    def __init__(self, alpha: tuple[LinearForm, ...], q_mu: QForm):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "q_mu", q_mu)
 
 
 def transposition(m: int, i: int) -> tuple[int, ...]:

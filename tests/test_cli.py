@@ -112,6 +112,30 @@ def test_orbits():
     assert code == 2
 
 
+# modules a fresh CLI process has no use for: the dataclass machinery (with
+# what it imports) and typing
+_HEAVY_AT_START = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def test_cli_import_skips_the_heavy_standard_modules():
+    probe = (
+        "import sys; bare = set(sys.modules); import ellink.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "ellink.cli" in added
+    assert added & _HEAVY_AT_START == set()
+
+
+def test_fresh_process_prints_what_main_prints(capsys):
+    code, out = run_cli("orbits", "4,2")
+    assert main(["orbits", "4,2"]) == 0
+    assert code == 0
+    assert out == capsys.readouterr().out
+
+
 def test_restrict_identity_is_one():
     code, out = run_cli("restrict", "4,2:3>1,4>2", "--sigma", "1,2", "--samples", "2")
     assert code == 0
