@@ -27,17 +27,22 @@ a tape: one walk per root threads the composed permutation down to the
 leaves, visits each (node, permutation) pair once, and records a
 straight-line program of six opcodes, one op per Demazure step: equal
 ops share one slot, and each distinct leaf argument is one linear form.
-The compiler is one loop with its own stack: a node's leaf seen before is
-found by the images of its x-indices, a twist steps the permutation, and
-only a composite pair not yet compiled opens a frame, so compiling a
-shared DAG costs about one frame per distinct (node, permutation) pair.
+The compiler is one loop with its own stack.  A node's first reach walks
+its children, a twist stepping the permutation; its second builds the
+node's plan (its children with their twists composed into one getter, a
+leaf with a memo from the images of its x-indices to its slot), and every
+later reach resolves the children from the plan.  An unfolded tree
+reaches each node once and never builds a plan; a shared DAG costs about
+one frame per (node, permutation) pair with a child not yet compiled.
 A tape has one root per expression.  ``evaluate`` keeps a one-root tape
 on the EFun; a sampled check compiles its expressions into one joint tape
 (``joint_tape``) so that an operation they share runs once per point.
 Every replay computes the forms first, then one table of theta values
 keyed by distinct form value, then the ops in the order of the walks,
 so deep operator composites cost one pass over their distinct
-operations per point.
+operations per point.  The replay performs the walk's products and sums
+but not a Demazure step's identity accumulators (0 + 1 p q + 1 r s),
+which only set the sign of a zero.
 """
 
 from __future__ import annotations
@@ -379,11 +384,14 @@ class _Tape(Frozen):
     ``forms`` are the distinct linear forms of the leaf arguments, each a
     tuple of (value index, coefficient) pairs with the x-permutation already
     applied.  ``ops`` run in the order the recursive walk over (node,
-    x-permutation) pairs first reaches them, so a replay performs the same
-    floating-point operations as that walk; a Demazure step, two binary
-    products and their sum, is one ``_DOT2`` op.  Forms are keyed by their
-    permuted term order, so two forms may share a value; theta is computed
-    once per distinct value, as the walk's cache did.
+    x-permutation) pairs first reaches them, and a replay performs that
+    walk's products and sums, not its identity accumulators: a Demazure
+    step, two binary products and their sum, is one ``_DOT2`` op computed as
+    p q + r s, where the walk computed 0 + 1 p q + 1 r s, so on finite
+    values the two differ at most in the sign of a zero part.  Forms are
+    keyed by their permuted term order, so two forms may share a value;
+    theta is computed once per distinct form value, and once per delta leaf
+    for its sum.
     ``leaves`` maps the slot of each leaf op to the first node that produced
     it, for the PoleProximity message.  ``roots`` are the slots of the
     expressions' values, in order.  Two tapes are equal only when they are
@@ -401,7 +409,7 @@ class _Tape(Frozen):
 
     def run(self, pt: PointAssignment) -> list[complex]:
         """The value of each root at pt.  The leaf ops read ``thetas``, one
-        theta per distinct form value, and add a delta's sum to it."""
+        theta per distinct form value; a delta op calls theta on its sum."""
         values = pt.values
         params = pt.params
         norm = params.mult_norm
@@ -416,13 +424,14 @@ class _Tape(Frozen):
         thetas = {x: theta(x, params) for x in dict.fromkeys(forms)}
         out: list[complex] = []
         push = out.append
-        # products start from 1 + 0j and sums from 0j, as the accumulators of
-        # the recursive walk did; dropping them can flip the sign of a zero
+        # n-ary products start from 1 + 0j and sums from 0j, as the
+        # accumulators of the recursive walk did; dropping them can flip the
+        # sign of a zero
         one = 1.0 + 0j
         for code, a, b in self.ops:
             if code == _DOT2:
                 p, q, r, s = a
-                push(0j + one * out[p] * out[q] + one * out[r] * out[s])
+                push(out[p] * out[q] + out[r] * out[s])
             elif code == _DELTA:
                 x = forms[a]
                 y = forms[b]
@@ -433,11 +442,7 @@ class _Tape(Frozen):
                     raise PoleProximity(
                         f"delta leaf ({leaf.a}, {leaf.b}) too close to a theta zero"
                     )
-                xy = x + y
-                txy = thetas.get(xy)
-                if txy is None:
-                    txy = thetas[xy] = theta(xy, params)
-                push(norm * txy / (tx * ty))
+                push(norm * theta(x + y, params) / (tx * ty))
             elif code == _INV_THETA:
                 t = thetas[forms[a]]
                 if abs(t) < floor:
@@ -461,24 +466,46 @@ class _Tape(Frozen):
         return [out[r] for r in self.roots]
 
 
+def _walk_children(node) -> tuple[int, tuple]:
+    """The op code of a composite node and its children in walk order: a
+    Demazure step, a Sum of two binary Products, is one ``_DOT2`` over its
+    four factors."""
+    kids = node.children
+    if type(node) is Product:
+        return _PRODUCT, kids
+    if len(kids) == 2:
+        a, b = kids
+        if type(a) is type(b) is Product and len(a.children) == len(b.children) == 2:
+            return _DOT2, a.children + b.children
+    return _SUM, kids
+
+
+# plans[id(node)] before a node's first reach
+_UNREACHED = object()
+
+
 class _Compiler:
     """One walk over the (node, x-permutation) pairs of an expression.
 
     Composite pairs are memoised under (node id, interned permutation
-    number), leaves under the images of the x-indices their forms use.
-    Ops and leaf arguments (forms) are hash-consed, so equal ops share one
-    slot however many pairs reach them.
+    number).  Ops and leaf arguments (forms) are hash-consed, so equal ops
+    share one slot however many pairs reach them.
 
-    One loop (in ``tape``) takes each node's children in turn: an XPermuted
-    child steps the permutation through an itemgetter kept per node, a
-    leaf seen before is looked up by its images, and a composite child by
-    its memo key.  Only a composite pair not yet in the memo opens a frame
-    on the loop's own stack; its op is made when its last child is
-    resolved, so the ops come in the order of a recursive walk.  A shared
-    DAG costs one frame per distinct composite pair, and a tree, which
-    reaches each leaf once, builds no image memo.  The loop does not
-    recurse, so its speed does not depend on the depth of the caller's
-    stack, as a recursive walk's does under CPython 3.11."""
+    One loop (in ``tape``) takes the children of the pair on top of its own
+    stack in turn, and only a composite pair not yet in the memo opens a
+    frame; a pair's op is made when its last child is resolved, so the ops
+    come in the order of a recursive walk.  A node's first reach walks its
+    children as nodes: an XPermuted child steps the permutation, and each
+    leaf makes its op.  An unfolded tree
+    reaches every node once, so it takes only this path.  A node's second
+    reach builds its ``plan``, and every later reach resolves its children
+    from it: a leaf by the images of the x-indices its forms read, a
+    composite child by its memo key under the child's permutation.  A pair
+    whose children all resolve from its plan makes its op without opening a
+    frame.  So a shared DAG costs about one frame per distinct composite
+    pair that has a child not yet compiled.  The loop does not recurse, so
+    its speed does not depend on the depth of the caller's stack, as a
+    recursive walk's does under CPython 3.11."""
 
     def __init__(self, m: int):
         self.m = m
@@ -502,13 +529,32 @@ class _Compiler:
         self.leaves.setdefault(slot, node)
         return slot
 
-    def image_memo(self, node) -> tuple[Callable, dict]:
-        """The picker of the x-images a leaf's forms read, and its empty
-        images -> slot memo."""
-        args = (node.a, node.b) if type(node) is DeltaLeaf else (node.a,)
-        xs = sorted({i for lf in args for i, _ in lf.float_terms if i < self.m})
-        pick = itemgetter(*xs) if xs else (lambda perm: ())
-        return pick, {}
+    def plan(self, node) -> tuple[int, tuple]:
+        """The node's op code and one entry per child in walk order, with
+        the child's twists composed into one permutation getter ``get``
+        (None for none): a leaf as (picker of the x-images its forms read
+        through the twist, images -> slot memo, leaf, get), a composite
+        child as (None, get, id(child) * _PERM_STRIDE, child)."""
+        code, kids = _walk_children(node)
+        entries = []
+        for child in kids:
+            w = None
+            while type(child) is XPermuted:
+                w = child.w if w is None else compose(w, child.w)
+                child = child.child
+            get = None if w is None else itemgetter(*[i - 1 for i in w])
+            kind = type(child)
+            if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
+                args = (child.a, child.b) if kind is DeltaLeaf else (child.a,)
+                xs = sorted({i for lf in args for i, _ in lf.float_terms if i < self.m})
+                if w is not None:
+                    # (perm . w)[i] = perm[w[i] - 1]
+                    xs = [w[i] - 1 for i in xs]
+                pick = itemgetter(*xs) if xs else (lambda perm: ())
+                entries.append((pick, {}, child, get))
+            else:
+                entries.append((None, get, id(child) * _PERM_STRIDE, child))
+        return code, tuple(entries)
 
     def tape(self, nodes: Sequence) -> _Tape:
         """Walk each root in order; a later root reuses every slot an
@@ -517,74 +563,97 @@ class _Compiler:
         pid = self.perm_ids.setdefault(perm, 0)
         perm_ids = self.perm_ids
         ops = self.ops
+        leaf_op = self.leaf_op
         memo: dict[int, int] = {}
-        leaf_memo: dict[int, tuple[Callable, dict] | None] = {}
-        steps: dict[int, Callable] = {}
-        stack = []
-        # the composite pair being built: its node and memo key, the
-        # iterator over its children, its permutation and number, and the
-        # slots of the children resolved so far
-        parent, pkey, kids, slots = None, None, iter(nodes), []
-        while True:
-            for node in kids:
-                kind = type(node)
-                p = perm
-                q = pid
-                while kind is XPermuted:
-                    st = steps.get(id(node))
-                    if st is None:
-                        # perm -> perm . node.w
-                        st = steps[id(node)] = itemgetter(*[i - 1 for i in node.w])
-                    p = st(p)
-                    q = perm_ids.setdefault(p, len(perm_ids))
-                    node = node.child
-                    kind = type(node)
-                if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
-                    key = id(node)
-                    entry = leaf_memo.get(key)
-                    if entry is None and key not in leaf_memo:
-                        # a leaf of an unfolded tree is reached once, so its
-                        # image memo is only built when a second reach comes
-                        leaf_memo[key] = None
-                        slots.append(self.leaf_op(node, p))
-                        continue
-                    if entry is None:
-                        entry = leaf_memo[key] = self.image_memo(node)
-                    pick, by_images = entry
-                    images = pick(p)
-                    slot = by_images.get(images)
+        plans: dict[int, tuple | None] = {}
+
+        def resolve(entries, perm, pid, slots, memo=memo, perm_ids=perm_ids, leaf_op=leaf_op):
+            """Append the slot of each plan entry in turn at perm; the first
+            composite pair not yet compiled stops it, as (node, memo key,
+            permutation, number).  The defaults make the hot names locals."""
+            for pick, a, b, c in entries:
+                if pick is not None:
+                    images = pick(perm)
+                    slot = a.get(images)
                     if slot is None:
-                        slot = by_images[images] = self.leaf_op(node, p)
-                    slots.append(slot)
-                    continue
-                key = id(node) * _PERM_STRIDE + q
-                slot = memo.get(key)
-                if slot is not None:
-                    slots.append(slot)
-                    continue
-                if kind is not Product and kind is not Sum:
-                    raise TypeError(f"unknown node {node!r}")
-                stack.append((parent, pkey, kids, perm, pid, slots))
-                parent, pkey, perm, pid, slots = node, key, p, q, []
-                kids = node.children
-                if kind is Sum and len(kids) == 2:
-                    a, b = kids
-                    if type(a) is type(b) is Product and len(a.children) == len(b.children) == 2:
-                        # a Demazure step: its four factors in this one frame
-                        kids = a.children + b.children
-                kids = iter(kids)
-                break
-            else:
-                if parent is None:
-                    return _Tape(tuple(self.forms), tuple(ops), self.leaves, tuple(slots))
-                kind = type(parent)
-                if kind is Sum and len(slots) > len(parent.children):
-                    code = _DOT2  # a Demazure step's frame took its four factors
+                        slot = a[images] = leaf_op(b, perm if c is None else c(perm))
                 else:
-                    code = _PRODUCT if kind is Product else _SUM
-                slot = memo[pkey] = ops.setdefault((code, tuple(slots), None), len(ops))
-                parent, pkey, kids, perm, pid, slots = stack.pop()
+                    if a is None:
+                        p, q = perm, pid
+                    else:
+                        p = a(perm)
+                        q = perm_ids.setdefault(p, len(perm_ids))
+                    key = b + q
+                    slot = memo.get(key)
+                    if slot is None:
+                        return c, key, p, q
                 slots.append(slot)
+            return None
+
+        stack = []
+        # the composite pair being built: its op code and memo key, the
+        # iterator over its children (plan entries when planned), its
+        # permutation and number, and the slots of the children resolved so
+        # far; then a composite child pair not yet compiled
+        code, pkey, kids, planned, slots = None, None, iter(nodes), False, []
+        miss = None
+        while True:
+            if miss is None:
+                if planned:
+                    miss = resolve(kids, perm, pid, slots)
+                else:
+                    for node in kids:
+                        kind = type(node)
+                        p = perm
+                        q = pid
+                        while kind is XPermuted:
+                            p = tuple([p[i - 1] for i in node.w])  # perm . node.w
+                            q = perm_ids.setdefault(p, len(perm_ids))
+                            node = node.child
+                            kind = type(node)
+                        if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
+                            slots.append(leaf_op(node, p))
+                            continue
+                        key = id(node) * _PERM_STRIDE + q
+                        slot = memo.get(key)
+                        if slot is not None:
+                            slots.append(slot)
+                            continue
+                        if kind is not Product and kind is not Sum:
+                            raise TypeError(f"unknown node {node!r}")
+                        miss = node, key, p, q
+                        break
+                if miss is None:
+                    if pkey is None:
+                        return _Tape(tuple(self.forms), tuple(ops), self.leaves, tuple(slots))
+                    slot = memo[pkey] = ops.setdefault((code, tuple(slots), None), len(ops))
+                    code, pkey, kids, planned, perm, pid, slots = stack.pop()
+                    slots.append(slot)
+                    continue
+            node, key, p, q = miss
+            plan = plans.get(id(node), _UNREACHED)
+            if plan is _UNREACHED:
+                # the node's first reach walks its children as nodes
+                plans[id(node)] = None
+                stack.append((code, pkey, kids, planned, perm, pid, slots))
+                code, kids = _walk_children(node)
+                pkey, kids, planned, perm, pid, slots = key, iter(kids), False, p, q, []
+                miss = None
+                continue
+            if plan is None:
+                plan = plans[id(node)] = self.plan(node)
+            kcode, entries = plan
+            entries = iter(entries)
+            got = []
+            miss = resolve(entries, p, q, got)
+            if miss is None:
+                slot = memo[key] = ops.setdefault((kcode, tuple(got), None), len(ops))
+                slots.append(slot)
+                continue
+            # a child of the pair is not compiled yet: the pair opens a frame
+            # at the entry after the resolved ones
+            stack.append((code, pkey, kids, planned, perm, pid, slots))
+            code, pkey, kids, planned, perm, pid, slots = kcode, key, entries, True, p, q, got
 
 
 def joint_tape(fs: Sequence[EFun]) -> _Tape:

@@ -49,7 +49,12 @@ from ellink.efun import (
     theta_leaf,
 )
 from ellink.cli import main
-from ellink.identities import check_word_independence, edge_candidates, flip_sides
+from ellink.identities import (
+    check_braid_operator,
+    check_word_independence,
+    edge_candidates,
+    flip_sides,
+)
 from ellink.linkpattern import (
     LinkPattern,
     act_nodes,
@@ -434,27 +439,89 @@ def _tape_digest(tape) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of each compiled tape: the TAPE_SIZES classes, and one joint tape of
-# the classes of every down edge of the (4,2) lattice, in edge_candidates order
+# sha256 of each compiled tape: the TAPE_SIZES classes; one joint tape of the
+# classes of every down edge of the (4,2) and of the (5,2) lattice, in
+# edge_candidates order; and tapes that reach shared nodes along many paths:
+# a class twice (its second root is all memo hits), both flip sides, and the
+# two sides of the braid-operator check
 TAPE_DIGESTS = {
     "8,4:1>5,2>6,3>7,4>8": "2463f00abde65a9d6c14d4a37781819502f2f5334ee51fe84bf94d442cc1844b",
     "7,3:1>5,2>6,3>7": "acc0c2a418277e85605712f1be2374e80640118bf10c37a65ceacfd5a14df3d2",
     "8,3:1>6,5>7,8>4": "71d9037a6a5ded475d828a7d9d8625a0b9ab10c8f06f0b941fc538f45a59f864",
     "6,2:2>6,5>3": "f5b53afe3911054bedc2b081947e7ecf5f3713f6f7048f0e684610376feaaab7",
     "4,2 lattice": "0752456116b738bde1e7c6e6e58be3fbd3dcd2545fdff8feb9f1b2545f389247",
+    "5,2 lattice": "277bcd1f4925aec43834489f3346d46490b852523123296f848b8e7e79441259",
+    "7,3:1>5,2>6,3>7 twice": "e7d0b34c5900fea753af7caf6852e6707aab23bae57a26c39b34c1362b459de1",
+    "flip 6,3,1": "4e2c0382da97c2e005c9bd9f899faa45f9804d9c2bf4e8e5d035a8b94909be1a",
+    "braid operator": "1209edb6b133fba9c7e8186abdb69b6097c1ca7d89d2c1c960e551032481cbb5",
 }
 
 
-@pytest.mark.parametrize("key", list(TAPE_DIGESTS))
-def test_tape_contents_are_pinned(key):
-    """The compiled tape itself, not only its size: a change to the
-    compiler that moves any form, op, root or leaf slot shows here."""
-    if key == "4,2 lattice":
-        edges = edge_candidates(4, 2, VarSpace(4, 2))
-        fs = [cls for _, pairs in edges for _, cls in pairs]
+def _pinned_tape(key, monkeypatch) -> _Tape:
+    """The tape that TAPE_DIGESTS pins under ``key``."""
+    if key == "braid operator":
+        sides = []
+        compile_tape = _Compiler.tape
+
+        def recorded(self, nodes):
+            sides.extend(nodes)
+            return compile_tape(self, nodes)
+
+        monkeypatch.setattr(_Compiler, "tape", recorded)
+        check_braid_operator(1, 1e-8, P, seed=0)
+        monkeypatch.undo()
+        return _Compiler(3).tape(sides)
+    if key.endswith(" lattice"):
+        m, r = map(int, key.split()[0].split(","))
+        fs = [cls for _, pairs in edge_candidates(m, r, VarSpace(m, r)) for _, cls in pairs]
+    elif key == "flip 6,3,1":
+        fs = list(flip_sides(6, 3, 1))
+    elif key.endswith(" twice"):
+        fs = [ell_class(parse_pattern(key.split()[0]))] * 2
     else:
         fs = [ell_class(parse_pattern(key))]
-    assert _tape_digest(joint_tape(fs)) == TAPE_DIGESTS[key]
+    return joint_tape(fs)
+
+
+@pytest.mark.parametrize("key", list(TAPE_DIGESTS))
+def test_tape_contents_are_pinned(key, monkeypatch):
+    """The compiled tape itself, not only its size: a change to the
+    compiler that moves any form, op, root or leaf slot shows here."""
+    assert _tape_digest(_pinned_tape(key, monkeypatch)) == TAPE_DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "pattern, shared",
+    [("6,2:2>6,5>3", False), ("8,4:4>7,5>3,6>1,8>2", False), ("8,4:1>5,2>6,3>7,4>8", True)],
+)
+def test_plans_are_built_on_a_second_reach(pattern, shared, monkeypatch):
+    """A twisted class is an unfolded tree, which reaches each node once, so
+    it compiles without a plan; a shared DAG builds one plan for each node
+    it reaches under two or more x-permutations, and no other."""
+    built = []
+    build = _Compiler.plan
+
+    def counted(self, node):
+        built.append(id(node))
+        return build(self, node)
+
+    monkeypatch.setattr(_Compiler, "plan", counted)
+    f = ell_class(parse_pattern(pattern))
+    joint_tape([f])
+    # the composite (node, permutation) pairs a memoised walk reaches, with a
+    # Demazure step's two products folded into it as the compiler folds them
+    perms: dict[int, set] = {}
+    stack = [(f.node, identity_perm(f.space.m))]
+    while stack:
+        node, perm = stack.pop()
+        while type(node) is XPermuted:
+            perm = compose(perm, node.w)
+            node = node.child
+        if type(node) in (Product, Sum) and perm not in perms.setdefault(id(node), set()):
+            perms[id(node)].add(perm)
+            stack.extend((child, perm) for child in efun._walk_children(node)[1])
+    assert bool(built) == shared
+    assert sorted(built) == sorted(n for n, ps in perms.items() if len(ps) > 1)
 
 
 @pytest.mark.parametrize("pattern", list(TAPE_SIZES))
