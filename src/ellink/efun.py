@@ -15,8 +15,13 @@ representations can be exchanged without any constant bookkeeping.
 Every rewrite of an expression (the label twist, symbol substitution,
 materialising the permutations, delta expansion, distribution, theta-pair
 cancellation, the reciprocal) is one walk, ``_fold``, given a function
-for the leaves and one that joins folded children.  It does not memoise,
-so a shared node is rebuilt once per path that reaches it.
+for the leaves and one that joins folded children.  The walk does not
+memoise, so a shared node is rebuilt once per path that reaches it, but
+the delta expansion, the materialised permutations and the substitution
+do their exact arithmetic once per distinct leaf value within one call
+(``_once_per_value``), and the substitution returns one object per
+distinct form.  The label twist (``mu_permuted``) still substitutes once
+per path.
 
 Every class is built by ``ell_class_from_presentation``: the word's
 diamond steps on a start class (ell_min, perhaps with u and the mu
@@ -214,10 +219,30 @@ def _map_leaf(node, fn: Callable[[LinearForm], LinearForm]):
     return type(node)(fn(node.a))
 
 
+def _once_per_value(fn: Callable):
+    """``fn`` memoised for one rewrite: it runs once per distinct tuple of
+    arguments, and equal results come back as one shared object, so later
+    lookups and comparisons of them stop at identity.  The caller keeps the
+    memo for one call only; nothing outlives the rewrite."""
+    memo: dict = {}
+    shared: dict = {}
+
+    def once(*args):
+        out = memo.get(args)
+        if out is None:
+            out = fn(*args)
+            out = memo[args] = shared.setdefault(out, out)
+        return out
+
+    return once
+
+
 def _permuting_leaf(ident: tuple[int, ...]):
     """The leaf function of a walk that absorbs XPermuted nodes: it applies
-    the composite permutation to the leaf's arguments."""
-    return lambda n, w: n if w == ident else _map_leaf(n, lambda lf: lf.x_permute(w))
+    the composite permutation to the leaf's arguments, once per distinct
+    (form, permutation) over the walk."""
+    permute = _once_per_value(LinearForm.x_permute)
+    return lambda n, w: n if w == ident else _map_leaf(n, lambda lf: permute(lf, w))
 
 
 def _map_forms(node, fn: Callable[[LinearForm], LinearForm]):
@@ -256,19 +281,21 @@ def substitute_symbols(f: EFun, mapping: dict[int, LinearForm]) -> EFun:
         not img.is_x_free() for img in mapping.values()
     )
     g = push_permutations(f) if touches_x else f
-    fn = lambda lf: lf.substitute(mapping)
+    fn = _once_per_value(lambda lf: lf.substitute(mapping))
     return EFun(_map_forms(g.node, fn), g.qtype.substitute(mapping))
 
 
 def expand_deltas(f: EFun) -> EFun:
-    """Rewrite every delta leaf as theta(a+b) / (theta(a) theta(b))."""
+    """Rewrite every delta leaf as theta(a+b) / (theta(a) theta(b)), once
+    per distinct delta leaf."""
+    expanded = _once_per_value(
+        lambda node: Product(
+            (ThetaLeaf(node.a + node.b), InvThetaLeaf(node.a), InvThetaLeaf(node.b))
+        )
+    )
 
     def leaf(node, w):
-        if type(node) is DeltaLeaf:
-            return Product(
-                (ThetaLeaf(node.a + node.b), InvThetaLeaf(node.a), InvThetaLeaf(node.b))
-            )
-        return node
+        return expanded(node) if type(node) is DeltaLeaf else node
 
     return EFun(_fold(f.node, leaf, _rebuild), f.qtype)
 

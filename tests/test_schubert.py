@@ -52,7 +52,7 @@ from ellink.schubert import (
     weight_space,
 )
 from ellink.theta import ModularParams
-from ellink.typecalc import VarSpace, admissible_mu
+from ellink.typecalc import LinearForm, VarSpace, admissible_mu
 from expressions import efun_sum, inverse_perm, pattern_permutation, x_permuted
 
 P = ModularParams()
@@ -307,6 +307,27 @@ RESTRICTION_PINS = {
         "(0.008115857613537425+0.2045494915280773j)",
         "(0.1719534412749511-0.02223098071197849j)",
     ),
+    # the two slowest n = 4 restrictions of the benchmark's pool
+    ("8,4:5>4,6>3,7>2,8>1", (1, 3, 2, 4), False): (
+        64,
+        "(0.024886625285599484+0.052681432956571655j)",
+        "(-0.8511982442245323+0.5373933254771863j)",
+    ),
+    ("8,4:5>4,6>3,7>2,8>1", (1, 3, 2, 4), True): (
+        64,
+        "(0.19698520620982082+0.07395725030460815j)",
+        "(-1.1741968626978454-0.9968051998132682j)",
+    ),
+    ("8,4:5>3,6>4,7>2,8>1", (3, 2, 4, 1), False): (
+        32,
+        "(0.28110633089691167+0.17312858782165247j)",
+        "(3.4315992782560936+0.3065074506790312j)",
+    ),
+    ("8,4:5>3,6>4,7>2,8>1", (3, 2, 4, 1), True): (
+        32,
+        "(0.2542702045487192-0.061339747001702735j)",
+        "(-1.3014687274571495-0.17576012546217742j)",
+    ),
 }
 
 
@@ -317,13 +338,20 @@ def _square_pattern(w) -> LinkPattern:
 
 
 def _square_pairs():
-    """Every square pattern and sigma with n <= 3, both mu conventions at n = 2."""
+    """Every square pattern and sigma with n <= 3, both mu conventions at n = 2,
+    and the two slowest n = 4 restrictions in both conventions."""
     for n in (1, 2, 3):
         for w in itertools.permutations(range(1, n + 1)):
             p = _square_pattern(w)
             for inv in ((False, True) if n == 2 else (False,)):
                 for sigma in itertools.permutations(range(1, n + 1)):
                     yield format_pattern(p), sigma, inv
+    for pattern, sigma in (
+        ("8,4:5>4,6>3,7>2,8>1", (1, 3, 2, 4)),
+        ("8,4:5>3,6>4,7>2,8>1", (3, 2, 4, 1)),
+    ):
+        for inv in (False, True):
+            yield pattern, sigma, inv
 
 
 @pytest.mark.parametrize(
@@ -343,6 +371,26 @@ def test_restriction_is_pinned(monkeypatch, pattern, sigma, mu_inverted):
     rng = Random(31)
     values = [repr(evaluate(g, random_point(g.space, rng, P))) for _ in range(2)]
     assert (*terms, *values) == RESTRICTION_PINS[pattern, sigma, mu_inverted]
+
+
+def test_restriction_rewrites_each_distinct_form_once(monkeypatch):
+    """The deepest pool restriction substitutes each distinct leaf form once,
+    and its cancelled products hold one object per distinct form, so theta
+    meets 1/theta by identity."""
+    f = reduced_class(parse_pattern("8,4:5>4,6>3,7>2,8>1"))
+    args = []
+    substitute = LinearForm.substitute
+
+    def counted(self, mapping):
+        args.append(self)
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(LinearForm, "substitute", counted)
+    g = restrict_fixed_point(f, (1, 3, 2, 4))
+    monkeypatch.undo()
+    assert len(args) > 100 and len(args) == len(set(args))
+    forms = [leaf.a for term in g.node.children for leaf in term.children]
+    assert len({id(a) for a in forms}) == len(set(forms)) < len(forms)
 
 
 def test_restriction_with_mu_inversion_flag():
