@@ -44,10 +44,6 @@ class DistinctnessError(PatternError):
     """Arc endpoints are not pairwise distinct."""
 
 
-class Unreachable(PatternError):
-    """An arc set that is no pattern of the orbit lattice's size."""
-
-
 class BadCharacterShape(PatternError):
     """A step parameter is not of the form s mu_a + t mu_b - k h."""
 
@@ -74,11 +70,12 @@ def compose(w: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
 
 
 def word_to_perm(m: int, word: Sequence[int]) -> tuple[int, ...]:
-    """s_{i_1} o s_{i_2} o ... o s_{i_l} (rightmost factor applied first)."""
-    w = identity_perm(m)
+    """s_{i_1} o s_{i_2} o ... o s_{i_l} (rightmost factor applied first).
+    Composing with s_i on the right swaps the images of i and i + 1."""
+    w = list(range(1, m + 1))
     for i in word:
-        w = compose(w, transposition(m, i))
-    return w
+        w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
 
 
 def is_permutation(w: Sequence[int]) -> bool:
@@ -244,30 +241,6 @@ class OrbitLattice:
             if self.level(t) == below:
                 yield i, t
 
-    def all_min_words(self, arc_set: frozenset, cap: int | None = None) -> list[tuple[int, ...]]:
-        """Every minimal word for the arc set, in lexicographic order
-        (optionally capped to the first ``cap``).
-
-        The word (i_1 .. i_l) satisfies arcs = s_{i_1}(...(s_{i_l}(min))),
-        so the first letter is the move undone first when walking back.
-        Every arc set of r arcs with distinct endpoints in 1..m is in the
-        lattice; any other raises Unreachable.
-        """
-        try:
-            LinkPattern(self.m, self.r, tuple(sorted(arc_set)))
-        except PatternError:
-            raise Unreachable(f"arc set {sorted(arc_set)} not in the lattice") from None
-        return self._min_words(arc_set, cap, {self.start: [()]})
-
-    def _min_words(self, s: frozenset, cap: int | None, memo: dict) -> list[tuple[int, ...]]:
-        """``all_min_words`` of s, memoised in ``memo``; a method, as a
-        recursive closure is a reference cycle that keeps the memo alive."""
-        if s not in memo:
-            below = self._min_words
-            words = ((i,) + w for i, t in self.down_edges(s) for w in below(t, cap, memo))
-            memo[s] = list(islice(words, cap))
-        return memo[s]
-
     def min_word_counts(self) -> dict[frozenset, int]:
         """The number of minimal words of every arc set, in one BFS-order
         pass: each down edge contributes the count of the arc set it reaches."""
@@ -313,18 +286,39 @@ def _presentation_from_word(p: LinkPattern, word: tuple[int, ...]) -> Presentati
     return Presentation(p, sigma, w, word)
 
 
+def _min_words(
+    lat: OrbitLattice, s: frozenset, cap: int | None, memo: dict
+) -> list[tuple[int, ...]]:
+    """The minimal words of s in lexicographic order, at most ``cap`` of
+    them, memoised in ``memo``.  A word (i_1 .. i_l) spells
+    s = s_{i_1}(...(s_{i_l}(start))), so its first letter is the first
+    move undone walking back.  A module-level function, as a recursive
+    closure is a reference cycle that keeps the memo alive."""
+    if s not in memo:
+        words = ((i,) + w for i, t in lat.down_edges(s) for w in _min_words(lat, t, cap, memo))
+        memo[s] = list(islice(words, cap))
+    return memo[s]
+
+
 def minimal_presentation(p: LinkPattern) -> Presentation:
-    """Deterministic minimal presentation: lexicographically smallest word."""
+    """Deterministic minimal presentation: the lexicographically smallest
+    word, by greedy descent.  Every arc set above the start has a down
+    edge, and ``down_edges`` yields increasing i, so taking the first one
+    at each level spells the smallest word."""
     lat = _lattice(p.m, p.r)
-    return _presentation_from_word(p, lat.all_min_words(p.arc_set(), cap=1)[0])
+    s, word = p.arc_set(), []
+    while s != lat.start:
+        i, s = next(lat.down_edges(s))
+        word.append(i)
+    return _presentation_from_word(p, tuple(word))
 
 
 def all_minimal_presentations(p: LinkPattern, cap: int | None = None) -> list[Presentation]:
-    """All minimal presentations of p (every minimal word with its sigma)."""
+    """All minimal presentations of p (every minimal word with its sigma),
+    in lexicographic order of the word, optionally the first ``cap``."""
     lat = _lattice(p.m, p.r)
-    return [
-        _presentation_from_word(p, w) for w in lat.all_min_words(p.arc_set(), cap)
-    ]
+    words = _min_words(lat, p.arc_set(), cap, {lat.start: [()]})
+    return [_presentation_from_word(p, w) for w in words]
 
 
 def nu_list(pres: Presentation) -> tuple[LinearForm, ...]:

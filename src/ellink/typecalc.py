@@ -149,13 +149,11 @@ class LinearForm(Frozen):
         return all(a == 0 for a in self.coeffs[: self.space.m])
 
     def x_permute(self, w: Sequence[int]) -> "LinearForm":
-        """Substitute x_i := x_{w(i)}; non-x coefficients are untouched."""
-        m = self.space.m
+        """Substitute x_i := x_{w(i)}: each x-coefficient moves to its
+        image, and non-x coefficients are untouched."""
         c = list(self.coeffs)
-        for i in range(m):
-            c[i] = ZERO
-        for i in range(m):
-            c[w[i] - 1] += self.coeffs[i]
+        for i in range(self.space.m):
+            c[w[i] - 1] = self.coeffs[i]
         return LinearForm(self.space, tuple(c))
 
     def substitute(self, mapping: dict[int, "LinearForm"]) -> "LinearForm":

@@ -1,10 +1,15 @@
 """Expression builders that only the tests use: a typed sum, a lazy
 x-twist and the reduced Demazure operator, built with the engine's own
 purity rule, twist composition and typed operator; the inverse of a
-permutation; the W-image of a square pattern; the origin shift rho and
-the inversion cocycle phi."""
+permutation; the W-image of a square pattern and the square pattern of
+a permutation; the origin shift rho and the inversion cocycle phi; and
+the restriction matrices of the duality at x and mu exchanged, in any
+field."""
 
+import itertools
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from ellink.efun import (
@@ -18,7 +23,7 @@ from ellink.efun import (
     theta_leaf,
 )
 from ellink.linkpattern import LinkPattern, identity_perm
-from ellink.schubert import _check_permutation_pattern
+from ellink.schubert import _check_permutation_pattern, reduced_class, restrict_fixed_point
 from ellink.typecalc import LinearForm, VarSpace
 
 
@@ -42,6 +47,60 @@ def pattern_permutation(p: LinkPattern) -> tuple[int, ...]:
     for a, b in p.arcs:
         w[a - n - 1] = b
     return tuple(w)
+
+
+def square_pattern(w: Sequence[int]) -> LinkPattern:
+    """The square pattern whose source n+j points at target w(j)."""
+    n = len(w)
+    return LinkPattern(2 * n, n, tuple(sorted((n + j, b) for j, b in enumerate(w, 1))))
+
+
+def bruhat_le(s: Sequence[int], w: Sequence[int]) -> bool:
+    """s <= w in Bruhat order, by the tableau criterion."""
+    n = len(w)
+    return all(
+        sum(s[j] >= k for j in range(i)) <= sum(w[j] >= k for j in range(i))
+        for i in range(1, n + 1)
+        for k in range(2, n + 1)
+    )
+
+
+def restriction_entries(n: int, mu_inverted: bool) -> tuple[list, list[EFun]]:
+    """The pairs (w, s) of S_n with s <= w in Bruhat order, and for each
+    the restriction E[w][s] of the reduced class of w's square pattern at
+    the fixed point s.  Every other pair is a structural zero."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    keys, fs = [], []
+    for w in perms:
+        rc = reduced_class(square_pattern(w), mu_inverted)
+        for s in perms:
+            if bruhat_le(s, w):
+                keys.append((w, s))
+                fs.append(restrict_fixed_point(rc, s))
+    return keys, fs
+
+
+def duality_product(n: int, e: dict, e_exchanged: dict, zero, one) -> tuple[list, list, list]:
+    """A, B and B A - I over S_n, where A[w][s] = E[w][s] / E[s][s] and
+    B[w^-1][s^-1] is the same ratio of the restrictions taken with x and
+    mu exchanged.  ``e`` and ``e_exchanged`` map the pairs (w, s) of
+    ``restriction_entries`` to values in a field with ``zero`` and ``one``."""
+    perms = list(itertools.permutations(range(1, n + 1)))
+    index = {w: k for k, w in enumerate(perms)}
+    rows = range(len(perms))
+    a = [[zero] * len(perms) for _ in rows]
+    b = [[zero] * len(perms) for _ in rows]
+    for w, s in e:
+        a[index[w]][index[s]] = e[w, s] / e[s, s]
+        b[index[inverse_perm(w)]][index[inverse_perm(s)]] = e_exchanged[w, s] / e_exchanged[s, s]
+    residual = [
+        [
+            reduce(add, (b[i][k] * a[k][j] for k in rows), zero) - (one if i == j else zero)
+            for j in rows
+        ]
+        for i in rows
+    ]
+    return a, b, residual
 
 
 def rho(space: VarSpace) -> LinearForm:

@@ -17,7 +17,6 @@ from ellink.linkpattern import (
     NoNodes,
     OrbitLattice,
     PatternError,
-    Unreachable,
     _lattice,
     PatternSyntaxError,
     act_nodes,
@@ -112,6 +111,19 @@ def test_act_labels():
         rng.shuffle(t)
         s, t = tuple(s), tuple(t)
         assert act_labels(compose(s, t), q) == act_labels(s, act_labels(t, q))
+
+
+def test_word_to_perm_composes_transpositions():
+    """A word's permutation is the product of its simple transpositions,
+    the rightmost applied first."""
+    rng = Random(5)
+    for m in range(2, 9):
+        for _ in range(20):
+            word = tuple(rng.randrange(1, m) for _ in range(rng.randrange(12)))
+            want = identity_perm(m)
+            for i in word:
+                want = compose(want, transposition(m, i))
+            assert word_to_perm(m, word) == want
 
 
 def test_endpoint_distinctness():
@@ -264,16 +276,56 @@ def test_boxed_pattern_has_two_sigma_classes():
 
 
 def test_minimal_presentation_is_lex_smallest():
-    """The capped walk that picks the presentation's word returns the
-    smallest of all minimal words, and the one-pass count that ``orbits``
-    prints is their number."""
+    """The greedy descent that picks the presentation's word returns the
+    smallest of all minimal words, which come in lexicographic order, and
+    the one-pass count that ``orbits`` prints is their number."""
     for m, r in [(4, 2), (5, 2), (6, 2), (6, 3)]:
         lat = orbit_lattice(m, r)
         counts = lat.min_word_counts()
         for p in lat.patterns():
-            words = lat.all_min_words(p.arc_set())
-            assert minimal_presentation(p).word == min(words)
+            words = [q.word for q in all_minimal_presentations(p)]
+            assert words == sorted(set(words))
+            assert minimal_presentation(p).word == words[0]
             assert counts[p.arc_set()] == len(words)
+
+
+def test_greedy_word_is_the_first_capped_word():
+    """On every arc set of (7,3) the greedy descent spells the first word
+    of the capped enumeration."""
+    for p in orbit_lattice(7, 3).patterns():
+        (first,) = all_minimal_presentations(p, cap=1)
+        assert minimal_presentation(p) == first
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "8,4:1>5,2>6,3>7,4>8",  # the deepest (8,4) pattern of the benchmark's pools
+        "8,4:1>8,2>7,3>6,4>5",  # the lattice's top: 28,680,043,392 minimal words
+    ],
+)
+def test_capped_enumeration_stops_the_walk(monkeypatch, text):
+    """``all_minimal_presentations(p, cap=64)``, as ``perfbench/record.py``
+    calls it, reads down edges of a few dozen arc sets: the cap stops the
+    walk instead of slicing a finished list of every word."""
+    calls = 0
+    down_edges = OrbitLattice.down_edges
+
+    def counted(self, s):
+        nonlocal calls
+        calls += 1
+        if calls > 100:
+            raise AssertionError("the capped walk visits too many arc sets")
+        return down_edges(self, s)
+
+    monkeypatch.setattr(OrbitLattice, "down_edges", counted)
+    p = parse_pattern(text)
+    pres = all_minimal_presentations(p, cap=64)
+    words = [q.word for q in pres]
+    assert len(words) == 64 and words == sorted(set(words))
+    level = orbit_lattice(8, 4).level(p.arc_set())
+    assert all(len(w) == level and q.w == word_to_perm(8, w) for q, w in zip(pres, words))
+    assert words[0] == minimal_presentation(p).word
 
 
 def test_word_length_invariant_under_relabelling():
@@ -473,17 +525,6 @@ def test_lattice_sizes():
     for (m, r), size in expected.items():
         assert factorial(m) // (factorial(m - 2 * r) * factorial(r)) == size
         assert sum(1 for _ in orbit_lattice(m, r).patterns()) == size
-
-
-def test_unreachable_is_defensive():
-    """An arc set that is no pattern of the lattice's size is refused
-    before any walk, and the lattice enumerates nothing for it."""
-    lat = OrbitLattice(4, 2)
-    for arcs in [{(1, 99)}, {(1, 2)}, {(1, 2), (3, 4), (4, 1)}, {(1, 2), (2, 3)},
-                 {(1, 2), (3, 5)}, {(0, 2), (3, 4)}]:
-        with pytest.raises(Unreachable):
-            lat.all_min_words(frozenset(arcs))
-    assert "order" not in vars(lat) and "dist" not in vars(lat)
 
 
 def _bfs_levels(m, r):

@@ -53,7 +53,15 @@ from ellink.schubert import (
 )
 from ellink.theta import ModularParams
 from ellink.typecalc import LinearForm, VarSpace, admissible_mu
-from expressions import efun_sum, inverse_perm, pattern_permutation, x_permuted
+from expressions import (
+    duality_product,
+    efun_sum,
+    inverse_perm,
+    pattern_permutation,
+    restriction_entries,
+    square_pattern,
+    x_permuted,
+)
 
 P = ModularParams()
 
@@ -331,18 +339,12 @@ RESTRICTION_PINS = {
 }
 
 
-def _square_pattern(w) -> LinkPattern:
-    """The square pattern whose source n+j points at target w(j)."""
-    n = len(w)
-    return LinkPattern(2 * n, n, tuple(sorted((n + j, b) for j, b in enumerate(w, 1))))
-
-
 def _square_pairs():
     """Every square pattern and sigma with n <= 3, both mu conventions at n = 2,
     and the two slowest n = 4 restrictions in both conventions."""
     for n in (1, 2, 3):
         for w in itertools.permutations(range(1, n + 1)):
-            p = _square_pattern(w)
+            p = square_pattern(w)
             for inv in ((False, True) if n == 2 else (False,)):
                 for sigma in itertools.permutations(range(1, n + 1)):
                     yield format_pattern(p), sigma, inv
@@ -603,7 +605,7 @@ def _normalisation_cases():
     weight pattern with n <= 4 with and without the RTV map; each pattern
     of rank >= 2 also with its arcs in reverse order."""
     patterns = [
-        _square_pattern(w) for n in (1, 2, 3) for w in itertools.permutations(range(1, n + 1))
+        square_pattern(w) for n in (1, 2, 3) for w in itertools.permutations(range(1, n + 1))
     ]
     patterns += [p for n in (2, 3, 4) for p in _weight_patterns(n)]
     for p in patterns:
@@ -678,16 +680,6 @@ def test_substitution_walks_only_the_minimal_class(monkeypatch):
         assert Sum not in _node_kinds(f.node)
 
 
-def _bruhat_le(s, w) -> bool:
-    """s <= w in Bruhat order, by the tableau criterion."""
-    n = len(w)
-    return all(
-        sum(s[j] >= k for j in range(i)) <= sum(w[j] >= k for j in range(i))
-        for i in range(1, n + 1)
-        for k in range(2, n + 1)
-    )
-
-
 def _frobenius(rows) -> float:
     return sum(abs(v) ** 2 for row in rows for v in row) ** 0.5
 
@@ -700,14 +692,7 @@ def test_restriction_matrix_at_x_and_mu_exchanged_is_the_inverse(n, mu_inverted)
     is the inverse of A.  In the inverted mu convention the exchange is
     x_i <-> -mu_i.  E[w][s] is a structural zero unless s <= w in Bruhat
     order, and S_3 has 19 such pairs."""
-    perms = list(itertools.permutations(range(1, n + 1)))
-    keys, fs = [], []
-    for w in perms:
-        rc = reduced_class(_square_pattern(w), mu_inverted)
-        for s in perms:
-            if _bruhat_le(s, w):
-                keys.append((w, s))
-                fs.append(restrict_fixed_point(rc, s))
+    keys, fs = restriction_entries(n, mu_inverted)
     assert len(keys) == {2: 3, 3: 19}[n]
     tape = joint_tape(fs)
     space = fs[0].space
@@ -722,19 +707,5 @@ def test_restriction_matrix_at_x_and_mu_exchanged_is_the_inverse(n, mu_inverted)
         return tape.run(pt), tape.run(PointAssignment(tuple(values), P))
 
     [(at_pt, exchanged)], _ = sample(trial, 1, Random(43))
-    e = dict(zip(keys, at_pt))
-    e_exchanged = dict(zip(keys, exchanged))
-    index = {w: k for k, w in enumerate(perms)}
-    size = len(perms)
-    a = [[0j] * size for _ in range(size)]
-    b = [[0j] * size for _ in range(size)]
-    for w, s in keys:
-        a[index[w]][index[s]] = e[w, s] / e[s, s]
-        b[index[inverse_perm(w)]][index[inverse_perm(s)]] = (
-            e_exchanged[w, s] / e_exchanged[s, s]
-        )
-    residual = [
-        [sum(b[i][k] * a[k][j] for k in range(size)) - (i == j) for j in range(size)]
-        for i in range(size)
-    ]
+    a, b, residual = duality_product(n, dict(zip(keys, at_pt)), dict(zip(keys, exchanged)), 0j, 1)
     assert _frobenius(residual) <= 1e-8 * _frobenius(a) * _frobenius(b)

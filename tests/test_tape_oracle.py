@@ -37,6 +37,8 @@ from ellink.schubert import reduced_class, restrict_fixed_point, weight_function
 from ellink.theta import ModularParams
 from ellink.typecalc import VarSpace
 
+from expressions import duality_product, restriction_entries
+
 try:
     import mpmath
 except ImportError:
@@ -286,6 +288,38 @@ def test_exact_oracle_catches_a_missing_label_swap():
     unswapped = demazure(3, space.mu(2) - space.mu(1), ell_min(4, 2, space))
     for left, right in exact_values([lhs, unswapped], 1):
         assert left != right
+
+
+@pytest.mark.parametrize("n, mu_inverted", [(2, False), (2, True), (3, False), (3, True)])
+def test_restriction_duality_is_exact_at_q0(n, mu_inverted):
+    """The duality of ``test_restriction_matrix_at_x_and_mu_exchanged_is_the_inverse``
+    in ``test_schubert.py`` holds at q = 0 with B A = I exactly, at two draws
+    of the T_k.  Exchanging x_i and mu_i exchanges their T; in the inverted
+    mu convention, x_i <-> -mu_i, each exchanged T is inverted."""
+    keys, fs = restriction_entries(n, mu_inverted)
+    tape = joint_tape(fs)
+    space = fs[0].space
+    rng = Random(43)
+    checked = 0
+    while checked < 2:
+        ts = [draw_gauss(rng) for _ in range(space.n_symbols)]
+        exchanged = list(ts)
+        for i in range(1, n + 1):
+            x, mu = space.x_index(i), space.mu_index(i)
+            exchanged[x], exchanged[mu] = ts[mu], ts[x]
+            if mu_inverted:
+                exchanged[x], exchanged[mu] = ONE / ts[mu], ONE / ts[x]
+        try:
+            e = q0_replay(tape, exact_es(tape, ts), ONE)
+            e_exchanged = q0_replay(tape, exact_es(tape, exchanged), ONE)
+        except ExactPole:
+            continue
+        _, _, residual = duality_product(
+            n, dict(zip(keys, e)), dict(zip(keys, e_exchanged)), ZERO, ONE
+        )
+        wrong = [(i, j) for i, row in enumerate(residual) for j, v in enumerate(row) if v != ZERO]
+        assert not wrong, wrong
+        checked += 1
 
 
 def _lattice_4_2_classes():

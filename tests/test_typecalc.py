@@ -171,8 +171,12 @@ def _random_qform(rng, sp, density=0.4):
     for a in range(n):
         for b in range(a, n):
             if rng.random() < density:
-                rows[a][b] = rows[b][a] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                rows[a][b] = rows[b][a] = _random_fraction(rng)
     return _from_dense(sp, rows)
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 def _dense_add(p, q, sign=1):
@@ -213,7 +217,8 @@ def _assert_matches(q, rows):
 def test_qform_matches_dense_reference():
     """Sums, relabellings and the substitutions schubert makes (u := 0,
     the mu inversion, the RTV map, y := x_sigma) agree entry for entry
-    with dense symmetric matrices."""
+    with dense symmetric matrices, and a linear form's x-permutation with
+    its dense coefficient vector."""
     rng = Random(9)
     square = VarSpace(4, 2)
     weight = VarSpace(5, 3)
@@ -229,6 +234,12 @@ def test_qform_matches_dense_reference():
             w = _random_perm(rng, sp.m)
             perm = [w[i] - 1 for i in range(sp.m)] + list(range(sp.m, sp.n_symbols))
             _assert_matches(q.x_permute(w), _dense_relabel(_dense(q), perm))
+            f = LinearForm(sp, tuple(_random_fraction(rng) for _ in range(sp.n_symbols)))
+            moved = [Fraction(0)] * sp.n_symbols
+            for a, v in enumerate(f.coeffs):
+                moved[perm[a]] += v
+            assert f.x_permute(w).coeffs == tuple(moved)
+            assert all(type(v) is Fraction for v in f.x_permute(w).coeffs)
             sigma = _random_perm(rng, sp.r)
             perm = list(range(sp.n_symbols))
             for j in range(1, sp.r + 1):
