@@ -281,8 +281,11 @@ def mu_relabelled(
 
 
 def _presentation_from_word(p: LinkPattern, word: tuple[int, ...]) -> Presentation:
+    """sigma read off the word: arc j of the minimal pattern, (m-r+j, j),
+    lands at (w(m-r+j), w(j)), which p labels sigma(j)."""
     w = word_to_perm(p.m, word)
-    sigma = arc_relabelling(act_nodes(w, minimal_pattern(p.m, p.r)), p)
+    shift = p.m - p.r
+    sigma = tuple(p.arcs.index((w[shift + j], w[j])) + 1 for j in range(p.r))
     return Presentation(p, sigma, w, word)
 
 

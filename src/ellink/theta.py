@@ -7,22 +7,23 @@ arguments" means adding them.  The basic objects are
     theta(x)            2 q^{1/8} sin(pi x) prod_{n>=1} (1-q^n)(1-q^n z)(1-q^n/z)
     delta(a, b)         theta'(0)/(2 pi i) * theta(a+b) / (theta(a) theta(b))
 
-with q = e^{2 pi i tau}.  theta takes each pair of z-factors at once,
+with q = e^{2 pi i tau}.  theta first reduces x by whole periods of tau
+onto the strip |Im x'| <= Im(tau)/2: with k = round(Im x / Im tau),
+x = x' + k tau and theta(x) = (-1)^k e^{-pi i k^2 tau} z'^{-k} theta(x'),
+where z' = e^{2 pi i x'}.  Mostly k = 0, which costs two comparisons.  On
+the strip theta is Jacobi's series
 
-    (1 - q^n z)(1 - q^n/z) = (1 + q^2n) - q^n (z + 1/z),
+    theta(x') = 2 q^{1/8} sin(pi x') S(c),
+    S(c) = sum_{n>=0} (-1)^n q^{n(n+1)/2} D_n(c),
 
-so with c = z + 1/z formed once per call a factor costs one complex
-multiply, and the Euler factors prod (1 - q^n) are applied once, as a
-precomputed prefix, after the loop.  The infinite product is cut
-adaptively: it stops at the first n with |q^n| max(|z|, 1/|z|) < 2^-64,
-where each remaining factor lies within 2^-64 of 1, and it never takes
-more than 40 factors.  That cap is safe as long as |q|^40 stays below
-machine precision, which the lower bound on Im(tau) ensures:
-|q|^40 = e^{-80 pi Im(tau)} <= e^{-24 pi}, about 1.8e-33.
-On every sampled point tested the cut value equals the same pair-form
-product taken over all 40 factors bit for bit.  Only a component far
-below |theta| could move, such as the rounding-noise imaginary part at
-real x when tau is imaginary, and then by less than 2^-64 |theta|.
+where D_n = sin((2n+1) pi x') / sin(pi x') is a polynomial in
+c = z' + 1/z' (D_0 = 1, D_1 = 1 + c, D_{n+1} = c D_n - D_{n-1}).
+``ModularParams.series`` holds 2 q^{1/8} S as one polynomial in c of
+degree K, which theta evaluates by Horner's rule.  On the strip
+|c| <= 2 cosh(pi Im tau), so term n is at most about e^{-pi n^2 Im tau}
+in size; K is the last n where that is still at least 2^-64 (6 at
+tau = 0.3i, 3 at i, and 0 from Im tau = 64 ln 2 / pi, about 14.1, up).
+theta'(0) = 2 pi q^{1/8} S(2) comes from the same coefficients.
 
 The 2 pi i in delta's normalisation converts the additive derivative at 0
 into the derivative with respect to the multiplicative variable at 1, so
@@ -42,20 +43,18 @@ from functools import cached_property
 
 from .frozen import Frozen
 
-TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
-# The most q-product factors theta ever takes.
-_MAX_FACTORS = 40
-# theta stops its q-product once |q^n| max(|z|, 1/|z|) drops below this.
-# At 2^-54 a dropped factor still moves the last bit of ~4% of values on
-# the sampling boxes; at 2^-64 none moved on 400k points.
-_PRODUCT_CUTOFF = 2.0 ** -64
-# From Im(tau) = TAU_IM_MIN up, |q|^40 <= e^{-24 pi}: 40 factors are enough.
+# theta's series keeps term n while e^{-pi n^2 Im(tau)} >= 2^-64.
+_SERIES_CUTOFF = 2.0 ** -64
+# K, the degree of theta's series, grows as Im(tau) falls (about
+# 3.8 / sqrt(Im tau)), and near the strip's edge its terms come closer to
+# the size of the sum; the tests check theta's accuracy down to this bound.
+# There is no factor cap to protect.
 TAU_IM_MIN = 0.3
-# |q| = e^{-2 pi Im(tau)} is about 1e-273 at Im(tau) = 100, far enough above the
-# smallest normal double (about 1e-308) that q times a sampled z^{+-1} stays
-# normal; from about 112.6 the theta checks read subnormal values, and from
-# about 470 delta divides by zero on the sampling box.
+# Up to Im(tau) = 100 every checked value is a finite normal double with room
+# to spare: from about 226 the theta checks' shift x + tau overflows the
+# factor e^{-pi i tau} (|e^{-pi i tau}| = e^{pi Im tau}), and from about 470
+# delta divides by zero on the sampling box.
 TAU_IM_MAX = 100.0
 
 
@@ -69,8 +68,8 @@ class PoleProximity(ArithmeticError):
 
 class ModularParams(Frozen):
     """Modular parameter tau, with Im(tau) in [``TAU_IM_MIN``, ``TAU_IM_MAX``]:
-    large enough that theta's q-product needs at most 40 factors, small
-    enough that q stays a normal double.
+    large enough that theta's series stays short and accurate, small enough
+    that the values the checks read stay finite normal doubles.
 
     ``pole_guard`` is the relative threshold below which |theta(x)| is
     treated as a pole of 1/theta: the cutoff is pole_guard * |theta'(0)|.
@@ -85,46 +84,37 @@ class ModularParams(Frozen):
         object.__setattr__(self, "pole_guard", pole_guard)
 
     @cached_property
-    def q(self) -> complex:
-        return cmath.exp(TWO_PI_I * self.tau)
-
-    @cached_property
     def q_eighth(self) -> complex:
         return cmath.exp(TWO_PI_I * self.tau / 8.0)
 
     @cached_property
-    def two_q_eighth(self) -> complex:
-        return 2.0 * self.q_eighth
+    def series(self) -> tuple[float, complex, tuple[complex, ...]]:
+        """(Im(tau)/2, a_K, (a_{K-1}, ..., a_0)): the half-width of the
+        strip and the coefficients of 2 q^{1/8} S(c) = sum_m a_m c^m.
 
-    @cached_property
-    def q_factors(self) -> tuple[tuple[complex, complex, float, complex], ...]:
-        """(q^n, 1 + q^2n, |q^n|, prod_{k<n} (1 - q^k)) for n = 1 .. 40.
-
-        The one table of the q-product: theta's pair factor n is
-        (1 + q^2n) - q^n (z + 1/z), and the last column is the Euler prefix
-        of the factors before n, so a product cut before factor n takes its
-        Euler part from row n.
+        a_m sums (-1)^n q^{n(n+1)/2} [c^m] D_n over n = K down to m, the
+        smallest terms first.
         """
-        q = self.q
-        out = []
-        qn = 1.0 + 0j
-        prefix = 1.0 + 0j
-        for _ in range(_MAX_FACTORS):
-            qn *= q
-            out.append((qn, 1.0 + qn * qn, abs(qn), prefix))
-            prefix *= 1.0 - qn
-        return tuple(out)
-
-    @cached_property
-    def euler_product(self) -> complex:
-        """prod_{n=1}^{40} (1 - q^n)."""
-        qn, _, _, prefix = self.q_factors[-1]
-        return prefix * (1.0 - qn)
+        k_max = int(math.sqrt(math.log(_SERIES_CUTOFF) / (-math.pi * self.tau.imag)))
+        polys = [[1], [1, 1]]  # D_0, D_1
+        while len(polys) <= k_max:
+            polys.append([a - b for a, b in zip([0] + polys[-1], polys[-2] + [0, 0])])
+        coeffs = [0j] * (k_max + 1)
+        for n in range(k_max, -1, -1):
+            w = (-1) ** n * cmath.exp(TWO_PI_I * self.tau * (n * (n + 1) // 2))
+            for m in range(n + 1):
+                coeffs[m] += polys[n][m] * w
+        two_q_eighth = 2.0 * self.q_eighth
+        return (self.tau.imag / 2.0, two_q_eighth * coeffs[-1],
+                tuple([two_q_eighth * a for a in reversed(coeffs[:-1])]))
 
     @cached_property
     def theta_prime_zero(self) -> complex:
-        """d theta / dx at x = 0: the sine prefactor carries the only zero."""
-        return TWO_PI * self.q_eighth * self.euler_product ** 3
+        """d theta / dx at x = 0, where c = 2: pi times 2 q^{1/8} S(2)."""
+        _, s, rest = self.series
+        for a in rest:
+            s = s * 2.0 + a
+        return math.pi * s
 
     @cached_property
     def mult_norm(self) -> complex:
@@ -137,22 +127,25 @@ class ModularParams(Frozen):
 
 
 def theta(x: complex, p: ModularParams) -> complex:
-    """Jacobi theta product at the additive argument x, cut adaptively and
-    taken one pair factor (1 + q^2n) - q^n (z + 1/z) at a time."""
+    """Jacobi theta at the additive argument x: x reduced onto the strip
+    |Im x| <= Im(tau)/2 by whole periods of tau, then the series in
+    c = z + 1/z by Horner's rule."""
+    half, s, rest = p.series
+    im = x.imag
+    k = 0
+    if im > half or im < -half:
+        k = round(im / p.tau.imag)
+        x -= k * p.tau
     z = cmath.exp(TWO_PI_I * x)
     c = z + 1.0 / z
-    # |q^n| max(|z|, 1/|z|) < cutoff  <=>  |q^n| < limit
-    zabs = abs(z)
-    limit = _PRODUCT_CUTOFF * zabs if zabs < 1.0 else _PRODUCT_CUTOFF / zabs
-    prod = 1.0 + 0j
-    # the row that stops the loop holds the Euler prefix of the factors taken
-    for qn, one_plus_q2n, qn_abs, euler in p.q_factors:
-        if qn_abs < limit:
-            break
-        prod *= one_plus_q2n - qn * c
-    else:
-        euler = p.euler_product
-    return p.two_q_eighth * cmath.sin(math.pi * x) * (prod * euler)
+    for a in rest:
+        s = s * c + a
+    value = cmath.sin(math.pi * x) * s
+    if k:
+        value *= cmath.exp(-1j * math.pi * k * k * p.tau) * z ** -k
+        if k & 1:
+            value = -value
+    return value
 
 
 def theta_normalized(x: complex, p: ModularParams) -> complex:

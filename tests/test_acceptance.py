@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the one-line
 verdict per criterion (pytest captures the prints otherwise).  Fixed
-parameters throughout: tau = i, 40 q-product terms, seed 0.
+parameters throughout: tau = i, seed 0.
 """
 
 import itertools

@@ -599,17 +599,18 @@ def test_label_twist_commutes_with_the_demazure_steps(pattern):
 def test_sample_class_output_is_pinned(capsys):
     """The exact stdout of compute on the deepest sample-workload class:
     its four values, and a digest of the whole document (re-recorded when
-    theta took its q-product in the pair form)."""
+    theta took its q-product in the pair form, and when it became a series
+    on the fundamental strip)."""
     assert main(["compute", "8,4:1>5,2>6,3>7,4>8", "--samples", "4", "--seed", "10"]) == 0
     out = capsys.readouterr().out
     assert [s["value"] for s in json.loads(out)["sample_values"]] == [
-        ["-0.42678146810910716", "0.72829938679797279"],
-        ["137.10434509435279", "170.57642201653215"],
-        ["-7.0479427003980481e-07", "1.4011909662204116e-05"],
-        ["0.00087946154451073988", "0.0012165330411864467"],
+        ["-0.426781468109109", "0.72829938679797879"],
+        ["137.10434509435308", "170.57642201653357"],
+        ["-7.0479427003965319e-07", "1.4011909662203546e-05"],
+        ["0.00087946154451062452", "0.0012165330411864328"],
     ]
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "25e66a90bd08e4e8dabf866ede19db94b77d26ab5e9c21ab00b39fc1bdcb9d3c"
+        "80954797b2bd65d3644634e6391bd91b5048e115ae373761e3b4f0ae7d6a3d01"
     )
 
 

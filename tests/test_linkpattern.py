@@ -21,6 +21,7 @@ from ellink.linkpattern import (
     PatternSyntaxError,
     act_nodes,
     all_minimal_presentations,
+    arc_relabelling,
     compose,
     format_pattern,
     identity_perm,
@@ -287,6 +288,17 @@ def test_minimal_presentation_is_lex_smallest():
             assert words == sorted(set(words))
             assert minimal_presentation(p).word == words[0]
             assert counts[p.arc_set()] == len(words)
+
+
+def test_sigma_is_read_from_the_word():
+    """Every minimal word of the (5,2) and (6,3) lattices gets the sigma of
+    the route through patterns: act by w on the minimal pattern, then find
+    each moved arc among p's arcs."""
+    for m, r in [(5, 2), (6, 3)]:
+        start = minimal_pattern(m, r)
+        for p in orbit_lattice(m, r).patterns():
+            for q in all_minimal_presentations(p):
+                assert q.sigma == arc_relabelling(act_nodes(q.w, start), p)
 
 
 def test_greedy_word_is_the_first_capped_word():

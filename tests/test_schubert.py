@@ -180,7 +180,8 @@ def test_fixed_point_restriction(n):
 # returns, repr of the restriction at the first and second point drawn
 # from Random(31)), for every square pattern and sigma with n <= 3.  The
 # reprs pin the values bit for bit, the sign of a zero included; they were
-# re-recorded when theta took its q-product in the pair form.
+# re-recorded when theta took its q-product in the pair form, and when it
+# became a series on the fundamental strip (no term count moved).
 RESTRICTION_PINS = {
     ("2,1:2>1", (1,), False): (1, "(1+0j)", "(1+0j)"),
     ("4,2:3>1,4>2", (1, 2), False): (1, "(1+0j)", "(1+0j)"),
@@ -189,23 +190,23 @@ RESTRICTION_PINS = {
     ("4,2:3>1,4>2", (2, 1), True): (1, "-0j", "0j"),
     ("4,2:3>2,4>1", (1, 2), False): (
         2,
-        "(0.07389464921057887-0.09411931173122132j)",
-        "(-0.7201212803619564-0.13539641556086596j)",
+        "(0.0738946492105789-0.09411931173122134j)",
+        "(-0.7201212803619567-0.13539641556086612j)",
     ),
     ("4,2:3>2,4>1", (2, 1), False): (
         2,
-        "(0.9944947042550343+0.08967232253437801j)",
-        "(-0.5841887118305741-1.871737760617497j)",
+        "(0.9944947042550338+0.0896723225343779j)",
+        "(-0.5841887118305743-1.8717377606174976j)",
     ),
     ("4,2:3>2,4>1", (1, 2), True): (
         2,
-        "(-0.8939916428434794-0.5189001115157508j)",
-        "(0.033517568421005325+0.11265066165222952j)",
+        "(-0.8939916428434798-0.5189001115157511j)",
+        "(0.03351756842100532+0.11265066165222952j)",
     ),
     ("4,2:3>2,4>1", (2, 1), True): (
         2,
-        "(0.9944947042550343+0.08967232253437801j)",
-        "(-0.5841887118305741-1.871737760617497j)",
+        "(0.9944947042550338+0.0896723225343779j)",
+        "(-0.5841887118305743-1.8717377606174976j)",
     ),
     ("6,3:4>1,5>2,6>3", (1, 2, 3), False): (1, "(1+0j)", "(1+0j)"),
     ("6,3:4>1,5>2,6>3", (1, 3, 2), False): (1, "0j", "0j"),
@@ -215,13 +216,13 @@ RESTRICTION_PINS = {
     ("6,3:4>1,5>2,6>3", (3, 2, 1), False): (1, "0j", "0j"),
     ("6,3:4>1,5>3,6>2", (1, 2, 3), False): (
         2,
-        "(0.43255847904815586+0.18550615507491738j)",
-        "(0.17703542478020756-2.1946270043387184j)",
+        "(0.4325584790481559+0.18550615507491744j)",
+        "(0.17703542478020778-2.1946270043387193j)",
     ),
     ("6,3:4>1,5>3,6>2", (1, 3, 2), False): (
         2,
         "(-0.823758371665819-0.3269549424477103j)",
-        "(0.1500349714545731-0.14706268536179284j)",
+        "(0.15003497145457315-0.1470626853617929j)",
     ),
     ("6,3:4>1,5>3,6>2", (2, 1, 3), False): (2, "0j", "0j"),
     ("6,3:4>1,5>3,6>2", (2, 3, 1), False): (2, "0j", "0j"),
@@ -230,111 +231,111 @@ RESTRICTION_PINS = {
     ("6,3:4>2,5>1,6>3", (1, 2, 3), False): (
         2,
         "(-0.056012647687280696-0.16119797842811842j)",
-        "(0.059990356468842716+0.04063242601803833j)",
+        "(0.05999035646884275+0.040632426018038376j)",
     ),
     ("6,3:4>2,5>1,6>3", (1, 3, 2), False): (2, "0j", "0j"),
     ("6,3:4>2,5>1,6>3", (2, 1, 3), False): (
         2,
-        "(-0.09940712507356769+0.09488244528315859j)",
-        "(-0.9364874092008496-0.39719287585318164j)",
+        "(-0.09940712507356775+0.09488244528315866j)",
+        "(-0.9364874092008499-0.3971928758531822j)",
     ),
     ("6,3:4>2,5>1,6>3", (2, 3, 1), False): (2, "0j", "0j"),
     ("6,3:4>2,5>1,6>3", (3, 1, 2), False): (2, "0j", "0j"),
     ("6,3:4>2,5>1,6>3", (3, 2, 1), False): (2, "0j", "0j"),
     ("6,3:4>2,5>3,6>1", (1, 2, 3), False): (
         4,
-        "(0.07875795014209405+0.08385964588441504j)",
-        "(0.1468115485058808-0.10085621093452073j)",
+        "(0.07875795014209411+0.08385964588441505j)",
+        "(0.14681154850588096-0.10085621093452082j)",
     ),
     ("6,3:4>2,5>3,6>1", (1, 3, 2), False): (
         4,
-        "(-0.15255962764203893-0.15380495280334933j)",
-        "(0.016887456045299586+0.0019160446449832205j)",
+        "(-0.15255962764203898-0.15380495280334938j)",
+        "(0.016887456045299603+0.0019160446449832265j)",
     ),
     ("6,3:4>2,5>3,6>1", (2, 1, 3), False): (
         4,
-        "(0.14000187538036152+0.12693086358225003j)",
-        "(-1.937932648451365+1.5823086781589548j)",
+        "(0.1400018753803616+0.12693086358225014j)",
+        "(-1.9379326484513673+1.5823086781589557j)",
     ),
     ("6,3:4>2,5>3,6>1", (2, 3, 1), False): (
         4,
-        "(-0.09365511202054377-0.21114017866154766j)",
-        "(0.6585804987489463+0.49736161667844253j)",
+        "(-0.09365511202054387-0.21114017866154788j)",
+        "(0.6585804987489465+0.4973616166784429j)",
     ),
     ("6,3:4>2,5>3,6>1", (3, 1, 2), False): (4, "0j", "0j"),
     ("6,3:4>2,5>3,6>1", (3, 2, 1), False): (4, "0j", "0j"),
     ("6,3:4>3,5>1,6>2", (1, 2, 3), False): (
         4,
-        "(-0.011537010861793609-0.2233002240728384j)",
-        "(-0.04036471855676507-0.033264431533725256j)",
+        "(-0.011537010861793567-0.22330022407283828j)",
+        "(-0.040364718556765086-0.0332644315337253j)",
     ),
     ("6,3:4>3,5>1,6>2", (1, 3, 2), False): (
         4,
-        "(-0.8954503987999598+1.2087213803598962j)",
-        "(-0.0015824140566261802-0.027330607841502284j)",
+        "(-0.8954503987999601+1.2087213803598964j)",
+        "(-0.0015824140566261793-0.02733060784150231j)",
     ),
     ("6,3:4>3,5>1,6>2", (2, 1, 3), False): (
         4,
-        "(-0.15976642439284824+0.08303573073788348j)",
-        "(0.6461714602416697+0.3488691704933542j)",
+        "(-0.15976642439284827+0.08303573073788348j)",
+        "(0.6461714602416698+0.3488691704933546j)",
     ),
     ("6,3:4>3,5>1,6>2", (2, 3, 1), False): (4, "0j", "0j"),
     ("6,3:4>3,5>1,6>2", (3, 1, 2), False): (
         4,
-        "(0.985010259788498-1.1175185819742004j)",
-        "(-0.147087875371154+0.08612314072925639j)",
+        "(0.9850102597884984-1.1175185819742008j)",
+        "(-0.1470878753711541+0.08612314072925643j)",
     ),
     ("6,3:4>3,5>1,6>2", (3, 2, 1), False): (4, "0j", "0j"),
     ("6,3:4>3,5>2,6>1", (1, 2, 3), False): (
         8,
-        "(0.05412064229309508-0.11298411241208567j)",
-        "(-0.1179616970581272+0.08880449715032371j)",
+        "(0.05412064229309506-0.11298411241208597j)",
+        "(-0.11796169705812744+0.08880449715032382j)",
     ),
     ("6,3:4>3,5>2,6>1", (1, 3, 2), False): (
         8,
-        "(0.3359623278925034-0.7594164446262669j)",
-        "(-0.055723608002287685-0.025111218344307004j)",
+        "(0.33596232789250335-0.7594164446262671j)",
+        "(-0.05572360800228776-0.02511121834430706j)",
     ),
     ("6,3:4>3,5>2,6>1", (2, 1, 3), False): (
         8,
-        "(0.13435495453848134+0.06845154498313283j)",
-        "(1.421175959349493-1.1396646232801046j)",
+        "(0.13435495453848148+0.06845154498313294j)",
+        "(1.4211759593494955-1.1396646232801058j)",
     ),
     ("6,3:4>3,5>2,6>1", (2, 3, 1), False): (
         8,
-        "(-0.11628291548426058-0.14298862270256954j)",
-        "(-0.4763288032325236-0.3663577659933149j)",
+        "(-0.11628291548426078-0.1429886227025698j)",
+        "(-0.476328803232524-0.3663577659933154j)",
     ),
     ("6,3:4>3,5>2,6>1", (3, 1, 2), False): (
         8,
-        "(-0.3952399269799967+0.721136742386787j)",
-        "(0.018443626799117874+0.38009068861428064j)",
+        "(-0.3952399269799968+0.7211367423867876j)",
+        "(0.0184436267991179+0.3800906886142811j)",
     ),
     ("6,3:4>3,5>2,6>1", (3, 2, 1), False): (
         8,
-        "(0.008115857613537425+0.2045494915280773j)",
-        "(0.1719534412749511-0.02223098071197849j)",
+        "(0.008115857613537414+0.2045494915280776j)",
+        "(0.1719534412749513-0.022230980711978442j)",
     ),
     # the two slowest n = 4 restrictions of the benchmark's pool
     ("8,4:5>4,6>3,7>2,8>1", (1, 3, 2, 4), False): (
         64,
-        "(0.024886625285599484+0.052681432956571655j)",
-        "(-0.8511982442245323+0.5373933254771863j)",
+        "(0.024886625285599318+0.05268143295657177j)",
+        "(-0.8511982442245336+0.5373933254771872j)",
     ),
     ("8,4:5>4,6>3,7>2,8>1", (1, 3, 2, 4), True): (
         64,
-        "(0.19698520620982082+0.07395725030460815j)",
-        "(-1.1741968626978454-0.9968051998132682j)",
+        "(0.19698520620982105+0.07395725030460903j)",
+        "(-1.174196862697847-0.99680519981327j)",
     ),
     ("8,4:5>3,6>4,7>2,8>1", (3, 2, 4, 1), False): (
         32,
-        "(0.28110633089691167+0.17312858782165247j)",
-        "(3.4315992782560936+0.3065074506790312j)",
+        "(0.2811063308969122+0.17312858782165297j)",
+        "(3.4315992782560945+0.30650745067902996j)",
     ),
     ("8,4:5>3,6>4,7>2,8>1", (3, 2, 4, 1), True): (
         32,
-        "(0.2542702045487192-0.061339747001702735j)",
-        "(-1.3014687274571495-0.17576012546217742j)",
+        "(0.2542702045487197-0.061339747001702735j)",
+        "(-1.3014687274571497-0.17576012546217698j)",
     ),
 }
 
