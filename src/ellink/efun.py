@@ -32,16 +32,13 @@ a tape: one walk per root threads the composed permutation down to the
 leaves, visits each (node, permutation) pair once, and records a
 straight-line program of six opcodes, one op per Demazure step: equal
 ops share one slot, and each distinct leaf argument is one linear form.
-The compiler is one loop with its own stack.  A node's first reach walks
-its children, a twist stepping the permutation; its second builds the
-node's plan (its children with their twists composed into one getter, a
-leaf with a memo from the images of its x-indices to its slot), and every
-later reach resolves the children from the plan.  An unfolded tree
-reaches each node once and never builds a plan; a shared DAG costs about
-one frame per (node, permutation) pair with a child not yet compiled.
+The compiler, one loop with its own stack, keeps one record per node it
+reaches: the node's slot under each permutation and, from its second
+reach, its plan, from which every later reach resolves the children.  An
+unfolded tree reaches each node once and never builds a plan.
 A tape has one root per expression.  ``evaluate`` keeps a one-root tape
 on the EFun; a sampled check compiles its expressions into one joint tape
-(``joint_tape``) so that an operation they share runs once per point.
+(``sample_agreement``) so that an operation they share runs once per point.
 Every replay computes the forms first, then one table of theta values
 keyed by distinct form value, then the ops in the order of the walks,
 so deep operator composites cost one pass over their distinct
@@ -399,12 +396,6 @@ def random_point(space: VarSpace, rng: Random, params: ModularParams) -> PointAs
 # is one Demazure step, a[0] a[1] + a[2] a[3] over its four factors' slots.
 _DOT2, _DELTA, _INV_THETA, _THETA, _PRODUCT, _SUM = range(6)
 
-# id(node) * stride + permutation number keys the compile memo.  It is unique
-# while there are fewer permutations than the stride, and the odd stride
-# spreads the 16-byte aligned ids over the dict's hash bits.
-_PERM_STRIDE = (1 << 32) + 1
-
-
 class _Tape(Frozen):
     """A straight-line program computing one or more expressions at any point.
 
@@ -507,32 +498,35 @@ def _walk_children(node) -> tuple[int, tuple]:
     return _SUM, kids
 
 
-# plans[id(node)] before a node's first reach
-_UNREACHED = object()
+class _Record(dict):
+    """A composite node reached in one compile: its slot under each
+    permutation number it was compiled for and, from its second reach, its
+    plan."""
+
+    plan = None
 
 
 class _Compiler:
     """One walk over the (node, x-permutation) pairs of an expression.
 
-    Composite pairs are memoised under (node id, interned permutation
-    number).  Ops and leaf arguments (forms) are hash-consed, so equal ops
-    share one slot however many pairs reach them.
+    Each composite node reached in one ``tape`` call has one ``_Record``,
+    found by the node's id; a node with no record has not been reached.
+    Ops and leaf arguments (forms) are hash-consed, so equal ops share one
+    slot however many pairs reach them.
 
     One loop (in ``tape``) takes the children of the pair on top of its own
-    stack in turn, and only a composite pair not yet in the memo opens a
-    frame; a pair's op is made when its last child is resolved, so the ops
-    come in the order of a recursive walk.  A node's first reach walks its
-    children as nodes: an XPermuted child steps the permutation, and each
-    leaf makes its op.  An unfolded tree
-    reaches every node once, so it takes only this path.  A node's second
-    reach builds its ``plan``, and every later reach resolves its children
-    from it: a leaf by the images of the x-indices its forms read, a
-    composite child by its memo key under the child's permutation.  A pair
-    whose children all resolve from its plan makes its op without opening a
-    frame.  So a shared DAG costs about one frame per distinct composite
-    pair that has a child not yet compiled.  The loop does not recurse, so
-    its speed does not depend on the depth of the caller's stack, as a
-    recursive walk's does under CPython 3.11."""
+    stack in turn, and only a composite pair missing from its node's record
+    opens a frame, which writes the pair's slot into that record; a pair's
+    op is made when its last child is resolved, so the ops come in the
+    order of a recursive walk.  A node's first reach walks its children as
+    nodes: an XPermuted child steps the permutation, and each leaf makes
+    its op.  An unfolded tree reaches every node once, so it takes only
+    this path.  A node's second reach builds its ``plan``, and every later
+    reach resolves its children from it; a pair whose children all resolve
+    makes its op without opening a frame.  So a shared DAG costs about one
+    frame per distinct composite pair that has a child not yet compiled.
+    The loop does not recurse, so its speed does not depend on the depth
+    of the caller's stack, as a recursive walk's does under CPython 3.11."""
 
     def __init__(self, m: int):
         self.m = m
@@ -561,7 +555,8 @@ class _Compiler:
         the child's twists composed into one permutation getter ``get``
         (None for none): a leaf as (picker of the x-images its forms read
         through the twist, images -> slot memo, leaf, get), a composite
-        child as (None, get, id(child) * _PERM_STRIDE, child)."""
+        child as (None, get, its record, child): the node's first reach
+        has given every composite child a record."""
         code, kids = _walk_children(node)
         entries = []
         for child in kids:
@@ -580,7 +575,7 @@ class _Compiler:
                 pick = itemgetter(*xs) if xs else (lambda perm: ())
                 entries.append((pick, {}, child, get))
             else:
-                entries.append((None, get, id(child) * _PERM_STRIDE, child))
+                entries.append((None, get, self.records[id(child)], child))
         return code, tuple(entries)
 
     def tape(self, nodes: Sequence) -> _Tape:
@@ -591,12 +586,12 @@ class _Compiler:
         perm_ids = self.perm_ids
         ops = self.ops
         leaf_op = self.leaf_op
-        memo: dict[int, int] = {}
-        plans: dict[int, tuple | None] = {}
+        # the records hold node ids, which are unique only while the nodes live
+        records = self.records = {}
 
-        def resolve(entries, perm, pid, slots, memo=memo, perm_ids=perm_ids, leaf_op=leaf_op):
+        def resolve(entries, perm, pid, slots, perm_ids=perm_ids, leaf_op=leaf_op):
             """Append the slot of each plan entry in turn at perm; the first
-            composite pair not yet compiled stops it, as (node, memo key,
+            composite pair not yet compiled stops it, as (node, record,
             permutation, number).  The defaults make the hot names locals."""
             for pick, a, b, c in entries:
                 if pick is not None:
@@ -610,19 +605,18 @@ class _Compiler:
                     else:
                         p = a(perm)
                         q = perm_ids.setdefault(p, len(perm_ids))
-                    key = b + q
-                    slot = memo.get(key)
+                    slot = b.get(q)
                     if slot is None:
-                        return c, key, p, q
+                        return c, b, p, q
                 slots.append(slot)
             return None
 
         stack = []
-        # the composite pair being built: its op code and memo key, the
-        # iterator over its children (plan entries when planned), its
-        # permutation and number, and the slots of the children resolved so
-        # far; then a composite child pair not yet compiled
-        code, pkey, kids, planned, slots = None, None, iter(nodes), False, []
+        # the composite pair being built: its op code, its node's record (None
+        # for the roots), its children (plan entries when planned), its
+        # permutation and number, and the slots resolved so far; then a
+        # composite child pair not yet compiled (record None: first reach)
+        code, record, kids, planned, slots = None, None, iter(nodes), False, []
         miss = None
         while True:
             if miss is None:
@@ -641,46 +635,47 @@ class _Compiler:
                         if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
                             slots.append(leaf_op(node, p))
                             continue
-                        key = id(node) * _PERM_STRIDE + q
-                        slot = memo.get(key)
-                        if slot is not None:
-                            slots.append(slot)
-                            continue
-                        if kind is not Product and kind is not Sum:
+                        rec = records.get(id(node))
+                        if rec is not None:
+                            slot = rec.get(q)
+                            if slot is not None:
+                                slots.append(slot)
+                                continue
+                        elif kind is not Product and kind is not Sum:
                             raise TypeError(f"unknown node {node!r}")
-                        miss = node, key, p, q
+                        miss = node, rec, p, q
                         break
                 if miss is None:
-                    if pkey is None:
+                    if record is None:
                         return _Tape(tuple(self.forms), tuple(ops), self.leaves, tuple(slots))
-                    slot = memo[pkey] = ops.setdefault((code, tuple(slots), None), len(ops))
-                    code, pkey, kids, planned, perm, pid, slots = stack.pop()
+                    slot = record[pid] = ops.setdefault((code, tuple(slots), None), len(ops))
+                    code, record, kids, planned, perm, pid, slots = stack.pop()
                     slots.append(slot)
                     continue
-            node, key, p, q = miss
-            plan = plans.get(id(node), _UNREACHED)
-            if plan is _UNREACHED:
+            node, rec, p, q = miss
+            if rec is None:
                 # the node's first reach walks its children as nodes
-                plans[id(node)] = None
-                stack.append((code, pkey, kids, planned, perm, pid, slots))
+                stack.append((code, record, kids, planned, perm, pid, slots))
                 code, kids = _walk_children(node)
-                pkey, kids, planned, perm, pid, slots = key, iter(kids), False, p, q, []
+                record = records[id(node)] = _Record()
+                kids, planned, perm, pid, slots = iter(kids), False, p, q, []
                 miss = None
                 continue
+            plan = rec.plan
             if plan is None:
-                plan = plans[id(node)] = self.plan(node)
+                plan = rec.plan = self.plan(node)
             kcode, entries = plan
             entries = iter(entries)
             got = []
             miss = resolve(entries, p, q, got)
             if miss is None:
-                slot = memo[key] = ops.setdefault((kcode, tuple(got), None), len(ops))
+                slot = rec[q] = ops.setdefault((kcode, tuple(got), None), len(ops))
                 slots.append(slot)
                 continue
             # a child of the pair is not compiled yet: the pair opens a frame
             # at the entry after the resolved ones
-            stack.append((code, pkey, kids, planned, perm, pid, slots))
-            code, pkey, kids, planned, perm, pid, slots = kcode, key, entries, True, p, q, got
+            stack.append((code, record, kids, planned, perm, pid, slots))
+            code, record, kids, planned, perm, pid, slots = kcode, rec, entries, True, p, q, got
 
 
 def joint_tape(fs: Sequence[EFun]) -> _Tape:
@@ -743,25 +738,28 @@ def worst_residual(residuals: Iterable[float]) -> float:
 
 
 def sample_agreement(
-    groups: Sequence[Sequence[EFun]],
+    space: VarSpace,
+    groups: Sequence[Sequence[object]],
     params: ModularParams,
     rng: Random,
     samples: int = 32,
+    residual: Callable[[complex, complex], float] = relative_residual,
 ) -> tuple[float, int]:
-    """Max pairwise relative residual within each group of expressions over
-    shared points: all groups go on one ``joint_tape``, replayed at one
-    point stream, and a redraw replaces the point for all of them.  Returns
-    (max residual, number of redraws)."""
-    fs, parts = [], []
+    """The worst ``residual(a, b)`` over the values of each pair of nodes
+    a, b (a first) within each group at shared points: all groups' nodes,
+    over ``space``, go on one tape, replayed at one point stream, and a
+    redraw replaces the point for all of them.  Returns (worst residual,
+    number of redraws)."""
+    nodes, parts = [], []
     for group in groups:
-        parts.append(slice(len(fs), len(fs) + len(group)))
-        fs.extend(group)
-    tape = joint_tape(fs)
+        parts.append(slice(len(nodes), len(nodes) + len(group)))
+        nodes.extend(group)
+    tape = _Compiler(space.m).tape(nodes)
     points, redraws = sample(
-        lambda r: evaluate_many(tape, random_point(fs[0].space, r, params)), samples, rng
+        lambda r: evaluate_many(tape, random_point(space, r, params)), samples, rng
     )
     residuals = (
-        relative_residual(a, b)
+        residual(a, b)
         for vals in points
         for part in parts
         for a, b in combinations(vals[part], 2)

@@ -7,10 +7,11 @@ fails.  All of them sample through ``efun.sample``: one seeded stream per
 check, points drawn from the [-0.4, 0.4]² box by ``efun.draw``, and a whole
 sample drawn again on a theta zero, up to ``RESAMPLE_CAP`` times, counted in
 the report.  Checks are deterministic for a fixed seed.  The operator and
-class identities replay one tape per check at ``efun.random_point`` draws
-(every symbol of the check's space, in order): the operator sides are
-``efun.demazure_node`` composites, the two vanishing classes share a tape,
-and word independence puts a whole orbit lattice on one.
+class identities compare nodes through ``efun.sample_agreement``, one tape
+per check replayed at ``efun.random_point`` draws (every symbol of the
+check's space, in order): the operator sides are ``efun.demazure_node``
+composites, the two vanishing classes share a tape, and word independence
+puts a whole orbit lattice on one.
 """
 
 from __future__ import annotations
@@ -26,17 +27,13 @@ from .efun import (
     EFun,
     Product,
     ThetaLeaf,
-    _Compiler,
     demazure,
     demazure_diamond,
     demazure_node,
     draw,
     ell_class,
     ell_min,
-    evaluate_many,
-    joint_tape,
     mu_permuted,
-    random_point,
     relative_residual,
     sample,
     sample_agreement,
@@ -192,13 +189,6 @@ def check_monstrous(
 # operator-level identities (untyped: drawn characters need not be admissible)
 
 
-def _operator_report(name, space, sides, samples, tol, params, seed) -> IdentityReport:
-    """Compare the two side nodes on one tape at ``random_point`` draws."""
-    tape = _Compiler(space.m).tape(sides)
-    one = lambda rng: relative_residual(*evaluate_many(tape, random_point(space, rng, params)))
-    return _sampled_report(name, one, samples, tol, seed)
-
-
 def check_braid_operator(
     samples: int = 100,
     tol: float = 1e-8,
@@ -216,7 +206,8 @@ def check_braid_operator(
     op = demazure_node
     lhs = op(1, nu, op(2, mu + nu, op(1, mu, f)))
     rhs = op(2, mu, op(1, mu + nu, op(2, nu, f)))
-    return _operator_report("braid_operator", space, (lhs, rhs), samples, tol, params, seed)
+    worst, redraws = sample_agreement(space, [(lhs, rhs)], params, Random(seed), samples)
+    return IdentityReport.make("braid_operator", samples, worst, tol, redraws)
 
 
 def check_quadratic_operator(
@@ -233,7 +224,8 @@ def check_quadratic_operator(
     f = Product((DeltaLeaf(x(1) - x(2), c1), ThetaLeaf(x(1) + x(2).scale(2) + c2)))
     lhs = demazure_node(1, mu, demazure_node(1, -mu, f))
     rhs = Product((DeltaLeaf(h, mu), DeltaLeaf(h, -mu), f))
-    return _operator_report("quadratic_operator", space, (lhs, rhs), samples, tol, params, seed)
+    worst, redraws = sample_agreement(space, [(lhs, rhs)], params, Random(seed), samples)
+    return IdentityReport.make("quadratic_operator", samples, worst, tol, redraws)
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +267,8 @@ def check_flip(
     lhs, rhs = flip_sides(m, r, k)
     if lhs.qtype != rhs.qtype:
         return IdentityReport.make(name, 0, math.inf, tol)
-    worst, resamples = sample_agreement([[lhs, rhs]], params, Random(seed), samples)
+    sides = [[lhs.node, rhs.node]]
+    worst, resamples = sample_agreement(lhs.space, sides, params, Random(seed), samples)
     return IdentityReport.make(name, samples, worst, tol, resamples)
 
 
@@ -323,17 +316,18 @@ def check_word_independence(
     point for all arc sets.  The report counts samples times arc sets
     compared."""
     name = f"word_independence_{m}_{r}"
+    space = VarSpace(m, r)
     groups = []
-    for _, edges in edge_candidates(m, r, VarSpace(m, r)):
+    for _, edges in edge_candidates(m, r, space):
         multisets = {tuple(sorted(str(nu) for nu in nus)) for nus, _ in edges}
         classes = [cls for _, cls in edges]
         if len(multisets) != 1 or any(c.qtype != classes[0].qtype for c in classes):
             return IdentityReport.make(name, 0, math.inf, tol)
         if len(classes) > 1:
-            groups.append(classes)
+            groups.append([c.node for c in classes])
     if not groups:
         return IdentityReport.make(name, 0, 0.0, tol)
-    worst, redraws = sample_agreement(groups, params, Random(seed), samples)
+    worst, redraws = sample_agreement(space, groups, params, Random(seed), samples)
     return IdentityReport.make(name, samples * len(groups), worst, tol, redraws)
 
 
@@ -384,16 +378,16 @@ def check_vanishing(
     seed: int = 0,
 ) -> IdentityReport:
     """Both ``vanishing_classes`` evaluate to zero at one stream of points on
-    one tape, each scaled by the summand before it: its cancelling pair's first."""
-    fs = []
-    for zero in vanishing_classes():
-        fs += [EFun(zero.node.children[0], zero.qtype), zero]
-    tape = joint_tape(fs)
-    trial = lambda r: evaluate_many(tape, random_point(fs[0].space, r, params))
-    values, redraws = sample(trial, samples, Random(seed))
-    pairs = (pair for vals in values for pair in zip(vals[::2], vals[1::2]))
-    residuals = (abs(zv) / max(abs(tv), RESIDUAL_FLOOR) for tv, zv in pairs)
-    return IdentityReport.make("vanishing", 2 * samples, worst_residual(residuals), tol, redraws)
+    one tape, each scaled by the summand before it: its cancelling pair's
+    first.  Each class and that summand are one group of ``sample_agreement``,
+    with the residual |z| / max(|t|, RESIDUAL_FLOOR) of class value z and
+    summand value t."""
+    zeros = vanishing_classes()
+    groups = [[zero.node.children[0], zero.node] for zero in zeros]
+    residual = lambda t, z: abs(z) / max(abs(t), RESIDUAL_FLOOR)
+    rng = Random(seed)
+    worst, redraws = sample_agreement(zeros[0].space, groups, params, rng, samples, residual)
+    return IdentityReport.make("vanishing", 2 * samples, worst, tol, redraws)
 
 
 # --------------------------------------------------------------------------

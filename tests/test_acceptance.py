@@ -180,7 +180,7 @@ def test_criterion_6_lattice_reproduction():
             assert len({q.sigma for q in pres}) == 2
             classes = [ell_class_from_presentation(q) for q in pres]
             assert all(c.qtype == classes[0].qtype for c in classes)
-            worst, _ = sample_agreement([classes], P, rng, 50)
+            worst, _ = sample_agreement(classes[0].space, [[c.node for c in classes]], P, rng, 50)
             assert worst < 1e-8, (arcs, worst)
 
 
@@ -279,7 +279,7 @@ def test_criterion_10_weight_function():
         display_rtv = substitute_symbols(display, mapping)
         wf = weight_function(minimal_pattern(5, 2), rtv_substitution=True)
         assert wf.qtype == display_rtv.qtype
-        worst, _ = sample_agreement([[wf, display_rtv]], P, Random(0), 50)
+        worst, _ = sample_agreement(wf.space, [[wf.node, display_rtv.node]], P, Random(0), 50)
         assert worst < 1e-8, worst
 
 

@@ -304,7 +304,7 @@ def test_failing_residual_is_strict_json(monkeypatch, capsys):
     nan = float("nan")
     # one value per root of the vanishing tape: summand, class, summand, class
     stub = lambda tape, pt: [1.0, nan, 1.0, nan]
-    monkeypatch.setattr("ellink.identities.evaluate_many", stub)
+    monkeypatch.setattr("ellink.efun.evaluate_many", stub)
     assert main(["verify", "vanishing", "--samples", "10"]) == 1
     out = capsys.readouterr().out
     (report,) = json.loads(out, parse_constant=_reject_constant)

@@ -1,9 +1,12 @@
 """Typed expression trees, Demazure operators, and elliptic classes."""
 
+import gc
 import hashlib
 import inspect
 import json
 import re
+import sys
+import tracemalloc
 from functools import lru_cache
 from random import Random
 
@@ -233,7 +236,7 @@ def test_demazure_reduced():
     # inverse parameter gives the identity
     g2 = demazure_reduced(1, admissible_mu(g.qtype, 1), g)
     assert g2.qtype == f.qtype
-    worst, _ = sample_agreement([[g2, f]], P, Random(7), 32)
+    worst, _ = sample_agreement(g2.space, [[g2.node, f.node]], P, Random(7), 32)
     assert worst < 1e-8
     # type differs from the unreduced operator by -mu h
     assert g.qtype == demazure(1, mu, f).qtype - qf_of_delta(mu, sp.h())
@@ -247,7 +250,7 @@ def test_diamond_uses_inferred_character():
     g = demazure_diamond(1, f)
     expected = demazure(1, SP.mu(1) - SP.mu(2), f)
     assert g.qtype == expected.qtype
-    worst, _ = sample_agreement([[g, expected]], P, Random(8), 10)
+    worst, _ = sample_agreement(g.space, [[g.node, expected.node]], P, Random(8), 10)
     assert worst == 0.0
 
 
@@ -257,7 +260,7 @@ def test_diamond_braid_composite():
     lhs = demazure_diamond(1, demazure_diamond(2, demazure_diamond(1, f)))
     rhs = demazure_diamond(2, demazure_diamond(1, demazure_diamond(2, f)))
     assert lhs.qtype == rhs.qtype
-    worst, _ = sample_agreement([[lhs, rhs]], P, Random(9), 50)
+    worst, _ = sample_agreement(lhs.space, [[lhs.node, rhs.node]], P, Random(9), 50)
     assert worst < 1e-8
 
 
@@ -265,7 +268,7 @@ def test_ell_class_of_minimal_is_starting_product():
     f = ell_class(minimal_pattern(8, 2), SP)
     g = ell_min(8, 2, SP)
     assert f.qtype == g.qtype
-    worst, _ = sample_agreement([[f, g]], P, Random(10), 10)
+    worst, _ = sample_agreement(f.space, [[f.node, g.node]], P, Random(10), 10)
     assert worst == 0.0
 
 
@@ -281,7 +284,7 @@ def test_ell_class_presentation_independent():
             continue
         classes = [ell_class_from_presentation(pr) for pr in presentations]
         assert all(c.qtype == classes[0].qtype for c in classes)
-        worst, _ = sample_agreement([classes], P, rng, 50)
+        worst, _ = sample_agreement(classes[0].space, [[c.node for c in classes]], P, rng, 50)
         assert worst < 1e-8, (p.arcs, worst)
 
 
@@ -522,6 +525,26 @@ def test_plans_are_built_on_a_second_reach(pattern, shared, monkeypatch):
             stack.extend((child, perm) for child in efun._walk_children(node)[1])
     assert bool(built) == shared
     assert sorted(built) == sorted(n for n, ps in perms.items() if len(ps) > 1)
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="the bound is measured on CPython 3.11",
+)
+def test_compile_memory_is_bounded():
+    """The tracemalloc peak of compiling the sample workload's (8,4) class
+    stays under 7.0 MB (6.62 MB with one record per reached node).  A full
+    collection first empties the free lists, so that every object the
+    compile makes is traced and the peak repeats exactly."""
+    f = ell_class(parse_pattern("8,4:1>5,2>6,3>7,4>8"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        joint_tape([f])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.0e6
 
 
 @pytest.mark.parametrize("pattern", list(TAPE_SIZES))

@@ -184,26 +184,27 @@ def test_edge_check_covers_every_minimal_presentation(monkeypatch, m, r):
         want = {_multiset(nu_list(q)) for q in all_minimal_presentations(p)}
         assert {_multiset(nus) for nus, _ in edges} == want
         classes = [ell_class(p, space)] + [cls for _, cls in edges]
-        worst, _ = sample_agreement([classes], P, rng, 2)
+        worst, _ = sample_agreement(classes[0].space, [[c.node for c in classes]], P, rng, 2)
         assert worst < 1e-8, (m, r, p)
 
 
 def _record_lattice_tapes(monkeypatch):
-    """Record what check_word_independence walks and every joint_tape it
+    """Record what check_word_independence walks and every tape it
     compiles: (arc set, edges) pairs, and (roots, tape) pairs."""
     seen, tapes = [], []
+    compile_tape = _Compiler.tape
 
     def recorded(*args):
         for item in edge_candidates(*args):
             seen.append(item)
             yield item
 
-    def counted(fs):
-        tapes.append((list(fs), joint_tape(fs)))
+    def counted(self, nodes):
+        tapes.append((list(nodes), compile_tape(self, nodes)))
         return tapes[-1][1]
 
     monkeypatch.setattr("ellink.identities.edge_candidates", recorded)
-    monkeypatch.setattr("ellink.efun.joint_tape", counted)
+    monkeypatch.setattr(_Compiler, "tape", counted)
     return seen, tapes
 
 
@@ -214,6 +215,7 @@ def test_word_independence_compiles_one_lattice_tape(monkeypatch, m, r, compiled
     what the arc set's own joint_tape gives."""
     seen, tapes = _record_lattice_tapes(monkeypatch)
     rep = check_word_independence(m, r, 1e-8, 2, P, seed=0)
+    monkeypatch.undo()
     assert rep.passed
     assert len(tapes) == compiled
     own = [joint_tape([cls for _, cls in edges]) for _, edges in seen if len(edges) > 1]
@@ -329,7 +331,7 @@ def _replayed(monkeypatch, check, samples):
         seen.append((pt, evaluate_many(tape, pt)))
         return seen[-1][1]
 
-    monkeypatch.setattr("ellink.identities.evaluate_many", recorded)
+    monkeypatch.setattr("ellink.efun.evaluate_many", recorded)
     assert check(samples, 1e-8, P, seed=0).passed
     return seen
 
@@ -530,7 +532,8 @@ def test_redraws_are_pinned(suite):
 
 
 def test_sample_agreement_redraws_are_pinned():
-    worst, redraws = sample_agreement([list(flip_sides(6, 3, 1))], GUARDED, Random(5), 20)
+    lhs, rhs = flip_sides(6, 3, 1)
+    worst, redraws = sample_agreement(lhs.space, [[lhs.node, rhs.node]], GUARDED, Random(5), 20)
     assert (worst, redraws) == (6.676358850154217e-15, 4)
 
 
@@ -538,8 +541,9 @@ def test_sample_agreement_compares_within_groups_only():
     """Groups share one tape and one point stream, but an expression is
     compared only with the others of its own group."""
     f, g = flip_sides(4, 2, 1)[0], ell_min(4, 2)
-    assert sample_agreement([[f, f], [g, g]], P, Random(0), 4) == (0.0, 0)
-    worst, _ = sample_agreement([[f, g]], P, Random(0), 4)
+    groups = [[f.node, f.node], [g.node, g.node]]
+    assert sample_agreement(f.space, groups, P, Random(0), 4) == (0.0, 0)
+    worst, _ = sample_agreement(f.space, [[f.node, g.node]], P, Random(0), 4)
     assert worst > 1e-3
 
 
@@ -563,11 +567,11 @@ def test_nan_residual_fails_the_report(monkeypatch):
 
     f = ell_min(4, 2)
     monkeypatch.setattr("ellink.efun.evaluate_many", lambda tape, pt: [1.0, math.nan])
-    worst, _ = sample_agreement([[f, f]], P, Random(0), 3)
+    worst, _ = sample_agreement(f.space, [[f.node, f.node]], P, Random(0), 3)
     assert worst == math.inf
 
     # one value per root of the vanishing tape: summand, class, summand, class
     stub = lambda tape, pt: [1.0, math.nan, 1.0, math.nan]
-    monkeypatch.setattr("ellink.identities.evaluate_many", stub)
+    monkeypatch.setattr("ellink.efun.evaluate_many", stub)
     r = check_vanishing(10, 1e-10, P, 0)
     assert (r.max_relative_residual, r.passed) == (math.inf, False)

@@ -129,7 +129,7 @@ def test_reduced_class_expansion(n):
                 factors.append(inv_theta_leaf(y(i) - y(j) + sp.h()))
     display = efun_product(*factors)
     assert rc.qtype == display.qtype
-    worst, _ = sample_agreement([[rc, display]], P, Random(3), 30)
+    worst, _ = sample_agreement(rc.space, [[rc.node, display.node]], P, Random(3), 30)
     assert worst < 1e-8
 
 
@@ -148,7 +148,7 @@ def test_reduced_class_recursion_and_character():
             stepped = demazure_diamond(i, cur)
             direct = reduced_class(nxt)
             assert stepped.qtype == direct.qtype
-            worst, _ = sample_agreement([[stepped, direct]], P, Random(4), 25)
+            worst, _ = sample_agreement(stepped.space, [[stepped.node, direct.node]], P, Random(4), 25)
             assert worst < 1e-8
             pat, cur = nxt, stepped
 
@@ -447,7 +447,7 @@ def test_r_matrix_recursion_explicit_form():
         )
         direct = reduced_class(nxt)
         assert two_term.qtype == direct.qtype
-        worst, _ = sample_agreement([[two_term, direct]], P, Random(9), 25)
+        worst, _ = sample_agreement(two_term.space, [[two_term.node, direct.node]], P, Random(9), 25)
         assert worst < 1e-8
 
 
@@ -469,7 +469,7 @@ def test_bott_samelson_recursion_n2():
         efun_product(delta_leaf(y2 - y1, h), sysmu),
     )
     assert bs.qtype == rc_s1.qtype
-    worst, _ = sample_agreement([[bs, rc_s1]], P, Random(10), 30)
+    worst, _ = sample_agreement(bs.space, [[bs.node, rc_s1.node]], P, Random(10), 30)
     assert worst < 1e-8
 
 
@@ -493,7 +493,7 @@ def test_weight_function_example_n3():
     )
     raw = weight_function(p, rtv_substitution=False)
     assert raw.qtype == display.qtype
-    worst, _ = sample_agreement([[raw, display]], P, Random(11), 50)
+    worst, _ = sample_agreement(raw.space, [[raw.node, display.node]], P, Random(11), 50)
     assert worst < 1e-8
 
     # with the dynamical substitution applied to both sides
@@ -501,7 +501,7 @@ def test_weight_function_example_n3():
     wf = weight_function(p, rtv_substitution=True)
     display_rtv = substitute_symbols(display, mapping)
     assert wf.qtype == display_rtv.qtype
-    worst, _ = sample_agreement([[wf, display_rtv]], P, Random(12), 50)
+    worst, _ = sample_agreement(wf.space, [[wf.node, display_rtv.node]], P, Random(12), 50)
     assert worst < 1e-8
 
 
@@ -512,7 +512,7 @@ def test_weight_function_r_matrix_recursion():
     stepped = demazure_diamond(1, wf)
     direct = weight_function(act_nodes(transposition(5, 1), p), rtv_substitution=False)
     assert stepped.qtype == direct.qtype
-    worst, _ = sample_agreement([[stepped, direct]], P, Random(13), 25)
+    worst, _ = sample_agreement(stepped.space, [[stepped.node, direct.node]], P, Random(13), 25)
     assert worst < 1e-8
 
 

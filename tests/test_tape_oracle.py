@@ -121,10 +121,18 @@ def test_lattice_4_2_classes_match_the_oracle():
     "build",
     [
         lambda: ell_class(parse_pattern("8,4:1>5,2>6,3>7,4>8")),
+        lambda: ell_class(parse_pattern("6,2:2>6,5>3")),
+        lambda: ell_class(parse_pattern("8,4:3>6,4>1,5>2,8>7")),
         lambda: restrict_fixed_point(reduced_class(parse_pattern("6,3:4>3,5>2,6>1")), (2, 3, 1)),
         lambda: weight_function(parse_pattern("7,3:5>4,6>3,7>2")),
     ],
-    ids=["untwisted (8,4)", "restriction n=3", "weight function n=4"],
+    ids=[
+        "untwisted (8,4)",
+        "twisted (6,2)",
+        "twisted (8,4)",
+        "restriction n=3",
+        "weight function n=4",
+    ],
 )
 @needs_mpmath
 def test_float_tape_matches_the_oracle(build):
