@@ -2,11 +2,11 @@
 
 Every command writes a single JSON document (or array) to stdout or to
 ``--out``; every failure is a structured JSON error object and a nonzero
-exit status.  Complex numbers are serialised as [re, im] pairs of decimal
-strings with 17 significant digits so doubles round-trip exactly.  The
-output is strict JSON: a report writes a failing residual that is not
-finite as null, and any other NaN or infinite float is refused as a
-structured error.
+exit status, written to stdout when ``--out`` cannot be written.  Complex
+numbers are serialised as [re, im] pairs of decimal strings with 17
+significant digits so doubles round-trip exactly.  The output is strict
+JSON: a report writes a failing residual that is not finite as null, and
+any other NaN or infinite float is refused as a structured error.
 """
 
 from __future__ import annotations
@@ -267,51 +267,53 @@ def _emit(doc, out_path: str | None):
         sys.stdout.write(text + "\n")
 
 
+def _run(args) -> tuple[object, int]:
+    """The command's JSON document and exit status."""
+    if args.command == "orbits":
+        return cmd_orbits(args.size), 0
+    if args.command == "multiplicities":
+        return cmd_multiplicities(args.pattern, args.lam), 0
+    config = RunConfig(
+        tau=complex(0.0, args.tau_im),
+        tol=getattr(args, "tol", DEFAULT_TOL),
+        samples=args.samples,
+        seed=args.seed,
+    )
+    if args.command == "compute":
+        return cmd_compute(args.pattern, config), 0
+    if args.command == "verify":
+        reports, ok = cmd_verify(args.suite, config)
+        return reports, 0 if ok else 1
+    if args.command == "restrict":
+        return cmd_restrict(args.pattern, args.sigma, args.raw_mu, config), 0
+    if args.command == "weights":
+        return cmd_weights(args.pattern, not args.no_rtv, config), 0
+    raise UsageError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     out_path = None
     try:
         args = _build_parser().parse_args(argv)
         out_path = args.out
-        if args.command == "orbits":
-            _emit(cmd_orbits(args.size), out_path)
-            return 0
-        if args.command == "multiplicities":
-            _emit(cmd_multiplicities(args.pattern, args.lam), out_path)
-            return 0
-        config = RunConfig(
-            tau=complex(0.0, args.tau_im),
-            tol=getattr(args, "tol", DEFAULT_TOL),
-            samples=args.samples,
-            seed=args.seed,
-        )
-        if args.command == "compute":
-            _emit(cmd_compute(args.pattern, config), out_path)
-            return 0
-        if args.command == "verify":
-            reports, ok = cmd_verify(args.suite, config)
-            _emit(reports, out_path)
-            return 0 if ok else 1
-        if args.command == "restrict":
-            _emit(cmd_restrict(args.pattern, args.sigma, args.raw_mu, config), out_path)
-            return 0
-        if args.command == "weights":
-            _emit(cmd_weights(args.pattern, not args.no_rtv, config), out_path)
-            return 0
-        raise UsageError(f"unknown command {args.command!r}")
+        doc, code = _run(args)
+        _emit(doc, out_path)
+        return code
     except UsageError as exc:
-        _emit({"error": {"kind": "usage", "message": str(exc)}}, out_path)
-        return 2
+        kind, message = "usage", str(exc)
     except (PatternError, ValueError, ArithmeticError, KeyError) as exc:
-        _emit(
-            {"error": {"kind": type(exc).__name__, "message": str(exc)}},
-            out_path,
-        )
-        return 2
+        kind, message = type(exc).__name__, str(exc)
     except (RecursionError, MemoryError) as exc:
         # The work outgrew the interpreter; by now its frames are unwound.
-        message = str(exc) or "out of memory"
-        _emit({"error": {"kind": type(exc).__name__, "message": message}}, out_path)
-        return 2
+        kind, message = type(exc).__name__, str(exc) or "out of memory"
+    except OSError as exc:
+        # --out cannot be written, so the error goes to stdout
+        kind, message, out_path = type(exc).__name__, str(exc), None
+    try:
+        _emit({"error": {"kind": kind, "message": message}}, out_path)
+    except OSError as exc:
+        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, None)
+    return 2
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ Permutation nodes accumulate lazily.  Evaluation compiles expressions into
 a tape: one walk per root threads the composed permutation down to the
 leaves, visits each (node, permutation) pair once, and records a
 straight-line program of six opcodes, one op per Demazure step: equal
-ops share one slot, and each distinct leaf argument is one linear form.
+ops share one slot, and so do equal linear forms among leaf arguments.
 The compiler, one loop with its own stack, keeps one record per node it
 reaches: the node's slot under each permutation and, from its second
 reach, its plan, from which every later reach resolves the children.  An
@@ -39,12 +39,11 @@ unfolded tree reaches each node once and never builds a plan.
 A tape has one root per expression.  ``evaluate`` keeps a one-root tape
 on the EFun; a sampled check compiles its expressions into one joint tape
 (``sample_agreement``) so that an operation they share runs once per point.
-Every replay computes the forms first, then one table of theta values
-keyed by distinct form value, then the ops in the order of the walks,
-so deep operator composites cost one pass over their distinct
-operations per point.  The replay performs the walk's products and sums
-but not a Demazure step's identity accumulators (0 + 1 p q + 1 r s),
-which only set the sign of a zero.
+Every replay computes the forms first, then one theta per form slot, then
+the ops in the order of the walks, so deep operator composites cost one
+pass over their distinct operations per point.  The replay performs the
+walk's products and sums but not a Demazure step's identity accumulators
+(0 + 1 p q + 1 r s), which only set the sign of a zero.
 """
 
 from __future__ import annotations
@@ -401,15 +400,13 @@ class _Tape(Frozen):
 
     ``forms`` are the distinct linear forms of the leaf arguments, each a
     tuple of (value index, coefficient) pairs with the x-permutation already
-    applied.  ``ops`` run in the order the recursive walk over (node,
-    x-permutation) pairs first reaches them, and a replay performs that
-    walk's products and sums, not its identity accumulators: a Demazure
-    step, two binary products and their sum, is one ``_DOT2`` op computed as
-    p q + r s, where the walk computed 0 + 1 p q + 1 r s, so on finite
-    values the two differ at most in the sign of a zero part.  Forms are
-    keyed by their permuted term order, so two forms may share a value;
-    theta is computed once per distinct form value, and once per delta leaf
-    for its sum.
+    applied, sorted by index.  Theta is computed once per form slot, and
+    once per delta leaf for its sum.  ``ops`` run in the order the recursive
+    walk over (node, x-permutation) pairs first reaches them, and a replay
+    performs that walk's products and sums, not its identity accumulators:
+    a Demazure step, two binary products and their sum, is one ``_DOT2`` op
+    computed as p q + r s, where the walk computed 0 + 1 p q + 1 r s, so on
+    finite values the two differ at most in the sign of a zero part.
     ``leaves`` maps the slot of each leaf op to the first node that produced
     it, for the PoleProximity message.  ``roots`` are the slots of the
     expressions' values, in order.  Two tapes are equal only when they are
@@ -427,7 +424,7 @@ class _Tape(Frozen):
 
     def run(self, pt: PointAssignment) -> list[complex]:
         """The value of each root at pt.  The leaf ops read ``thetas``, one
-        theta per distinct form value; a delta op calls theta on its sum."""
+        theta per form slot; a delta op calls theta on its sum."""
         values = pt.values
         params = pt.params
         norm = params.mult_norm
@@ -439,7 +436,7 @@ class _Tape(Frozen):
             for i, c in terms:
                 acc += c * values[i]
             forms.append(acc)
-        thetas = {x: theta(x, params) for x in dict.fromkeys(forms)}
+        thetas = [theta(x, params) for x in forms]
         out: list[complex] = []
         push = out.append
         # n-ary products start from 1 + 0j and sums from 0j, as the
@@ -451,18 +448,16 @@ class _Tape(Frozen):
                 p, q, r, s = a
                 push(out[p] * out[q] + out[r] * out[s])
             elif code == _DELTA:
-                x = forms[a]
-                y = forms[b]
-                tx = thetas[x]
-                ty = thetas[y]
+                tx = thetas[a]
+                ty = thetas[b]
                 if abs(tx) < floor or abs(ty) < floor:
                     leaf = self.leaves[len(out)]
                     raise PoleProximity(
                         f"delta leaf ({leaf.a}, {leaf.b}) too close to a theta zero"
                     )
-                push(norm * theta(x + y, params) / (tx * ty))
+                push(norm * theta(forms[a] + forms[b], params) / (tx * ty))
             elif code == _INV_THETA:
-                t = thetas[forms[a]]
+                t = thetas[a]
                 if abs(t) < floor:
                     leaf = self.leaves[len(out)]
                     raise PoleProximity(
@@ -470,7 +465,7 @@ class _Tape(Frozen):
                     )
                 push(norm / t)
             elif code == _THETA:
-                push(thetas[forms[a]] / norm)
+                push(thetas[a] / norm)
             elif code == _PRODUCT:
                 v = one
                 for s in a:
@@ -511,8 +506,8 @@ class _Compiler:
 
     Each composite node reached in one ``tape`` call has one ``_Record``,
     found by the node's id; a node with no record has not been reached.
-    Ops and leaf arguments (forms) are hash-consed, so equal ops share one
-    slot however many pairs reach them.
+    Ops and leaf arguments (forms, keyed by their terms in index order) are
+    hash-consed, so equal ops share one slot however many pairs reach them.
 
     One loop (in ``tape``) takes the children of the pair on top of its own
     stack in turn, and only a composite pair missing from its node's record
@@ -537,8 +532,9 @@ class _Compiler:
 
     def form(self, lf: LinearForm, perm: tuple[int, ...]) -> int:
         m = self.m
-        terms = tuple([(perm[i] - 1 if i < m else i, c) for i, c in lf.float_terms])
-        return self.forms.setdefault(terms, len(self.forms))
+        terms = [(perm[i] - 1 if i < m else i, c) for i, c in lf.float_terms]
+        terms.sort()
+        return self.forms.setdefault(tuple(terms), len(self.forms))
 
     def leaf_op(self, node, perm: tuple[int, ...]) -> int:
         kind = type(node)

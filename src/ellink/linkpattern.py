@@ -161,15 +161,17 @@ def _swap_arcs(arcs: tuple[tuple[int, int], ...], i: int) -> tuple[tuple[int, in
 
 
 class Presentation(Frozen):
-    """pattern = sigma^mu . w . minimal_pattern, with w of minimal length."""
+    """pattern = sigma^mu . w . minimal_pattern, with w the permutation of a
+    word of minimal length."""
 
-    def __init__(
-        self, pattern: LinkPattern, sigma: tuple[int, ...], w: tuple[int, ...], word: tuple[int, ...]
-    ):
+    def __init__(self, pattern: LinkPattern, sigma: tuple[int, ...], word: tuple[int, ...]):
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "w", w)
         object.__setattr__(self, "word", word)
+
+    @cached_property
+    def w(self) -> tuple[int, ...]:
+        return word_to_perm(self.pattern.m, self.word)
 
 
 class OrbitLattice:
@@ -286,7 +288,7 @@ def _presentation_from_word(p: LinkPattern, word: tuple[int, ...]) -> Presentati
     w = word_to_perm(p.m, word)
     shift = p.m - p.r
     sigma = tuple(p.arcs.index((w[shift + j], w[j])) + 1 for j in range(p.r))
-    return Presentation(p, sigma, w, word)
+    return Presentation(p, sigma, word)
 
 
 def _min_words(

@@ -401,3 +401,23 @@ def test_exhausted_redraws_are_a_structured_error(monkeypatch, capsys):
         }
     }
     assert len(trials) == 101
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["compute", "3,1:3>1", "--samples", "1"], "FileNotFoundError"),
+        (["compute", "3,1:3>", "--samples", "1"], "FileNotFoundError"),
+        (["orbits", "4,2"], "IsADirectoryError"),
+    ],
+    ids=["missing-directory", "failed-command", "directory"],
+)
+def test_unwritable_out_path_is_a_structured_error(tmp_path, capsys, argv, kind):
+    """An --out path that cannot be written is reported on stdout, also
+    when the command itself failed and its error was meant for that path."""
+    target = tmp_path if kind == "IsADirectoryError" else tmp_path / "missing" / "x.json"
+    assert main([*argv, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["kind"] == kind and str(target) in error["message"]
+    assert captured.err == ""

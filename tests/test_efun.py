@@ -418,10 +418,10 @@ def _unique_nodes(root) -> int:
 # (ops, forms) of the compiled tape: the three classes of the benchmark's
 # sample workload, and a twisted class, whose label twist unfolds it to a tree
 TAPE_SIZES = {
-    "8,4:1>5,2>6,3>7,4>8": (20826, 151),
-    "7,3:1>5,2>6,3>7": (6592, 124),
-    "8,3:1>6,5>7,8>4": (5182, 133),
-    "6,2:2>6,5>3": (408, 76),
+    "8,4:1>5,2>6,3>7,4>8": (20826, 121),
+    "7,3:1>5,2>6,3>7": (6592, 94),
+    "8,3:1>6,5>7,8>4": (5182, 103),
+    "6,2:2>6,5>3": (408, 64),
 }
 
 
@@ -448,15 +448,15 @@ def _tape_digest(tape) -> str:
 # a class twice (its second root is all memo hits), both flip sides, and the
 # two sides of the braid-operator check
 TAPE_DIGESTS = {
-    "8,4:1>5,2>6,3>7,4>8": "2463f00abde65a9d6c14d4a37781819502f2f5334ee51fe84bf94d442cc1844b",
-    "7,3:1>5,2>6,3>7": "acc0c2a418277e85605712f1be2374e80640118bf10c37a65ceacfd5a14df3d2",
-    "8,3:1>6,5>7,8>4": "71d9037a6a5ded475d828a7d9d8625a0b9ab10c8f06f0b941fc538f45a59f864",
-    "6,2:2>6,5>3": "f5b53afe3911054bedc2b081947e7ecf5f3713f6f7048f0e684610376feaaab7",
-    "4,2 lattice": "0752456116b738bde1e7c6e6e58be3fbd3dcd2545fdff8feb9f1b2545f389247",
-    "5,2 lattice": "277bcd1f4925aec43834489f3346d46490b852523123296f848b8e7e79441259",
-    "7,3:1>5,2>6,3>7 twice": "e7d0b34c5900fea753af7caf6852e6707aab23bae57a26c39b34c1362b459de1",
+    "8,4:1>5,2>6,3>7,4>8": "3557f36eadfd5aa46c019fbfa7daf451cef5a6e813ca4d719b07aabccdf71ccd",
+    "7,3:1>5,2>6,3>7": "2b138d95e67ac4316981e9797fccd6304519143d2aa4684dfd42559cf0143412",
+    "8,3:1>6,5>7,8>4": "74149c79ab6dd1ea431931d651b64b7a0b7aaf8e7e8d43fa4fcbf6894459ad85",
+    "6,2:2>6,5>3": "50edb3d164f60cd989ec20a0e4627a8b79ed5df5e4a7b803db49b38f148b063e",
+    "4,2 lattice": "9c822004ebf20df367839b843870963113f088bba7d102ca977d85f62e85214d",
+    "5,2 lattice": "4eb5f5b5872d7a9b1d834f17aa9f1e79cd899c7d378ba7cd86ea47d5774a4d0e",
+    "7,3:1>5,2>6,3>7 twice": "74c0e4d7cdf102f932210d42d7f490d17d8da66c308965d8b574cd9c58fc08f7",
     "flip 6,3,1": "4e2c0382da97c2e005c9bd9f899faa45f9804d9c2bf4e8e5d035a8b94909be1a",
-    "braid operator": "1209edb6b133fba9c7e8186abdb69b6097c1ca7d89d2c1c960e551032481cbb5",
+    "braid operator": "65c89002e52cc2479d7cca5922ad8d68c49cdfefc6dce5962eac077c95d68437",
 }
 
 
@@ -547,20 +547,22 @@ def test_compile_memory_is_bounded():
     assert peak < 7.0e6
 
 
+@pytest.mark.parametrize("key", [*TAPE_SIZES, "4,2 lattice", "5,2 lattice"])
+def test_one_slot_per_form(key, monkeypatch):
+    """No two form slots of a tape hold the same linear form: the compiler
+    keys each leaf argument by its terms in symbol order."""
+    forms = _pinned_tape(key, monkeypatch).forms
+    assert len({tuple(sorted(terms)) for terms in forms}) == len(forms)
+
+
 @pytest.mark.parametrize("pattern", list(TAPE_SIZES))
 def test_one_theta_per_distinct_argument(pattern, monkeypatch):
-    """A replay calls theta once per distinct value among its leaf
-    arguments and its delta leaves' sums, however many ops read it."""
+    """A replay calls theta once per form slot and once per delta leaf for
+    its sum, however many ops read them."""
     f = ell_class(parse_pattern(pattern))
     tape = joint_tape([f])
     pt = random_point(f.space, Random(7), P)
-    forms = []
-    for terms in tape.forms:
-        acc = 0j
-        for i, c in terms:
-            acc += c * pt.values[i]
-        forms.append(acc)
-    sums = [forms[a] + forms[b] for code, a, b in tape.ops if code == efun._DELTA]
+    deltas = sum(code == efun._DELTA for code, _, _ in tape.ops)
     calls = []
 
     def counted(x, params):
@@ -569,7 +571,7 @@ def test_one_theta_per_distinct_argument(pattern, monkeypatch):
 
     monkeypatch.setattr(efun, "_theta_product", counted)
     tape.run(pt)
-    assert len(calls) == len(set(forms + sums))
+    assert len(calls) == len(tape.forms) + deltas
 
 
 def test_each_demazure_step_is_one_op():
