@@ -54,6 +54,9 @@ class _Parser(argparse.ArgumentParser):
 
 # the residual tolerance of a verify run; other commands do not read it
 DEFAULT_TOL = 1e-8
+# the most sample points a run may ask for: ``sample`` keeps every result
+# until it ends
+MAX_SAMPLES = 1024
 
 
 class RunConfig(Frozen):
@@ -64,8 +67,8 @@ class RunConfig(Frozen):
             ModularParams(tau=tau)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        if samples < 1:
-            raise UsageError("samples must be >= 1")
+        if not 1 <= samples <= MAX_SAMPLES:
+            raise UsageError(f"samples must be in [1, {MAX_SAMPLES}], got {samples}")
         if not (math.isfinite(tol) and tol > 0):
             raise UsageError(f"tol must be finite and positive, got {tol}")
         object.__setattr__(self, "tau", tau)
@@ -217,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tau-im", type=float, default=1.0, metavar="T",
                         help=f"imaginary part of tau, in [{TAU_IM_MIN:g}, {TAU_IM_MAX:g}] (default 1.0)")
         sp.add_argument("--samples", type=int, default=64,
-                        help="sample points per check (default 64)")
+                        help=f"sample points per check, 1 to {MAX_SAMPLES} (default 64)")
         sp.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0)")
         add_out(sp)

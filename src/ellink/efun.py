@@ -1,8 +1,9 @@
 """Typed elliptic expression trees and the parameterised Demazure operators.
 
-An EFun is an immutable expression tree over delta- and theta-leaves whose
-arguments are exact linear forms in the symbols, paired with the exact
-quadratic form (the bundle type) the expression is a section of.  Types are
+An EFun is an immutable expression tree over delta leaves and theta leaves
+(theta or its reciprocal, by the sign of the leaf's power) whose arguments
+are exact linear forms in the symbols, paired with the exact quadratic
+form (the bundle type) the expression is a section of.  Types are
 computed structurally: products add types, a Sum is only accepted when all
 summands carry the same type (purity), a permutation node permutes the
 x-block of the child's type.
@@ -31,7 +32,8 @@ Permutation nodes accumulate lazily.  Evaluation compiles expressions into
 a tape: one walk per root threads the composed permutation down to the
 leaves, visits each (node, permutation) pair once, and records a
 straight-line program of six opcodes, one op per Demazure step: equal
-ops share one slot, and so do equal linear forms among leaf arguments.
+ops share one slot, and so do equal linear forms among leaf arguments;
+a pole error names the slot's argument with its permutation applied.
 The compiler, one loop with its own stack, keeps one record per node it
 reaches: the node's slot under each permutation and, from its second
 reach, its plan, from which every later reach resolves the children.  An
@@ -92,13 +94,13 @@ class DeltaLeaf(Frozen):
 
 
 class ThetaLeaf(Frozen):
-    def __init__(self, a: LinearForm):
-        object.__setattr__(self, "a", a)
+    """theta(a) at power 1, its reciprocal at power -1."""
 
-
-class InvThetaLeaf(Frozen):
-    def __init__(self, a: LinearForm):
+    def __init__(self, a: LinearForm, power: int):
+        if power not in (1, -1):
+            raise ValueError(f"a theta leaf's power is 1 or -1, got {power!r}")
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "power", power)
 
 
 class Product(Frozen):
@@ -146,11 +148,11 @@ def delta_leaf(a: LinearForm, b: LinearForm) -> EFun:
 
 
 def theta_leaf(a: LinearForm) -> EFun:
-    return EFun(ThetaLeaf(a), qf_of_theta(a))
+    return EFun(ThetaLeaf(a, 1), qf_of_theta(a))
 
 
 def inv_theta_leaf(a: LinearForm) -> EFun:
-    return EFun(InvThetaLeaf(a), -qf_of_theta(a))
+    return EFun(ThetaLeaf(a, -1), -qf_of_theta(a))
 
 
 def efun_product(*factors: EFun) -> EFun:
@@ -171,14 +173,6 @@ def _sum_type(qtypes: Sequence[QForm]) -> QForm:
     return qtypes[0]
 
 
-def _twisted(w: tuple[int, ...], node):
-    if isinstance(node, XPermuted):
-        # evaluation applies the outer permutation first, so stacked twists
-        # compose as (w . v)(i) = w(v(i)) with v the inner one
-        return XPermuted(compose(w, node.w), node.child)
-    return XPermuted(w, node)
-
-
 def _fold(node, leaf, join, w=None):
     """The one walk over an expression: rebuild it bottom-up.
 
@@ -189,7 +183,7 @@ def _fold(node, leaf, join, w=None):
     memoised: a node reached along several paths is folded once per path.
     """
     kind = type(node)
-    if kind is DeltaLeaf or kind is ThetaLeaf or kind is InvThetaLeaf:
+    if kind is DeltaLeaf or kind is ThetaLeaf:
         return leaf(node, w)
     if kind is Product or kind is Sum:
         return join(node, tuple([_fold(c, leaf, join, w) for c in node.children]))
@@ -212,7 +206,7 @@ def _map_leaf(node, fn: Callable[[LinearForm], LinearForm]):
     """The leaf with ``fn`` applied to each of its arguments."""
     if type(node) is DeltaLeaf:
         return DeltaLeaf(fn(node.a), fn(node.b))
-    return type(node)(fn(node.a))
+    return ThetaLeaf(fn(node.a), node.power)
 
 
 def _once_per_value(fn: Callable):
@@ -286,7 +280,7 @@ def expand_deltas(f: EFun) -> EFun:
     per distinct delta leaf."""
     expanded = _once_per_value(
         lambda node: Product(
-            (ThetaLeaf(node.a + node.b), InvThetaLeaf(node.a), InvThetaLeaf(node.b))
+            (ThetaLeaf(node.a + node.b, 1), ThetaLeaf(node.a, -1), ThetaLeaf(node.b, -1))
         )
     )
 
@@ -336,18 +330,15 @@ def cancel_theta_pairs(f: EFun) -> EFun:
     def join(node, kids):
         if type(node) is not Product:
             return _rebuild(node, kids)
-        thetas: dict[LinearForm, int] = {}
+        powers: dict[LinearForm, int] = {}
         rest = []
         for n in kids:
-            if isinstance(n, ThetaLeaf):
-                thetas[n.a] = thetas.get(n.a, 0) + 1
-            elif isinstance(n, InvThetaLeaf):
-                thetas[n.a] = thetas.get(n.a, 0) - 1
+            if type(n) is ThetaLeaf:
+                powers[n.a] = powers.get(n.a, 0) + n.power
             else:
                 rest.append(n)
-        for lf, mult in thetas.items():
-            for _ in range(abs(mult)):
-                rest.append(ThetaLeaf(lf) if mult > 0 else InvThetaLeaf(lf))
+        for lf, power in powers.items():
+            rest += [ThetaLeaf(lf, 1 if power > 0 else -1) for _ in range(abs(power))]
         return Product(tuple(rest))
 
     return EFun(_fold(f.node, lambda n, w: n, join), f.qtype)
@@ -359,7 +350,7 @@ def efun_reciprocal(f: EFun) -> EFun:
     def leaf(node, w):
         if type(node) is DeltaLeaf:
             raise TypeError("cannot invert node DeltaLeaf")
-        return InvThetaLeaf(node.a) if type(node) is ThetaLeaf else ThetaLeaf(node.a)
+        return ThetaLeaf(node.a, -node.power)
 
     def join(node, kids):
         if type(node) is Sum:
@@ -407,19 +398,19 @@ class _Tape(Frozen):
     a Demazure step, two binary products and their sum, is one ``_DOT2`` op
     computed as p q + r s, where the walk computed 0 + 1 p q + 1 r s, so on
     finite values the two differ at most in the sign of a zero part.
-    ``leaves`` maps the slot of each leaf op to the first node that produced
-    it, for the PoleProximity message.  ``roots`` are the slots of the
-    expressions' values, in order.  Two tapes are equal only when they are
-    one object.
+    ``arguments`` holds the exact linear form of each form slot, with the
+    x-permutation applied, for the PoleProximity message.  ``roots`` are
+    the slots of the expressions' values, in order.  Two tapes are equal
+    only when they are one object.
     """
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, forms: tuple, ops: tuple, leaves: dict[int, object], roots: tuple[int, ...]):
+    def __init__(self, forms: tuple, ops: tuple, arguments: tuple, roots: tuple[int, ...]):
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "arguments", arguments)
         object.__setattr__(self, "roots", roots)
 
     def run(self, pt: PointAssignment) -> list[complex]:
@@ -451,17 +442,16 @@ class _Tape(Frozen):
                 tx = thetas[a]
                 ty = thetas[b]
                 if abs(tx) < floor or abs(ty) < floor:
-                    leaf = self.leaves[len(out)]
+                    args = self.arguments
                     raise PoleProximity(
-                        f"delta leaf ({leaf.a}, {leaf.b}) too close to a theta zero"
+                        f"delta leaf ({args[a]}, {args[b]}) too close to a theta zero"
                     )
                 push(norm * theta(forms[a] + forms[b], params) / (tx * ty))
             elif code == _INV_THETA:
                 t = thetas[a]
                 if abs(t) < floor:
-                    leaf = self.leaves[len(out)]
                     raise PoleProximity(
-                        f"1/theta leaf ({leaf.a}) too close to a theta zero"
+                        f"1/theta leaf ({self.arguments[a]}) too close to a theta zero"
                     )
                 push(norm / t)
             elif code == _THETA:
@@ -528,23 +518,24 @@ class _Compiler:
         self.perm_ids: dict[tuple[int, ...], int] = {}
         self.forms: dict[tuple, int] = {}
         self.ops: dict[tuple, int] = {}
-        self.leaves: dict[int, object] = {}
+        self.arguments: list[LinearForm] = []
 
     def form(self, lf: LinearForm, perm: tuple[int, ...]) -> int:
+        """The slot of lf under perm; a new slot records its exact form."""
         m = self.m
         terms = [(perm[i] - 1 if i < m else i, c) for i, c in lf.float_terms]
         terms.sort()
-        return self.forms.setdefault(tuple(terms), len(self.forms))
+        slot = self.forms.setdefault(tuple(terms), len(self.forms))
+        if slot == len(self.arguments):
+            self.arguments.append(lf.x_permute(perm))
+        return slot
 
     def leaf_op(self, node, perm: tuple[int, ...]) -> int:
-        kind = type(node)
-        if kind is DeltaLeaf:
+        if type(node) is DeltaLeaf:
             op = (_DELTA, self.form(node.a, perm), self.form(node.b, perm))
         else:
-            op = (_INV_THETA if kind is InvThetaLeaf else _THETA, self.form(node.a, perm), None)
-        slot = self.ops.setdefault(op, len(self.ops))
-        self.leaves.setdefault(slot, node)
-        return slot
+            op = (_THETA if node.power == 1 else _INV_THETA, self.form(node.a, perm), None)
+        return self.ops.setdefault(op, len(self.ops))
 
     def plan(self, node) -> tuple[int, tuple]:
         """The node's op code and one entry per child in walk order, with
@@ -562,7 +553,7 @@ class _Compiler:
                 child = child.child
             get = None if w is None else itemgetter(*[i - 1 for i in w])
             kind = type(child)
-            if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
+            if kind is DeltaLeaf or kind is ThetaLeaf:
                 args = (child.a, child.b) if kind is DeltaLeaf else (child.a,)
                 xs = sorted({i for lf in args for i, _ in lf.float_terms if i < self.m})
                 if w is not None:
@@ -628,7 +619,7 @@ class _Compiler:
                             q = perm_ids.setdefault(p, len(perm_ids))
                             node = node.child
                             kind = type(node)
-                        if kind is DeltaLeaf or kind is InvThetaLeaf or kind is ThetaLeaf:
+                        if kind is DeltaLeaf or kind is ThetaLeaf:
                             slots.append(leaf_op(node, p))
                             continue
                         rec = records.get(id(node))
@@ -643,7 +634,9 @@ class _Compiler:
                         break
                 if miss is None:
                     if record is None:
-                        return _Tape(tuple(self.forms), tuple(ops), self.leaves, tuple(slots))
+                        return _Tape(
+                            tuple(self.forms), tuple(ops), tuple(self.arguments), tuple(slots)
+                        )
                     slot = record[pid] = ops.setdefault((code, tuple(slots), None), len(ops))
                     code, record, kids, planned, perm, pid, slots = stack.pop()
                     slots.append(slot)
@@ -704,8 +697,9 @@ def sample(trial: Callable[[Random], object], samples: int, rng: Random) -> tupl
     """Run ``trial(rng)`` once per sample and collect the results in order.
 
     A trial that raises PoleProximity has landed on a theta zero; it is run
-    again with fresh draws, at most RESAMPLE_CAP times per sample.  Returns
-    (results, number of redraws)."""
+    again with fresh draws, at most RESAMPLE_CAP times per sample, and the
+    error that ends the sample names the last pole.  Returns (results,
+    number of redraws)."""
     tries = RESAMPLE_CAP + 1
     results = []
     redraws = 0
@@ -714,10 +708,11 @@ def sample(trial: Callable[[Random], object], samples: int, rng: Random) -> tupl
             try:
                 results.append(trial(rng))
                 break
-            except PoleProximity:
+            except PoleProximity as exc:
                 redraws += 1
+                last = exc
         else:
-            raise PoleProximity(f"no pole-free point found in {tries} draws")
+            raise PoleProximity(f"no pole-free point found in {tries} draws; the last: {last}")
     return results, redraws
 
 
@@ -792,7 +787,7 @@ def demazure_node(i: int, mu: LinearForm, node):
     parameters that need not be admissible for any type."""
     space = mu.space
     step = space.x(i + 1) - space.x(i)
-    swapped = Product((DeltaLeaf(-step, space.h()), _twisted(transposition(space.m, i), node)))
+    swapped = Product((DeltaLeaf(-step, space.h()), XPermuted(transposition(space.m, i), node)))
     return Sum((Product((DeltaLeaf(step, mu), node)), swapped))
 
 

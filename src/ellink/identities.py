@@ -201,7 +201,7 @@ def check_braid_operator(
     space = VarSpace(3, 5)
     x = space.x
     mu, nu, c1, c2, c3 = map(space.mu, range(1, 6))
-    t = ThetaLeaf(x(1) + x(2).scale(2) + x(3).scale(3) + c3)
+    t = ThetaLeaf(x(1) + x(2).scale(2) + x(3).scale(3) + c3, 1)
     f = Product((DeltaLeaf(x(1) - x(2), c1), DeltaLeaf(x(2) - x(3), c2), t))
     op = demazure_node
     lhs = op(1, nu, op(2, mu + nu, op(1, mu, f)))
@@ -221,7 +221,7 @@ def check_quadratic_operator(
     space = VarSpace(2, 3)
     x, h = space.x, space.h()
     mu, c1, c2 = map(space.mu, range(1, 4))
-    f = Product((DeltaLeaf(x(1) - x(2), c1), ThetaLeaf(x(1) + x(2).scale(2) + c2)))
+    f = Product((DeltaLeaf(x(1) - x(2), c1), ThetaLeaf(x(1) + x(2).scale(2) + c2, 1)))
     lhs = demazure_node(1, mu, demazure_node(1, -mu, f))
     rhs = Product((DeltaLeaf(h, mu), DeltaLeaf(h, -mu), f))
     worst, redraws = sample_agreement(space, [(lhs, rhs)], params, Random(seed), samples)
@@ -298,8 +298,8 @@ def edge_candidates(m: int, r: int, space: VarSpace) -> Iterator[tuple[frozenset
 def check_word_independence(
     m: int,
     r: int,
-    tol: float = 1e-8,
     samples: int = 50,
+    tol: float = 1e-8,
     params: ModularParams = ModularParams(),
     seed: int = 0,
 ) -> IdentityReport:
@@ -429,8 +429,8 @@ def _suite_flip(samples, tol, params, seed):
 def _suite_independence(samples, tol, params, seed):
     n = max(10, samples // 2)
     return [
-        check_word_independence(3, 1, tol, n, params, seed),
-        check_word_independence(4, 2, tol, n, params, seed),
+        check_word_independence(3, 1, n, tol, params, seed),
+        check_word_independence(4, 2, n, tol, params, seed),
     ]
 
 

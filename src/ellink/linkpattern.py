@@ -36,6 +36,10 @@ class NoNodes(PatternError):
     """A pattern needs m >= 1 nodes."""
 
 
+class TooManyNodes(PatternError):
+    """A pattern text has more than MAX_NODES nodes."""
+
+
 class BadRank(PatternError):
     """Rank r violates 2r <= m (or is negative)."""
 
@@ -384,6 +388,11 @@ def format_pattern(p: LinkPattern) -> str:
     return f"{p.m},{p.r}:{arcs}" if p.r else f"{p.m},{p.r}:"
 
 
+# the most nodes a pattern text may have: a class's set-up keeps one dense
+# linear form per node, so its cost grows as m squared
+MAX_NODES = 64
+
+
 def parse_pattern(text: str) -> LinkPattern:
     """Strict parser for the CLI pattern grammar, with byte offsets."""
 
@@ -409,6 +418,8 @@ def parse_pattern(text: str) -> LinkPattern:
         pos += 1
 
     m = read_int()
+    if m > MAX_NODES:
+        raise TooManyNodes(f"a pattern may have at most {MAX_NODES} nodes, got m = {m}")
     expect(",")
     r = read_int()
     expect(":")

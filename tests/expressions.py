@@ -15,14 +15,14 @@ from typing import Sequence
 from ellink.efun import (
     EFun,
     Sum,
+    XPermuted,
     _sum_type,
-    _twisted,
     demazure,
     efun_product,
     inv_theta_leaf,
     theta_leaf,
 )
-from ellink.linkpattern import LinkPattern, identity_perm
+from ellink.linkpattern import LinkPattern, compose, identity_perm
 from ellink.schubert import _check_permutation_pattern, reduced_class, restrict_fixed_point
 from ellink.typecalc import LinearForm, VarSpace
 
@@ -131,7 +131,12 @@ def x_permuted(w: Sequence[int], f: EFun) -> EFun:
     w = tuple(w)
     if w == identity_perm(f.space.m):
         return f
-    return EFun(_twisted(w, f.node), f.qtype.x_permute(w))
+    qtype, node = f.qtype.x_permute(w), f.node
+    if type(node) is XPermuted:
+        # evaluation applies the outer permutation first, so stacked twists
+        # compose as (w . v)(i) = w(v(i)) with v the inner one
+        w, node = compose(w, node.w), node.child
+    return EFun(XPermuted(w, node), qtype)
 
 
 class ReducedUndefined(ValueError):

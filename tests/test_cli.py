@@ -4,6 +4,7 @@ import gc
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -79,6 +80,35 @@ def test_pattern_without_nodes_is_a_pattern_error(argv):
         "kind": "NoNodes",
         "message": "a pattern needs at least one node, got m = 0",
     }
+
+
+def test_sample_count_is_capped(capsys):
+    """--samples runs from 1 to 1024: one more is a usage error before any
+    work is done, and 1024 samples of the one-node pattern compute."""
+    start = time.perf_counter()
+    assert main(["compute", "3,1:3>1", "--samples", "1025"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "usage",
+        "message": "samples must be in [1, 1024], got 1025",
+    }
+    assert main(["compute", "1,0:", "--samples", "1024"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sample_values"]) == 1024
+
+
+def test_pattern_size_is_capped(capsys):
+    """A pattern text with more than 64 nodes is a pattern error before
+    any work is done; the 64-node minimal pattern still computes."""
+    start = time.perf_counter()
+    assert main(["compute", "65,1:65>1", "--samples", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "kind": "TooManyNodes",
+        "message": "a pattern may have at most 64 nodes, got m = 65",
+    }
+    assert main(["compute", "64,1:64>1", "--samples", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["m"], doc["minimal_word"], len(doc["sample_values"])) == (64, [], 1)
 
 
 def test_verify_fourterm():
@@ -397,7 +427,8 @@ def test_exhausted_redraws_are_a_structured_error(monkeypatch, capsys):
     assert err == {
         "error": {
             "kind": "PoleProximity",
-            "message": "no pole-free point found in 101 draws",
+            "message": "no pole-free point found in 101 draws;"
+            " the last: delta leaf too close to a theta zero",
         }
     }
     assert len(trials) == 101

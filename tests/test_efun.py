@@ -17,7 +17,6 @@ from ellink.efun import (
     DeltaLeaf,
     EFun,
     ImpurityError,
-    InvThetaLeaf,
     PointAssignment,
     Product,
     Sum,
@@ -437,8 +436,9 @@ def test_tape_size_is_pinned(pattern):
 
 
 def _tape_digest(tape) -> str:
-    """sha256 over the tape's forms, ops, roots and leaf slots, in order."""
-    text = repr((tape.forms, tape.ops, tape.roots, list(tape.leaves)))
+    """sha256 over the tape's forms, ops and roots, in order; the leaf
+    slots are the slots of its leaf-opcode ops."""
+    text = repr((tape.forms, tape.ops, tape.roots))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -448,15 +448,15 @@ def _tape_digest(tape) -> str:
 # a class twice (its second root is all memo hits), both flip sides, and the
 # two sides of the braid-operator check
 TAPE_DIGESTS = {
-    "8,4:1>5,2>6,3>7,4>8": "3557f36eadfd5aa46c019fbfa7daf451cef5a6e813ca4d719b07aabccdf71ccd",
-    "7,3:1>5,2>6,3>7": "2b138d95e67ac4316981e9797fccd6304519143d2aa4684dfd42559cf0143412",
-    "8,3:1>6,5>7,8>4": "74149c79ab6dd1ea431931d651b64b7a0b7aaf8e7e8d43fa4fcbf6894459ad85",
-    "6,2:2>6,5>3": "50edb3d164f60cd989ec20a0e4627a8b79ed5df5e4a7b803db49b38f148b063e",
-    "4,2 lattice": "9c822004ebf20df367839b843870963113f088bba7d102ca977d85f62e85214d",
-    "5,2 lattice": "4eb5f5b5872d7a9b1d834f17aa9f1e79cd899c7d378ba7cd86ea47d5774a4d0e",
-    "7,3:1>5,2>6,3>7 twice": "74c0e4d7cdf102f932210d42d7f490d17d8da66c308965d8b574cd9c58fc08f7",
-    "flip 6,3,1": "4e2c0382da97c2e005c9bd9f899faa45f9804d9c2bf4e8e5d035a8b94909be1a",
-    "braid operator": "65c89002e52cc2479d7cca5922ad8d68c49cdfefc6dce5962eac077c95d68437",
+    "8,4:1>5,2>6,3>7,4>8": "94cbaad1d9d4b4b5354725511ffeeb66c2d19fa5ddae60d22a3bc619c6e25dae",
+    "7,3:1>5,2>6,3>7": "9966ece452f0b07e0226cfad9e843d7ba529debf70c0ec342321a87404beb1dc",
+    "8,3:1>6,5>7,8>4": "88ee95dcc46157769fc870bc68aa8db0370d93008b5ca376acc62f6dbb4ea3d9",
+    "6,2:2>6,5>3": "bcbda12706d59201f6a0e54776396ad6778e831856d172c636c2e4965a61bc07",
+    "4,2 lattice": "debdd4fbe5c51636f365ad5b23df303dc5253454d4d3b5bcda463ff4e3f81dfc",
+    "5,2 lattice": "82d4df16aa742a9f4c993ae9b7b73d05d12ca021b588c49c30b36032a5dd2431",
+    "7,3:1>5,2>6,3>7 twice": "d76e4e07c4fab695466eae7f677e5418e1dd801bfe48982817395ca3a1c4215d",
+    "flip 6,3,1": "ee5e74f22fadb3eff3b26ea919826e73efc26bfc41da497d381c1a8874a472e8",
+    "braid operator": "d3c5bd02b2b84fc57bbb764e98d995df4da3ff544c5795486627b5c4cfb5c8e9",
 }
 
 
@@ -677,15 +677,18 @@ class _Evaluator:
             ta, tb = self.theta(a), self.theta(b)
             if abs(ta) < self.floor or abs(tb) < self.floor:
                 raise PoleProximity(
-                    f"delta leaf ({node.a}, {node.b}) too close to a theta zero"
+                    f"delta leaf ({node.a.x_permute(perm)}, {node.b.x_permute(perm)})"
+                    " too close to a theta zero"
                 )
             out = self.params.mult_norm * self.theta(a + b) / (ta * tb)
-        elif isinstance(node, ThetaLeaf):
+        elif isinstance(node, ThetaLeaf) and node.power == 1:
             out = self.theta(self.form(node.a, perm)) / self.params.mult_norm
-        elif isinstance(node, InvThetaLeaf):
+        elif isinstance(node, ThetaLeaf):
             t = self.theta(self.form(node.a, perm))
             if abs(t) < self.floor:
-                raise PoleProximity(f"1/theta leaf ({node.a}) too close to a theta zero")
+                raise PoleProximity(
+                    f"1/theta leaf ({node.a.x_permute(perm)}) too close to a theta zero"
+                )
             out = self.params.mult_norm / t
         elif isinstance(node, Product):
             out = 1.0 + 0j
@@ -749,6 +752,37 @@ def test_tape_matches_recursive_reference_many(k):
         assert _outcome(lambda: evaluate_many(tape, pt)) == want
         poles += isinstance(want, str)
     assert poles == 2
+
+
+def test_pole_error_names_the_argument_at_the_pole():
+    """Under a twist the error names the leaf's argument with the twist
+    applied.  The swapped summand of demazure_diamond(1, ell_min(3, 1)) is
+    delta(u + x1 - x3, mu1) under s_1, which x2 := x3 - u puts on a pole as
+    delta(x2 - x3 + u, mu1); a twisted 1/theta(x1 - x3) at x2 := x3 is
+    1/theta(x2 - x3)."""
+    f = demazure_diamond(1, ell_min(3, 1))
+    sp = f.space
+    inv = x_permuted((2, 1, 3), inv_theta_leaf(sp.x(1) - sp.x(3)))
+    pt = random_point(sp, Random(25), P)
+    x2, x3, u = sp.x_index(2), sp.x_index(3), sp.u_index
+    cases = [
+        (f, pt.values[x3] - pt.values[u], "delta leaf (1*x2-1*x3+1*u, 1*mu1)"),
+        (inv, pt.values[x3], "1/theta leaf (1*x2-1*x3)"),
+    ]
+    ident = identity_perm(3)
+    for g, value, leaf in cases:
+        v = list(pt.values)
+        v[x2] = value
+        at = PointAssignment(tuple(v), P)
+        want = f"pole: {leaf} too close to a theta zero"
+        assert _outcome(lambda: evaluate(g, at)) == want
+        assert _outcome(lambda: _Evaluator(sp, at).eval(g.node, ident)) == want
+
+
+@pytest.mark.parametrize("power", [0, 2, -2, 1.5])
+def test_theta_leaf_power_is_one_or_minus_one(power):
+    with pytest.raises(ValueError, match="power is 1 or -1"):
+        ThetaLeaf(SP.h(), power)
 
 
 def test_tapes_use_every_opcode_the_replay_handles():
@@ -872,7 +906,7 @@ def test_rewrite_shapes(subject):
     assert type(top) is Sum
     for term in top.children:
         assert type(term) is Product
-        assert {type(c) for c in term.children} <= {DeltaLeaf, ThetaLeaf, InvThetaLeaf}
+        assert {type(c) for c in term.children} <= {DeltaLeaf, ThetaLeaf}
 
 
 def test_reciprocal_inverts_products_and_rejects_sums_and_deltas():
@@ -880,8 +914,8 @@ def test_reciprocal_inverts_products_and_rejects_sums_and_deltas():
     t = theta_leaf(sp.h())
     f = efun_product(efun_product(t, t), inv_theta_leaf(sp.mu(1)))
     g = efun_reciprocal(f)
-    inv_h = InvThetaLeaf(sp.h())
-    assert g.node == Product((Product((inv_h, inv_h)), ThetaLeaf(sp.mu(1))))
+    inv_h = ThetaLeaf(sp.h(), -1)
+    assert g.node == Product((Product((inv_h, inv_h)), ThetaLeaf(sp.mu(1), 1)))
     assert g.qtype == -f.qtype
     pt = random_point(sp, Random(23), P)
     assert rel(evaluate(f, pt) * evaluate(g, pt), 1.0) < 1e-15
@@ -914,7 +948,7 @@ class _Unknown:
 )
 def test_unknown_node_is_rejected(rewrite):
     sp = VarSpace(4, 2)
-    f = EFun(XPermuted((2, 1, 3, 4), Product((ThetaLeaf(sp.h()), _Unknown()))), sp.zero_qform())
+    f = EFun(XPermuted((2, 1, 3, 4), Product((ThetaLeaf(sp.h(), 1), _Unknown()))), sp.zero_qform())
     with pytest.raises(TypeError, match="unknown node"):
         rewrite(f)
 

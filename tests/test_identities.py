@@ -151,10 +151,20 @@ def test_flip_bad_index():
 
 
 def test_word_independence():
-    assert check_word_independence(4, 2, 1e-8, 50, P, seed=0).passed
-    assert check_word_independence(3, 1, 1e-8, 50, P, seed=0).passed
-    vac = check_word_independence(2, 1, 1e-8, 50, P, seed=0)
+    assert check_word_independence(4, 2, 50, 1e-8, P, seed=0).passed
+    assert check_word_independence(3, 1, 50, 1e-8, P, seed=0).passed
+    vac = check_word_independence(2, 1, 50, 1e-8, P, seed=0)
     assert vac.passed and vac.samples == 0  # single-presentation chains only
+
+
+def test_word_independence_takes_the_sample_count_third():
+    """As in check_flip, the argument after the pattern size is the sample
+    count and the tolerance follows it, so (4, 2, 8) draws 8 points per
+    arc set compared at the default tolerance."""
+    rep = check_word_independence(4, 2, 8)
+    compared = sum(len(edges) > 1 for _, edges in edge_candidates(4, 2, VarSpace(4, 2)))
+    assert (rep.samples, rep.tolerance) == (8 * compared, 1e-8)
+    assert rep.passed
 
 
 def _multiset(nus):
@@ -175,7 +185,7 @@ def test_edge_check_covers_every_minimal_presentation(monkeypatch, m, r):
             yield item
 
     monkeypatch.setattr("ellink.identities.edge_candidates", recorded)
-    assert check_word_independence(m, r, 1e-8, 2, P, seed=0).passed
+    assert check_word_independence(m, r, 2, 1e-8, P, seed=0).passed
     assert len(seen) == len(orbit_lattice(m, r).order) - 1
     space = VarSpace(m, r)
     rng = Random(m)
@@ -214,7 +224,7 @@ def test_word_independence_compiles_one_lattice_tape(monkeypatch, m, r, compiled
     three seeded points, each arc set's slice of that tape is bit for bit
     what the arc set's own joint_tape gives."""
     seen, tapes = _record_lattice_tapes(monkeypatch)
-    rep = check_word_independence(m, r, 1e-8, 2, P, seed=0)
+    rep = check_word_independence(m, r, 2, 1e-8, P, seed=0)
     monkeypatch.undo()
     assert rep.passed
     assert len(tapes) == compiled
@@ -268,7 +278,7 @@ def test_word_independence_fails_on_a_faulty_edge(monkeypatch, fault, residual):
         monkeypatch.setattr("ellink.identities.demazure_diamond", negated)
     else:
         monkeypatch.setattr("ellink.identities.node_values", shifted)
-    rep = check_word_independence(4, 2, 1e-8, 8, P, seed=0)
+    rep = check_word_independence(4, 2, 8, 1e-8, P, seed=0)
     assert len(calls) == len(edges)
     assert not rep.passed
     assert rep.max_relative_residual == pytest.approx(residual)
@@ -552,7 +562,10 @@ def test_exhausted_redraws_name_the_draw_count():
     vanishing classes find no pole-free point in that many."""
     with pytest.raises(PoleProximity) as info:
         check_vanishing(8, 1e-10, ModularParams(pole_guard=0.2), 3)
-    assert str(info.value) == f"no pole-free point found in {RESAMPLE_CAP + 1} draws"
+    assert str(info.value) == (
+        f"no pole-free point found in {RESAMPLE_CAP + 1} draws; the last:"
+        " delta leaf (-1*x7+1*x8, -1*h+1*mu2) too close to a theta zero"
+    )
 
 
 

@@ -123,6 +123,7 @@ def test_lattice_4_2_classes_match_the_oracle():
         lambda: ell_class(parse_pattern("8,4:1>5,2>6,3>7,4>8")),
         lambda: ell_class(parse_pattern("6,2:2>6,5>3")),
         lambda: ell_class(parse_pattern("8,4:3>6,4>1,5>2,8>7")),
+        lambda: ell_class(parse_pattern("7,3:4>6,5>3,7>2")),
         lambda: restrict_fixed_point(reduced_class(parse_pattern("6,3:4>3,5>2,6>1")), (2, 3, 1)),
         lambda: weight_function(parse_pattern("7,3:5>4,6>3,7>2")),
     ],
@@ -130,6 +131,7 @@ def test_lattice_4_2_classes_match_the_oracle():
         "untwisted (8,4)",
         "twisted (6,2)",
         "twisted (8,4)",
+        "twisted (7,3)",
         "restriction n=3",
         "weight function n=4",
     ],

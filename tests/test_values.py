@@ -10,7 +10,6 @@ from ellink.cli import RunConfig
 from ellink.efun import (
     DeltaLeaf,
     EFun,
-    InvThetaLeaf,
     PointAssignment,
     Product,
     Sum,
@@ -46,11 +45,10 @@ MAKE = {
     LinkPattern: lambda: parse_pattern("4,2:3>1,4>2"),
     Presentation: lambda: minimal_presentation(parse_pattern("4,2:1>3,4>2")),
     DeltaLeaf: lambda: DeltaLeaf(X1, H),
-    ThetaLeaf: lambda: ThetaLeaf(X1),
-    InvThetaLeaf: lambda: InvThetaLeaf(X1),
-    Product: lambda: Product((ThetaLeaf(X1), InvThetaLeaf(H))),
-    Sum: lambda: Sum((ThetaLeaf(X1), ThetaLeaf(H))),
-    XPermuted: lambda: XPermuted((2, 1, 3), ThetaLeaf(X1)),
+    ThetaLeaf: lambda: ThetaLeaf(X1, -1),
+    Product: lambda: Product((ThetaLeaf(X1, 1), ThetaLeaf(H, -1))),
+    Sum: lambda: Sum((ThetaLeaf(X1, 1), ThetaLeaf(H, 1))),
+    XPermuted: lambda: XPermuted((2, 1, 3), ThetaLeaf(X1, 1)),
     EFun: _class,
     PointAssignment: lambda: random_point(SPACE, Random(5), ModularParams()),
     IdentityReport: lambda: IdentityReport.make("theta", 8, 1e-12, 1e-8),
@@ -84,9 +82,9 @@ def test_values_refuse_assignment_and_deletion(kind):
 
 
 def test_equality_is_type_strict():
-    kids = (ThetaLeaf(X1), ThetaLeaf(H))
+    kids = (ThetaLeaf(X1, 1), ThetaLeaf(H, 1))
     assert Product(kids) != Sum(kids)
-    assert ThetaLeaf(X1) != InvThetaLeaf(X1)
+    assert ThetaLeaf(X1, 1) != ThetaLeaf(X1, -1)
     assert DeltaLeaf(X1, H) != DeltaLeaf(H, X1)
     assert ModularParams() != (1j, 1e-6)
 
