@@ -24,9 +24,12 @@ do their exact arithmetic once per distinct leaf value within one call
 distinct form.  The label twist (``mu_permuted``) still substitutes once
 per path.
 
-Every class is built by ``ell_class_from_presentation``: the word's
-diamond steps on a start class (ell_min, perhaps with u and the mu
-substituted), then the label twist.
+The class of one pattern is built by ``ell_class_from_presentation``: the
+word's diamond steps on a start class (ell_min, perhaps with u and the mu
+substituted), then the label twist.  The lattice and flip classes of
+``identities`` are built twist first: the label twist of the flat start
+class, then the diamond steps, each twisted class built once, so they stay
+shared DAGs.
 
 Permutation nodes accumulate lazily.  Evaluation compiles expressions into
 a tape: one walk per root threads the composed permutation down to the

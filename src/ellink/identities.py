@@ -44,6 +44,8 @@ from .linkpattern import (
     LinkPattern,
     act_nodes,
     arc_relabelling,
+    compose,
+    identity_perm,
     minimal_pattern,
     mu_relabelled,
     node_values,
@@ -236,8 +238,10 @@ def flip_sides(m: int, r: int, k: int, space: VarSpace | None = None) -> tuple[E
     """Both sides of the flip relation on the minimal class.
 
     LHS applies the operator at the target block, RHS at the source block
-    with the labels of the result exchanged; purity forces the parameters
-    mu_k/mu_{k+1} on the left and mu_{k+1}/mu_k inside the right.
+    to the minimal class with its labels k and k+1 exchanged; purity forces
+    the parameter mu_k/mu_{k+1} on both.  Exchanging the labels first, of
+    the flat start class, equals exchanging those of the finished class,
+    and keeps the right side a shared DAG.
     """
     if not 1 <= k < r:
         raise ValueError(f"flip index k={k} outside 1..{r - 1}")
@@ -245,10 +249,8 @@ def flip_sides(m: int, r: int, k: int, space: VarSpace | None = None) -> tuple[E
         space = VarSpace(m, r)
     ell = ell_min(m, r, space)
     lhs = demazure(k, space.mu(k) - space.mu(k + 1), ell)
-    rhs = mu_permuted(
-        transposition(r, k),
-        demazure(m - r + k, space.mu(k + 1) - space.mu(k), ell),
-    )
+    swapped = mu_permuted(transposition(r, k), ell)
+    rhs = demazure(m - r + k, space.mu(k) - space.mu(k + 1), swapped)
     return lhs, rhs
 
 
@@ -272,15 +274,42 @@ def check_flip(
     return IdentityReport.make(name, samples, worst, tol, resamples)
 
 
+def _twisted_class(t: frozenset, sigma: tuple, first: dict, classes: dict) -> EFun:
+    """C(t, sigma) = mu_permuted(sigma, class of t), built twist first and
+    kept in ``classes`` by (arc set, twist).  With (i, t', tau) the first
+    down edge ``first[t]``, C(t, sigma) = D_i C(t', sigma o tau), since a
+    label twist commutes with a diamond step; the start arc set, which has
+    no down edge, twists its flat class.  One loop climbs to the nearest
+    kept pair, then steps back, keeping each pair it passes."""
+    path = []
+    while (t, sigma) not in classes and t in first:
+        path.append((t, sigma))
+        _, t, tau = first[t]
+        sigma = compose(sigma, tau)
+    f = classes.get((t, sigma))
+    if f is None:
+        f = classes[t, sigma] = mu_permuted(sigma, classes[t, identity_perm(len(sigma))])
+    for s, twist in reversed(path):
+        f = classes[s, twist] = demazure_diamond(first[s][0], f)
+    return f
+
+
 def edge_candidates(m: int, r: int, space: VarSpace) -> Iterator[tuple[frozenset, list]]:
     """For each arc set s past the start, in BFS order, one (nu tuple,
     class) pair per down edge (i, t), in increasing i.  With L_t the sorted
     labelling of t and tau relabelling the arcs of s_i(L_t) to that of s,
-    the class is mu_permuted(tau, D_i C_t) and the nu tuple is tau applied
-    to (value(i) - value(i+1) of L_t,) + nu_t.  Each arc set keeps its first
-    pair as (nu, C): that of its smallest word, the one ``ell_class`` uses."""
+    the class is D_i C(t, tau), C(t, tau) being t's class under the label
+    twist tau, and the nu tuple is tau applied to (value(i) - value(i+1)
+    of L_t,) + nu_t.  Each arc set keeps its first pair as (nu, C): that of
+    its smallest word, the one ``ell_class`` uses.  C comes from
+    ``_twisted_class``, so ``mu_permuted`` only twists ell_min and every
+    class stays a shared DAG: one diamond step per down edge, plus one per
+    distinct (arc set, twist) pair reached past the start and the identity."""
     lattice = orbit_lattice(m, r)
-    steps = {lattice.start: ((), ell_min(m, r, space))}
+    ident = identity_perm(r)
+    nus_of = {lattice.start: ()}
+    first: dict = {}
+    classes = {(lattice.start, ident): ell_min(m, r, space)}
     for s in lattice.order[1:]:
         here = LinkPattern(m, r, tuple(sorted(s)))
         edges = []
@@ -288,10 +317,11 @@ def edge_candidates(m: int, r: int, space: VarSpace) -> Iterator[tuple[frozenset
             below = LinkPattern(m, r, tuple(sorted(t)))
             tau = arc_relabelling(act_nodes(transposition(m, i), below), here)
             vals = node_values(below, space)
-            nus, cls = steps[t]
-            nus = mu_relabelled(tau, (vals[i - 1] - vals[i],) + nus, space)
-            edges.append((nus, mu_permuted(tau, demazure_diamond(i, cls))))
-        steps[s] = edges[0]
+            nus = mu_relabelled(tau, (vals[i - 1] - vals[i],) + nus_of[t], space)
+            first.setdefault(s, (i, t, tau))
+            edges.append((nus, demazure_diamond(i, _twisted_class(t, tau, first, classes))))
+        nus_of[s] = edges[0][0]
+        classes[s, ident] = edges[0][1]
         yield s, edges
 
 

@@ -55,18 +55,23 @@ def test_repeated_requests_leave_little_cyclic_garbage(capsys):
     in reference cycles waits for a full collection, whose timing varies, so
     a request that left much of it would make a long-running caller's memory
     peak vary from run to run.  The JSON encoder's closures, a few dozen
-    objects, are all that is left."""
-    argv = ["compute", "4,2:3>1,4>2", "--samples", "2"]
-    assert main(argv) == 0
-    gc.collect()
-    gc.disable()
-    try:
+    objects, are all that is left: after a class, and after the checks that
+    build a whole lattice's classes and both sides of the flip relation."""
+    for argv in (
+        ["compute", "4,2:3>1,4>2", "--samples", "2"],
+        ["verify", "independence", "--samples", "2"],
+        ["verify", "flip", "--samples", "2"],
+    ):
         assert main(argv) == 0
-    finally:
-        left = gc.collect()
-        gc.enable()
-    capsys.readouterr()
-    assert left < 100
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+        finally:
+            left = gc.collect()
+            gc.enable()
+        capsys.readouterr()
+        assert left < 100, (argv, left)
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,7 @@ from ellink.linkpattern import (
     LinkPattern,
     act_nodes,
     all_minimal_presentations,
+    arc_relabelling,
     compose,
     identity_perm,
     minimal_pattern,
@@ -384,9 +385,71 @@ def test_joint_tape_matches_separate_evaluation():
     assert poles > 0
 
 
-def test_word_independence_steps_once_per_down_edge(monkeypatch):
+def _twists_reached(m: int, r: int) -> set:
+    """The (arc set, twist) pairs that the lattice's edge classes are built
+    on, past the start and the identity twist: each down edge (i, t) into s
+    reaches (t, tau), tau relabelling the arcs of s_i(L_t) to those of s,
+    and (t, sigma) reaches (t', sigma o tau_t) along t's first down edge."""
+    lat = orbit_lattice(m, r)
+    first, reached = {}, set()
+    for s in lat.order[1:]:
+        here = LinkPattern(m, r, tuple(sorted(s)))
+        for i, t in lat.down_edges(s):
+            below = LinkPattern(m, r, tuple(sorted(t)))
+            tau = arc_relabelling(act_nodes(transposition(m, i), below), here)
+            first.setdefault(s, (t, tau))
+            while t != lat.start and tau != identity_perm(r) and (t, tau) not in reached:
+                reached.add((t, tau))
+                t, twist = first[t]
+                tau = compose(tau, twist)
+    return reached
+
+
+@pytest.mark.parametrize("m,r,steps", [(4, 2, 22), (5, 2, 139)])
+def test_word_independence_steps_per_down_edge_and_twist(monkeypatch, m, r, steps):
     """check_word_independence applies one Demazure step per down edge of
-    the lattice, and builds no class from a word."""
+    the lattice, plus one per distinct (arc set, twist) pair it reaches past
+    the start and the identity twist; it builds no class from a word, and
+    the label twist only ever receives the flat start class."""
+    built = []
+
+    def counted(i, f):
+        built.append(i)
+        return demazure_diamond(i, f)
+
+    def twisted(sigma, f):
+        assert f == ell_min(m, r, f.space)
+        return mu_permuted(sigma, f)
+
+    monkeypatch.setattr("ellink.identities.demazure_diamond", counted)
+    monkeypatch.setattr("ellink.efun.demazure_diamond", counted)
+    monkeypatch.setattr("ellink.identities.mu_permuted", twisted)
+    assert check_word_independence(m, r, samples=2).passed
+    lat = orbit_lattice(m, r)
+    edges = sum(len(list(lat.down_edges(s))) for s in lat.order)
+    assert len(built) == edges + len(_twists_reached(m, r)) == steps
+
+
+@pytest.mark.parametrize("m,r,k", [(4, 2, 1), (6, 3, 1), (6, 3, 2)])
+def test_flip_sides_twist_only_the_start_class(monkeypatch, m, r, k):
+    """The right side of the flip relation swaps the labels of ell_min, not
+    of a class built from it."""
+    seen = []
+
+    def twisted(sigma, f):
+        seen.append(f)
+        return mu_permuted(sigma, f)
+
+    monkeypatch.setattr("ellink.identities.mu_permuted", twisted)
+    flip_sides(m, r, k)
+    assert seen == [ell_min(m, r)]
+
+
+def test_lattice_classes_stay_shared(monkeypatch):
+    """Across every edge class of the (6,3) lattice the distinct nodes
+    number at most seven per Demazure step: a step adds six, and each
+    twisted start class its product and leaves.  A label twist of a whole
+    class unfolds its DAG into a tree of about 2^level nodes instead."""
     built = []
 
     def counted(i, f):
@@ -394,10 +457,10 @@ def test_word_independence_steps_once_per_down_edge(monkeypatch):
         return demazure_diamond(i, f)
 
     monkeypatch.setattr("ellink.identities.demazure_diamond", counted)
-    monkeypatch.setattr("ellink.efun.demazure_diamond", counted)
-    assert check_word_independence(4, 2, samples=2).passed
-    lat = orbit_lattice(4, 2)
-    assert len(built) == sum(len(list(lat.down_edges(s))) for s in lat.order) > 0
+    roots = [cls.node for _, pairs in edge_candidates(6, 3, VarSpace(6, 3)) for _, cls in pairs]
+    assert len(roots) == 300
+    unique = _unique_nodes(Product(tuple(roots)))
+    assert unique <= 7 * len(built), (unique, len(built))
 
 
 def _unique_nodes(root) -> int:

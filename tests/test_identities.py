@@ -27,7 +27,6 @@ from ellink.efun import (
     RESAMPLE_CAP,
     PointAssignment,
     _Compiler,
-    demazure_diamond,
     efun_product,
     ell_class,
     ell_min,
@@ -157,6 +156,15 @@ def test_word_independence():
     assert vac.passed and vac.samples == 0  # single-presentation chains only
 
 
+@pytest.mark.parametrize("m,r", [(6, 2), (6, 3)])
+def test_word_independence_over_whole_lattices_beyond_5_2(m, r):
+    """Every minimal word of the (6,2) and (6,3) lattices gives one class:
+    420 and 300 down edges, each arc set's classes compared at 8 points."""
+    rep = check_word_independence(m, r, 8, 1e-8, P, seed=0)
+    assert rep.passed, rep
+    assert rep.samples > 0 and rep.max_relative_residual < 1e-10
+
+
 def test_word_independence_takes_the_sample_count_third():
     """As in check_flip, the argument after the pattern size is the sample
     count and the tolerance follows it, so (4, 2, 8) draws 8 points per
@@ -249,23 +257,24 @@ def test_word_independence_compiles_one_lattice_tape(monkeypatch, m, r, compiled
 )
 def test_word_independence_fails_on_a_faulty_edge(monkeypatch, fault, residual):
     """The last down edge of the (4,2) lattice is one of several into the
-    top arc set.  Negating its class by a factor of type zero fails the
-    numerical comparison; shifting one node value its nu is read from
-    fails the exact one."""
+    top arc set.  Negating its class, where ``edge_candidates`` yields it,
+    by a factor of type zero fails the numerical comparison; shifting one
+    node value its nu is read from fails the exact one."""
     lat = orbit_lattice(4, 2)
     edges = [edge for s in lat.order for edge in lat.down_edges(s)]
     assert len(list(lat.down_edges(lat.order[-1]))) > 1
     last_i = edges[-1][0]
     calls = []
 
-    def negated(i, f):
-        calls.append(i)
-        g = demazure_diamond(i, f)
-        if len(calls) < len(edges):
-            return g
-        # theta is odd: theta(h) / theta(-h) = -1, and its type is zero
-        h = g.space.h()
-        return efun_product(g, theta_leaf(h), inv_theta_leaf(-h))
+    def negated(*args):
+        for s, pairs in edge_candidates(*args):
+            calls.extend(pairs)
+            if len(calls) == len(edges):
+                nus, g = pairs[-1]
+                # theta is odd: theta(h) / theta(-h) = -1, and its type is zero
+                h = g.space.h()
+                pairs = pairs[:-1] + [(nus, efun_product(g, theta_leaf(h), inv_theta_leaf(-h)))]
+            yield s, pairs
 
     def shifted(p, space):
         calls.append(p)
@@ -275,7 +284,7 @@ def test_word_independence_fails_on_a_faulty_edge(monkeypatch, fault, residual):
         return tuple(vals)
 
     if fault == "negated_class":
-        monkeypatch.setattr("ellink.identities.demazure_diamond", negated)
+        monkeypatch.setattr("ellink.identities.edge_candidates", negated)
     else:
         monkeypatch.setattr("ellink.identities.node_values", shifted)
     rep = check_word_independence(4, 2, 8, 1e-8, P, seed=0)
