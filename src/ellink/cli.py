@@ -57,6 +57,9 @@ DEFAULT_TOL = 1e-8
 # the most sample points a run may ask for: ``sample`` keeps every result
 # until it ends
 MAX_SAMPLES = 1024
+# the largest decimal exponent, in size, of a --lam token: Fraction writes
+# out 10**e in full, so "1e100000000" would run for minutes
+MAX_LAM_EXPONENT = 1000
 
 
 class RunConfig(Frozen):
@@ -179,10 +182,13 @@ def cmd_weights(pattern_text: str, rtv: bool, config: RunConfig) -> dict:
 
 def cmd_multiplicities(pattern_text: str, lam_text: str) -> dict:
     p = parse_pattern(pattern_text)
+    tokens = lam_text.split(",") if lam_text else []
     try:
-        lambdas = [Fraction(tok) for tok in lam_text.split(",")] if lam_text else []
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad lambda list {lam_text!r}") from None
+        if any(abs(int(tok.lower().partition("e")[2] or 0)) > MAX_LAM_EXPONENT for tok in tokens):
+            raise ValueError(f"an exponent outside [-{MAX_LAM_EXPONENT}, {MAX_LAM_EXPONENT}]")
+        lambdas = [Fraction(tok) for tok in tokens]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad lambda list {lam_text!r}: {exc}") from None
     pres = minimal_presentation(p)
     alphas = multiplicities(pres, lambdas)
     return {

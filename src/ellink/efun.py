@@ -27,9 +27,9 @@ per path.
 The class of one pattern is built by ``ell_class_from_presentation``: the
 word's diamond steps on a start class (ell_min, perhaps with u and the mu
 substituted), then the label twist.  The lattice and flip classes of
-``identities`` are built twist first: the label twist of the flat start
-class, then the diamond steps, each twisted class built once, so they stay
-shared DAGs.
+``identities`` are built twist first: the label twist (for word
+independence, that of each edge's presentation) of the flat start class,
+then the steps, each twisted class built once, so they stay shared DAGs.
 
 Permutation nodes accumulate lazily.  Evaluation compiles expressions into
 a tape: one walk per root threads the composed permutation down to the
@@ -736,7 +736,7 @@ def sample_agreement(
     groups: Sequence[Sequence[object]],
     params: ModularParams,
     rng: Random,
-    samples: int = 32,
+    samples: int,
     residual: Callable[[complex, complex], float] = relative_residual,
 ) -> tuple[float, int]:
     """The worst ``residual(a, b)`` over the values of each pair of nodes

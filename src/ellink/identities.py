@@ -43,17 +43,14 @@ from .frozen import Frozen
 from .linkpattern import (
     LinkPattern,
     act_nodes,
-    arc_relabelling,
-    compose,
     identity_perm,
     minimal_pattern,
-    mu_relabelled,
-    node_values,
     orbit_lattice,
+    presentation_from_word,
     transposition,
 )
 from .theta import ModularParams, delta, theta
-from .typecalc import VarSpace
+from .typecalc import VarSpace, admissible_mu
 
 
 class IdentityReport(Frozen):
@@ -274,54 +271,53 @@ def check_flip(
     return IdentityReport.make(name, samples, worst, tol, resamples)
 
 
-def _twisted_class(t: frozenset, sigma: tuple, first: dict, classes: dict) -> EFun:
-    """C(t, sigma) = mu_permuted(sigma, class of t), built twist first and
-    kept in ``classes`` by (arc set, twist).  With (i, t', tau) the first
-    down edge ``first[t]``, C(t, sigma) = D_i C(t', sigma o tau), since a
-    label twist commutes with a diamond step; the start arc set, which has
-    no down edge, twists its flat class.  One loop climbs to the nearest
-    kept pair, then steps back, keeping each pair it passes."""
+def _twisted_class(t: frozenset, sigma: tuple, first: dict, classes: dict) -> tuple:
+    """(nu, C) for C(t, sigma) = D_{w_t} mu_permuted(sigma, ell_min), with w_t
+    the word of t's first down edges and nu what its steps read from their
+    types, kept in ``classes`` by (arc set, twist).  With (i, t') = ``first[t]``,
+    C(t, sigma) = D_i C(t', sigma).  One loop climbs to the nearest kept
+    pair, then steps back, keeping each pair it passes."""
     path = []
     while (t, sigma) not in classes and t in first:
-        path.append((t, sigma))
-        _, t, tau = first[t]
-        sigma = compose(sigma, tau)
-    f = classes.get((t, sigma))
-    if f is None:
-        f = classes[t, sigma] = mu_permuted(sigma, classes[t, identity_perm(len(sigma))])
-    for s, twist in reversed(path):
-        f = classes[s, twist] = demazure_diamond(first[s][0], f)
-    return f
+        path.append(t)
+        t = first[t][1]
+    if (t, sigma) not in classes:
+        start = classes[t, identity_perm(len(sigma))][1]
+        classes[t, sigma] = ((), mu_permuted(sigma, start))
+    pair = classes[t, sigma]
+    for s in reversed(path):
+        pair = classes[s, sigma] = _step(first[s][0], pair)
+    return pair
+
+
+def _step(i: int, pair: tuple) -> tuple:
+    """D_i of (nu, C) at the parameter mu that C's type admits: (mu,) + nu."""
+    nus, f = pair
+    mu = admissible_mu(f.qtype, i)
+    return (mu,) + nus, demazure(i, mu, f)
 
 
 def edge_candidates(m: int, r: int, space: VarSpace) -> Iterator[tuple[frozenset, list]]:
     """For each arc set s past the start, in BFS order, one (nu tuple,
-    class) pair per down edge (i, t), in increasing i.  With L_t the sorted
-    labelling of t and tau relabelling the arcs of s_i(L_t) to that of s,
-    the class is D_i C(t, tau), C(t, tau) being t's class under the label
-    twist tau, and the nu tuple is tau applied to (value(i) - value(i+1)
-    of L_t,) + nu_t.  Each arc set keeps its first pair as (nu, C): that of
-    its smallest word, the one ``ell_class`` uses.  C comes from
-    ``_twisted_class``, so ``mu_permuted`` only twists ell_min and every
-    class stays a shared DAG: one diamond step per down edge, plus one per
-    distinct (arc set, twist) pair reached past the start and the identity."""
+    class) pair per down edge (i, t), in increasing i: ``_step`` i on the
+    ``_twisted_class`` pair of (t, sigma), with sigma the twist of
+    ``presentation_from_word(L_s, (i,) + w_t)`` and L_s the sorted labelling
+    of s.  Each arc set keeps its first edge's pair and word, its smallest,
+    the one ``ell_class`` uses.  ``mu_permuted`` only twists ell_min, so the
+    classes stay one shared DAG: a step per edge and per new (arc set, twist)."""
     lattice = orbit_lattice(m, r)
-    ident = identity_perm(r)
-    nus_of = {lattice.start: ()}
+    words = {lattice.start: ()}
     first: dict = {}
-    classes = {(lattice.start, ident): ell_min(m, r, space)}
+    classes = {(lattice.start, identity_perm(r)): ((), ell_min(m, r, space))}
     for s in lattice.order[1:]:
         here = LinkPattern(m, r, tuple(sorted(s)))
         edges = []
         for i, t in lattice.down_edges(s):
-            below = LinkPattern(m, r, tuple(sorted(t)))
-            tau = arc_relabelling(act_nodes(transposition(m, i), below), here)
-            vals = node_values(below, space)
-            nus = mu_relabelled(tau, (vals[i - 1] - vals[i],) + nus_of[t], space)
-            first.setdefault(s, (i, t, tau))
-            edges.append((nus, demazure_diamond(i, _twisted_class(t, tau, first, classes))))
-        nus_of[s] = edges[0][0]
-        classes[s, ident] = edges[0][1]
+            word = (i,) + words[t]
+            sigma = presentation_from_word(here, word).sigma
+            edges.append(_step(i, _twisted_class(t, sigma, first, classes)))
+            if s not in first:
+                first[s], words[s], classes[s, sigma] = (i, t), word, edges[0]
         yield s, edges
 
 
@@ -336,7 +332,8 @@ def check_word_independence(
     """All patterns of one lattice: every minimal word must give the same
     parameter multiset and type exactly and the same class numerically.
     The last step of every minimal word is a down edge, so by induction it
-    suffices that the ``edge_candidates`` of each arc set agree.
+    suffices that the ``edge_candidates`` of each arc set agree, whose
+    parameters are those their steps read from the types they act on.
 
     The exact checks run over the whole lattice first; a failure reports
     0 samples.  Then the classes of every arc set with more than one edge

@@ -270,12 +270,6 @@ def orbit_lattice(m: int, r: int) -> OrbitLattice:
     return _lattice(m, r)
 
 
-def arc_relabelling(moved: LinkPattern, p: LinkPattern) -> tuple[int, ...]:
-    """The label permutation sending the label of each of moved's arcs to
-    the label p gives the same arc."""
-    return tuple(p.arcs.index(arc) + 1 for arc in moved.arcs)
-
-
 def mu_relabelled(
     sigma: Sequence[int], forms: Sequence[LinearForm], space: VarSpace
 ) -> tuple[LinearForm, ...]:
@@ -286,7 +280,7 @@ def mu_relabelled(
     return tuple(form.substitute(mu_map) for form in forms)
 
 
-def _presentation_from_word(p: LinkPattern, word: tuple[int, ...]) -> Presentation:
+def presentation_from_word(p: LinkPattern, word: tuple[int, ...]) -> Presentation:
     """sigma read off the word: arc j of the minimal pattern, (m-r+j, j),
     lands at (w(m-r+j), w(j)), which p labels sigma(j)."""
     w = word_to_perm(p.m, word)
@@ -319,7 +313,7 @@ def minimal_presentation(p: LinkPattern) -> Presentation:
     while s != lat.start:
         i, s = next(lat.down_edges(s))
         word.append(i)
-    return _presentation_from_word(p, tuple(word))
+    return presentation_from_word(p, tuple(word))
 
 
 def all_minimal_presentations(p: LinkPattern, cap: int | None = None) -> list[Presentation]:
@@ -327,7 +321,7 @@ def all_minimal_presentations(p: LinkPattern, cap: int | None = None) -> list[Pr
     in lexicographic order of the word, optionally the first ``cap``."""
     lat = _lattice(p.m, p.r)
     words = _min_words(lat, p.arc_set(), cap, {lat.start: [()]})
-    return [_presentation_from_word(p, w) for w in words]
+    return [presentation_from_word(p, w) for w in words]
 
 
 def nu_list(pres: Presentation) -> tuple[LinearForm, ...]:

@@ -1,10 +1,11 @@
 """Expression builders that only the tests use: a typed sum, a lazy
 x-twist and the reduced Demazure operator, built with the engine's own
 purity rule, twist composition and typed operator; the inverse of a
-permutation; the W-image of a square pattern and the square pattern of
-a permutation; the origin shift rho and the inversion cocycle phi; and
-the restriction matrices of the duality at x and mu exchanged, in any
-field."""
+permutation; the label permutation between two labellings of one arc
+set, a reference for the sigma of a presentation; the W-image of a
+square pattern and the square pattern of a permutation; the origin shift
+rho and the inversion cocycle phi; and the restriction matrices of the
+duality at x and mu exchanged, in any field."""
 
 import itertools
 from fractions import Fraction
@@ -38,6 +39,12 @@ def inverse_perm(w: Sequence[int]) -> tuple[int, ...]:
     for i, wi in enumerate(w, 1):
         inv[wi - 1] = i
     return tuple(inv)
+
+
+def arc_relabelling(moved: LinkPattern, p: LinkPattern) -> tuple[int, ...]:
+    """The label permutation sending the label of each of moved's arcs to
+    the label p gives the same arc."""
+    return tuple(p.arcs.index(arc) + 1 for arc in moved.arcs)
 
 
 def pattern_permutation(p: LinkPattern) -> tuple[int, ...]:

@@ -209,6 +209,19 @@ def test_multiplicities_command():
     assert doc["alphas"] == ["13/7", "10/7"]
 
 
+@pytest.mark.parametrize("lam", ["1e100000000", "1e-100000000", "1e1001"])
+def test_multiplicities_refuse_a_large_exponent_at_once(capsys, lam):
+    """A --lam exponent beyond MAX_LAM_EXPONENT is a usage error before
+    Fraction writes out 10**e; a plain rational still works."""
+    start = time.perf_counter()
+    assert main(["multiplicities", "3,1:1>2", "--lam", lam]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "usage"
+    for ok, alphas in [("3/7", ["13/7", "10/7"]), ("1/2", ["2", "3/2"])]:
+        assert main(["multiplicities", "3,1:1>2", "--lam", ok]) == 0
+        assert json.loads(capsys.readouterr().out)["alphas"] == alphas
+
+
 def test_math_error_is_structured():
     # weight shape mismatch surfaces as a JSON error object, not a traceback
     code, out = run_cli("weights", "4,2:3>1,4>2")

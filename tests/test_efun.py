@@ -61,7 +61,6 @@ from ellink.linkpattern import (
     LinkPattern,
     act_nodes,
     all_minimal_presentations,
-    arc_relabelling,
     compose,
     identity_perm,
     minimal_pattern,
@@ -80,7 +79,14 @@ from ellink.typecalc import (
     decompose_type,
     qf_of_delta,
 )
-from expressions import ReducedUndefined, demazure_reduced, efun_sum, inverse_perm, x_permuted
+from expressions import (
+    ReducedUndefined,
+    arc_relabelling,
+    demazure_reduced,
+    efun_sum,
+    inverse_perm,
+    x_permuted,
+)
 
 P = ModularParams()
 SP = VarSpace(8, 2)
@@ -413,7 +419,11 @@ def test_word_independence_steps_per_down_edge_and_twist(monkeypatch, m, r, step
     the label twist only ever receives the flat start class."""
     built = []
 
-    def counted(i, f):
+    def counted(i, mu, f):
+        built.append(i)
+        return demazure(i, mu, f)
+
+    def diamond(i, f):
         built.append(i)
         return demazure_diamond(i, f)
 
@@ -421,8 +431,8 @@ def test_word_independence_steps_per_down_edge_and_twist(monkeypatch, m, r, step
         assert f == ell_min(m, r, f.space)
         return mu_permuted(sigma, f)
 
-    monkeypatch.setattr("ellink.identities.demazure_diamond", counted)
-    monkeypatch.setattr("ellink.efun.demazure_diamond", counted)
+    monkeypatch.setattr("ellink.identities.demazure", counted)
+    monkeypatch.setattr("ellink.efun.demazure_diamond", diamond)
     monkeypatch.setattr("ellink.identities.mu_permuted", twisted)
     assert check_word_independence(m, r, samples=2).passed
     lat = orbit_lattice(m, r)
@@ -452,11 +462,11 @@ def test_lattice_classes_stay_shared(monkeypatch):
     class unfolds its DAG into a tree of about 2^level nodes instead."""
     built = []
 
-    def counted(i, f):
+    def counted(i, mu, f):
         built.append(i)
-        return demazure_diamond(i, f)
+        return demazure(i, mu, f)
 
-    monkeypatch.setattr("ellink.identities.demazure_diamond", counted)
+    monkeypatch.setattr("ellink.identities.demazure", counted)
     roots = [cls.node for _, pairs in edge_candidates(6, 3, VarSpace(6, 3)) for _, cls in pairs]
     assert len(roots) == 300
     unique = _unique_nodes(Product(tuple(roots)))

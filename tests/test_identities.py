@@ -42,9 +42,10 @@ from ellink.efun import (
 from ellink.linkpattern import (
     LinkPattern,
     all_minimal_presentations,
-    node_values,
+    minimal_presentation,
     nu_list,
     orbit_lattice,
+    presentation_from_word,
 )
 from ellink.theta import ModularParams, PoleProximity, delta, theta_normalized
 from ellink.typecalc import VarSpace
@@ -206,6 +207,23 @@ def test_edge_check_covers_every_minimal_presentation(monkeypatch, m, r):
         assert worst < 1e-8, (m, r, p)
 
 
+@pytest.mark.parametrize("m,r,count", [(5, 2, 120), (6, 3, 300)])
+def test_edge_parameters_read_from_types_are_the_node_values(m, r, count):
+    """Each edge's nu tuple, read from the types its steps act on, is
+    exactly, in order, the ``nu_list`` that ``compute`` reports for the
+    presentation of the edge's word: the edge's letter i, then the word of
+    the first down edges below it."""
+    lat = orbit_lattice(m, r)
+    checked = 0
+    for s, edges in edge_candidates(m, r, VarSpace(m, r)):
+        p = LinkPattern(m, r, tuple(sorted(s)))
+        for (i, t), (nus, _) in zip(lat.down_edges(s), edges, strict=True):
+            below = minimal_presentation(LinkPattern(m, r, tuple(sorted(t))))
+            assert nus == nu_list(presentation_from_word(p, (i,) + below.word)), (p, i)
+            checked += 1
+    assert checked == count
+
+
 def _record_lattice_tapes(monkeypatch):
     """Record what check_word_independence walks and every tape it
     compiles: (arc set, edges) pairs, and (roots, tape) pairs."""
@@ -257,40 +275,34 @@ def test_word_independence_compiles_one_lattice_tape(monkeypatch, m, r, compiled
 )
 def test_word_independence_fails_on_a_faulty_edge(monkeypatch, fault, residual):
     """The last down edge of the (4,2) lattice is one of several into the
-    top arc set.  Negating its class, where ``edge_candidates`` yields it,
-    by a factor of type zero fails the numerical comparison; shifting one
-    node value its nu is read from fails the exact one."""
+    top arc set.  Where ``edge_candidates`` yields it, negating its class
+    by a factor of type zero fails the numerical comparison, and shifting
+    one of its nu by h fails the exact one."""
     lat = orbit_lattice(4, 2)
     edges = [edge for s in lat.order for edge in lat.down_edges(s)]
     assert len(list(lat.down_edges(lat.order[-1]))) > 1
-    last_i = edges[-1][0]
     calls = []
 
-    def negated(*args):
+    def faulty(*args):
         for s, pairs in edge_candidates(*args):
             calls.extend(pairs)
             if len(calls) == len(edges):
                 nus, g = pairs[-1]
-                # theta is odd: theta(h) / theta(-h) = -1, and its type is zero
                 h = g.space.h()
-                pairs = pairs[:-1] + [(nus, efun_product(g, theta_leaf(h), inv_theta_leaf(-h)))]
+                if fault == "negated_class":
+                    # theta is odd: theta(h) / theta(-h) = -1, and its type is zero
+                    g = efun_product(g, theta_leaf(h), inv_theta_leaf(-h))
+                else:
+                    nus = (nus[0] + h,) + nus[1:]
+                pairs = pairs[:-1] + [(nus, g)]
             yield s, pairs
 
-    def shifted(p, space):
-        calls.append(p)
-        vals = list(node_values(p, space))
-        if len(calls) == len(edges):
-            vals[last_i - 1] = vals[last_i - 1] + space.h()
-        return tuple(vals)
-
-    if fault == "negated_class":
-        monkeypatch.setattr("ellink.identities.edge_candidates", negated)
-    else:
-        monkeypatch.setattr("ellink.identities.node_values", shifted)
+    monkeypatch.setattr("ellink.identities.edge_candidates", faulty)
     rep = check_word_independence(4, 2, 8, 1e-8, P, seed=0)
     assert len(calls) == len(edges)
     assert not rep.passed
     assert rep.max_relative_residual == pytest.approx(residual)
+    assert (rep.samples == 0) == (fault == "shifted_value")
 
 
 def test_operator_relations():

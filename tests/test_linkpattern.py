@@ -21,7 +21,6 @@ from ellink.linkpattern import (
     PatternSyntaxError,
     act_nodes,
     all_minimal_presentations,
-    arc_relabelling,
     compose,
     format_pattern,
     identity_perm,
@@ -38,7 +37,7 @@ from ellink.linkpattern import (
 )
 from ellink.typecalc import VarSpace
 
-from expressions import inverse_perm
+from expressions import arc_relabelling, inverse_perm
 
 
 def act_labels(sigma, p):
