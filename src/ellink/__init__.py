@@ -22,7 +22,6 @@ from .typecalc import (
     divided_difference,
     qf_of_delta,
     qf_of_theta,
-    s_action,
 )
 from .linkpattern import (
     BadCharacterShape,

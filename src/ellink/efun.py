@@ -4,9 +4,9 @@ An EFun is an immutable expression tree over delta leaves and theta leaves
 (theta or its reciprocal, by the sign of the leaf's power) whose arguments
 are exact linear forms in the symbols, paired with the exact quadratic
 form (the bundle type) the expression is a section of.  Types are
-computed structurally: products add types, a Sum is only accepted when all
-summands carry the same type (purity), a permutation node permutes the
-x-block of the child's type.
+computed structurally: products add types, and a Demazure step on a type
+q is pure (both summands carry one type) exactly when its parameter is
+mu = d_i q - h, and then has the type of its first summand.
 
 Theta leaves evaluate through the rescaled theta whose multiplicative
 derivative at 1 is 1, so a delta leaf is literally
@@ -77,6 +77,7 @@ from .typecalc import (
     TrivialCharacter,
     VarSpace,
     admissible_mu,
+    divided_difference,
     qf_of_delta,
     qf_of_theta,
 )
@@ -165,15 +166,6 @@ def efun_product(*factors: EFun) -> EFun:
     for f in factors[1:]:
         qtype = qtype + f.qtype
     return EFun(Product(tuple(f.node for f in factors)), qtype)
-
-
-def _sum_type(qtypes: Sequence[QForm]) -> QForm:
-    """The one type all summands carry (purity)."""
-    if any(qtype != qtypes[0] for qtype in qtypes[1:]):
-        raise ImpurityError(
-            "summands are sections of different bundles; the combination is not pure"
-        )
-    return qtypes[0]
 
 
 def _fold(node, leaf, join, w=None):
@@ -795,19 +787,21 @@ def demazure_node(i: int, mu: LinearForm, node):
 
 
 def demazure(i: int, mu: LinearForm, f: EFun) -> EFun:
-    """``demazure_node`` on f, typed: both summands must carry one type
-    (purity), so this only succeeds when mu is the admissible parameter."""
+    """``demazure_node`` on f, typed.  Its summands carry one type (purity)
+    exactly when q - s_i q = (x_i - x_{i+1})(h + mu) for f's type q, that
+    is when mu = d_i q - h, the one admissible parameter; the step then has
+    the type of its first summand."""
     space = f.space
     if not mu.is_x_free():
         raise ValueError(f"operator parameter must be x-free, got {mu}")
     if mu.is_zero():
         raise TrivialCharacter("operator parameter 1 poles delta(., 1)")
+    if divided_difference(i, f.qtype) - space.h() != mu:
+        raise ImpurityError(
+            "summands are sections of different bundles; the combination is not pure"
+        )
     step = space.x(i + 1) - space.x(i)
-    swapped = f.qtype.x_permute(transposition(space.m, i))
-    qtype = _sum_type(
-        [qf_of_delta(step, mu) + f.qtype, qf_of_delta(-step, space.h()) + swapped]
-    )
-    return EFun(demazure_node(i, mu, f.node), qtype)
+    return EFun(demazure_node(i, mu, f.node), qf_of_delta(step, mu) + f.qtype)
 
 
 def demazure_diamond(i: int, f: EFun) -> EFun:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Callable, Iterator
+from functools import partial
 from random import Random
 
 from .efun import (
@@ -421,58 +422,30 @@ def check_vanishing(
 # the suites that ``verify`` runs by name
 
 
-def _suite_theta(samples, tol, params, seed):
-    return [check_theta_laws(samples, min(tol, 1e-10), params, seed)]
+def _suite(checks, share: int = 1, tol_cap: float = math.inf):
+    """A suite that ``verify`` runs by name: each of ``checks`` at the
+    suite's sample count, ``samples`` or, for a share above 1,
+    max(10, samples // share), and at the tolerance capped at ``tol_cap``."""
 
+    def run(samples, tol, params, seed):
+        n = samples if share == 1 else max(10, samples // share)
+        return [check(n, min(tol, tol_cap), params, seed) for check in checks]
 
-def _suite_fourterm(samples, tol, params, seed):
-    return [check_fourterm(samples, tol, params, seed)]
-
-
-def _suite_braid(samples, tol, params, seed):
-    return [check_braid_coefficients(samples, tol, params, seed)]
-
-
-def _suite_operators(samples, tol, params, seed):
-    return [
-        check_braid_operator(samples, tol, params, seed),
-        check_quadratic_operator(samples, tol, params, seed),
-    ]
-
-
-def _suite_monstrous(samples, tol, params, seed):
-    return [check_monstrous(samples, tol, params, seed)]
-
-
-def _suite_flip(samples, tol, params, seed):
-    n = max(10, samples // 2)
-    return [
-        check_flip(4, 2, 1, n, tol, params, seed),
-        check_flip(6, 3, 1, n, tol, params, seed),
-        check_flip(6, 3, 2, n, tol, params, seed),
-    ]
-
-
-def _suite_independence(samples, tol, params, seed):
-    n = max(10, samples // 2)
-    return [
-        check_word_independence(3, 1, n, tol, params, seed),
-        check_word_independence(4, 2, n, tol, params, seed),
-    ]
-
-
-def _suite_vanishing(samples, tol, params, seed):
-    return [check_vanishing(max(10, samples // 5), min(tol, 1e-10), params, seed)]
+    return run
 
 
 # Insertion order is the order in which ``verify all`` runs them.
 SUITES = {
-    "theta": _suite_theta,
-    "fourterm": _suite_fourterm,
-    "braid": _suite_braid,
-    "operators": _suite_operators,
-    "monstrous": _suite_monstrous,
-    "flip": _suite_flip,
-    "independence": _suite_independence,
-    "vanishing": _suite_vanishing,
+    "theta": _suite([check_theta_laws], tol_cap=1e-10),
+    "fourterm": _suite([check_fourterm]),
+    "braid": _suite([check_braid_coefficients]),
+    "operators": _suite([check_braid_operator, check_quadratic_operator]),
+    "monstrous": _suite([check_monstrous]),
+    "flip": _suite(
+        [partial(check_flip, m, r, k) for m, r, k in [(4, 2, 1), (6, 3, 1), (6, 3, 2)]], share=2
+    ),
+    "independence": _suite(
+        [partial(check_word_independence, m, r) for m, r in [(3, 1), (4, 2)]], share=2
+    ),
+    "vanishing": _suite([check_vanishing], share=5, tol_cap=1e-10),
 }

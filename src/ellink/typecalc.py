@@ -307,28 +307,28 @@ def qf_of_delta(a: LinearForm, b: LinearForm) -> QForm:
     return _collect(a.space, _symmetrised(ONE, _support(a), _support(b)))
 
 
-def s_action(i: int, q: QForm) -> QForm:
-    """The simple transposition s_i acting on the x-block of q."""
-    return q.x_permute(transposition(q.space.m, i))
-
-
 def divided_difference(i: int, q: QForm) -> LinearForm:
-    """The exact quotient (q - s_i q) / (x_i - x_{i+1}).
-
-    The difference vanishes on x_i = x_{i+1}, so it always factors; the
-    quotient is read off the x_i row of the difference and the x_{i+1}
-    diagonal.
+    """The exact quotient (q - s_i q) / (x_i - x_{i+1}), read off the two
+    x-rows of q's matrix M: with j = i + 1 it is
+    (M_ii - M_jj)(x_i + x_j) + 2 sum_{k not in {i, j}} (M_ik - M_jk) sym_k;
+    the entry M_ij is s_i-invariant and drops out.
     """
     space = q.space
     xi = space.x_index(i)
     xj = space.x_index(i + 1)
     coeffs = [ZERO] * space.n_symbols
-    for a, b, v in (q - s_action(i, q)).entries:
-        if a == b == xj:
-            coeffs[xj] = -v
+    diagonal = ZERO
+    for a, b, v in q.entries:
+        if a == b:
+            if a == xi:
+                diagonal += v
+            elif a == xj:
+                diagonal -= v
         elif xi in (a, b) and xj not in (a, b):
-            k = a + b - xi
-            coeffs[k] = v if k == xi else 2 * v
+            coeffs[a + b - xi] += 2 * v
+        elif xj in (a, b) and xi not in (a, b):
+            coeffs[a + b - xj] -= 2 * v
+    coeffs[xi] = coeffs[xj] = diagonal
     return LinearForm(space, tuple(coeffs))
 
 

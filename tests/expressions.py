@@ -1,11 +1,11 @@
 """Expression builders that only the tests use: a typed sum, a lazy
-x-twist and the reduced Demazure operator, built with the engine's own
-purity rule, twist composition and typed operator; the inverse of a
-permutation; the label permutation between two labellings of one arc
-set, a reference for the sigma of a presentation; the W-image of a
-square pattern and the square pattern of a permutation; the origin shift
-rho and the inversion cocycle phi; and the restriction matrices of the
-duality at x and mu exchanged, in any field."""
+x-twist, the s_i action on a type and the reduced Demazure operator, built
+with the engine's own purity error, twist composition and typed operator;
+the inverse of a permutation; the label permutation between two
+labellings of one arc set, a reference for the sigma of a presentation;
+the W-image of a square pattern and the square pattern of a permutation;
+the origin shift rho and the inversion cocycle phi; and the restriction
+matrices of the duality at x and mu exchanged, in any field."""
 
 import itertools
 from fractions import Fraction
@@ -15,9 +15,9 @@ from typing import Sequence
 
 from ellink.efun import (
     EFun,
+    ImpurityError,
     Sum,
     XPermuted,
-    _sum_type,
     demazure,
     efun_product,
     inv_theta_leaf,
@@ -25,13 +25,25 @@ from ellink.efun import (
 )
 from ellink.linkpattern import LinkPattern, compose, identity_perm
 from ellink.schubert import _check_permutation_pattern, reduced_class, restrict_fixed_point
-from ellink.typecalc import LinearForm, VarSpace
+from ellink.typecalc import LinearForm, QForm, VarSpace, transposition
 
 
 def efun_sum(*terms: EFun) -> EFun:
+    """The sum of terms of one type (purity); terms of different types
+    raise ImpurityError."""
     if not terms:
         raise ValueError("empty sum needs a space; use efun_const")
-    return EFun(Sum(tuple(t.node for t in terms)), _sum_type([t.qtype for t in terms]))
+    qtype = terms[0].qtype
+    if any(t.qtype != qtype for t in terms[1:]):
+        raise ImpurityError(
+            "summands are sections of different bundles; the combination is not pure"
+        )
+    return EFun(Sum(tuple(t.node for t in terms)), qtype)
+
+
+def s_action(i: int, q: QForm) -> QForm:
+    """The simple transposition s_i acting on the x-block of q."""
+    return q.x_permute(transposition(q.space.m, i))
 
 
 def inverse_perm(w: Sequence[int]) -> tuple[int, ...]:

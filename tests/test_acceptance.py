@@ -44,9 +44,9 @@ from ellink.linkpattern import (
 )
 from ellink.schubert import reduced_class, restrict_fixed_point, weight_space, weight_function
 from ellink.theta import ModularParams
-from ellink.typecalc import VarSpace, admissible_mu, decompose_type, qf_of_delta, s_action
+from ellink.typecalc import VarSpace, admissible_mu, decompose_type, qf_of_delta
 
-from expressions import rho
+from expressions import rho, s_action
 
 P = ModularParams()
 

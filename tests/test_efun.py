@@ -655,6 +655,29 @@ def test_each_demazure_step_is_one_op():
     assert sum(op[0] == _DOT2 for op in joint_tape([f]).ops) == 13495
 
 
+def test_each_demazure_step_is_one_type_add(monkeypatch):
+    """A typed step reads its purity from the divided difference and adds
+    one type: building the sample class makes 9 type adds for ell_min's
+    10 factors and one per step of its 16-letter word, and relabels or
+    subtracts no type (41 adds, 32 relabels and 16 subtractions when each
+    step built and compared both summands' types)."""
+    from ellink.typecalc import QForm
+
+    calls = {"__add__": 0, "__sub__": 0, "x_permute": 0}
+    for name in calls:
+        method = getattr(QForm, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(QForm, name, counted)
+    pattern = parse_pattern("8,4:1>5,2>6,3>7,4>8")
+    assert len(minimal_presentation(pattern).word) == 16
+    ell_class(pattern)
+    assert calls == {"__add__": 25, "__sub__": 0, "x_permute": 0}
+
+
 def test_two_term_restriction_replays_through_the_sum():
     """A flat sum of two products that are not binary is no Demazure step:
     it compiles to the n-ary _SUM and replays as the recursive walk does."""

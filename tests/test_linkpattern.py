@@ -201,7 +201,9 @@ def test_six_moves_match_admissible_mu():
     operator engine produces them; six_move_mu sees only the pattern.
     """
     from ellink.efun import ell_min
-    from ellink.typecalc import admissible_mu, qf_of_delta, s_action
+    from ellink.typecalc import admissible_mu, qf_of_delta
+
+    from expressions import s_action
 
     for m, r in [(2, 1), (3, 1), (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (6, 3)]:
         space = VarSpace(m, r)

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from ellink.efun import EFun, ImpurityError, Product, demazure
 from ellink.typecalc import (
     CrossTerm,
     LinearForm,
@@ -17,10 +18,9 @@ from ellink.typecalc import (
     divided_difference,
     qf_of_delta,
     qf_of_theta,
-    s_action,
 )
 
-from expressions import phi, rho
+from expressions import phi, rho, s_action
 
 SP = VarSpace(8, 2)
 
@@ -121,16 +121,80 @@ def test_divided_difference_x_square():
     assert out == (SP.x(1) + SP.x(2)).scale(Fraction(1, 2))
 
 
-def test_divided_difference_is_exact():
+def _assert_exact(i, q):
+    """The quotient times x_i - x_{i+1} is q - s_i q, with s_i q the dense
+    matrix with rows and columns i and i + 1 swapped."""
+    sp = q.space
+    perm = list(range(sp.n_symbols))
+    perm[i - 1], perm[i] = i, i - 1
+    rows = _dense(q)
+    swapped = [[rows[a][b] for b in perm] for a in perm]
+    difference = _dense_add(rows, swapped, -1)
+    assert _dense(qf_of_delta(sp.x(i) - sp.x(i + 1), divided_difference(i, q))) == difference
+
+
+def _step_reads(monkeypatch, m, r):
+    """Every (i, type) that a Demazure step of the (m, r) edge build reads."""
+    from ellink import identities
+
+    read = set()
+    step = identities.demazure
+
+    def recording(i, mu, f):
+        read.add((i, f.qtype))
+        return step(i, mu, f)
+
+    monkeypatch.setattr(identities, "demazure", recording)
+    for _ in identities.edge_candidates(m, r, VarSpace(m, r)):
+        pass
+    monkeypatch.undo()
+    return read
+
+
+def test_divided_difference_is_exact(monkeypatch):
     """Every symmetric form's difference q - s_i q factors through
-    x_i - x_{i+1}, and the quotient times that root gives it back."""
+    x_i - x_{i+1}, and the quotient times that root gives it back: on
+    random forms and on every type a step reads in the (5,2) and (6,3)
+    edge builds, at the step's i."""
     rng = Random(8)
     sp = VarSpace(4, 2)
     for _ in range(40):
         q = _random_qform(rng, sp)
         for i in range(1, sp.m):
-            root = sp.x(i) - sp.x(i + 1)
-            assert qf_of_delta(root, divided_difference(i, q)) == q - s_action(i, q)
+            _assert_exact(i, q)
+    reads = _step_reads(monkeypatch, 5, 2) | _step_reads(monkeypatch, 6, 3)
+    assert len(reads) > 300
+    for i, q in reads:
+        _assert_exact(i, q)
+
+
+def test_purity_is_one_equation():
+    """demazure's purity equation mu = d_i q - h against the types of its
+    two summands, built and compared whole: a step is refused exactly when
+    they differ, and otherwise has their common type."""
+    rng = Random(10)
+    sp = VarSpace(4, 2)
+    h = sp.h()
+    accepted = refused = 0
+    for _ in range(40):
+        q = _random_qform(rng, sp)
+        f = EFun(Product(()), q)
+        for i in range(1, sp.m):
+            step = sp.x(i + 1) - sp.x(i)
+            swapped = qf_of_delta(-step, h) + s_action(i, q)
+            mu = divided_difference(i, q) - h
+            for nu in [mu, mu + h, mu + sp.mu(1), _random_character(rng, sp)]:
+                if not nu.is_x_free() or nu.is_zero():
+                    continue
+                first = qf_of_delta(step, nu) + q
+                if first == swapped:
+                    assert demazure(i, nu, f).qtype == first
+                    accepted += 1
+                else:
+                    with pytest.raises(ImpurityError):
+                        demazure(i, nu, f)
+                    refused += 1
+    assert accepted and refused
 
 
 def test_divided_difference_zero_iff_symmetric():
@@ -177,6 +241,15 @@ def _random_qform(rng, sp, density=0.4):
 
 def _random_fraction(rng):
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_character(rng, sp):
+    """A random nonzero x-free linear form."""
+    while True:
+        coeffs = [Fraction(0)] * sp.m + [_random_fraction(rng) for _ in range(sp.r + 2)]
+        form = LinearForm(sp, tuple(coeffs))
+        if not form.is_zero():
+            return form
 
 
 def _dense_add(p, q, sign=1):
