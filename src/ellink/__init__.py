@@ -39,11 +39,9 @@ from .linkpattern import (
 )
 from .efun import (
     EFun,
-    ImpurityError,
     PointAssignment,
     delta_leaf,
     demazure,
-    demazure_diamond,
     ell_class,
     ell_min,
     evaluate,

@@ -6,7 +6,8 @@ are exact linear forms in the symbols, paired with the exact quadratic
 form (the bundle type) the expression is a section of.  Types are
 computed structurally: products add types, and a Demazure step on a type
 q is pure (both summands carry one type) exactly when its parameter is
-mu = d_i q - h, and then has the type of its first summand.
+mu = d_i q - h, so the typed step reads that one parameter from the type
+and has the type of its first summand.
 
 Theta leaves evaluate through the rescaled theta whose multiplicative
 derivative at 1 is 1, so a delta leaf is literally
@@ -25,7 +26,7 @@ distinct form.  The label twist (``mu_permuted``) still substitutes once
 per path.
 
 The class of one pattern is built by ``ell_class_from_presentation``: the
-word's diamond steps on a start class (ell_min, perhaps with u and the mu
+word's typed steps on a start class (ell_min, perhaps with u and the mu
 substituted), then the label twist.  The lattice and flip classes of
 ``identities`` are built twist first: the label twist (for word
 independence, that of each edge's presentation) of the flat start class,
@@ -74,17 +75,11 @@ from .theta import ModularParams, PoleProximity
 from .typecalc import (
     LinearForm,
     QForm,
-    TrivialCharacter,
     VarSpace,
     admissible_mu,
-    divided_difference,
     qf_of_delta,
     qf_of_theta,
 )
-
-
-class ImpurityError(ValueError):
-    """Summands with different types: the result is not a section."""
 
 
 # --------------------------------------------------------------------------
@@ -786,32 +781,20 @@ def demazure_node(i: int, mu: LinearForm, node):
     return Sum((Product((DeltaLeaf(step, mu), node)), swapped))
 
 
-def demazure(i: int, mu: LinearForm, f: EFun) -> EFun:
-    """``demazure_node`` on f, typed.  Its summands carry one type (purity)
-    exactly when q - s_i q = (x_i - x_{i+1})(h + mu) for f's type q, that
-    is when mu = d_i q - h, the one admissible parameter; the step then has
-    the type of its first summand."""
-    space = f.space
-    if not mu.is_x_free():
-        raise ValueError(f"operator parameter must be x-free, got {mu}")
-    if mu.is_zero():
-        raise TrivialCharacter("operator parameter 1 poles delta(., 1)")
-    if divided_difference(i, f.qtype) - space.h() != mu:
-        raise ImpurityError(
-            "summands are sections of different bundles; the combination is not pure"
-        )
-    step = space.x(i + 1) - space.x(i)
-    return EFun(demazure_node(i, mu, f.node), qf_of_delta(step, mu) + f.qtype)
-
-
-def demazure_diamond(i: int, f: EFun) -> EFun:
-    """Apply the operator with the purity-forced parameter inferred from f."""
+def demazure(i: int, f: EFun) -> tuple[LinearForm, EFun]:
+    """``demazure_node`` on f, typed: (mu, step) at the one parameter f's
+    type q admits.  The summands carry one type (purity) exactly when
+    q - s_i q = (x_i - x_{i+1})(h + mu), that is at mu = d_i q - h, which
+    ``admissible_mu`` reads (refusing one that involves x or is zero); the
+    step has the type of its first summand."""
     mu = admissible_mu(f.qtype, i)
-    return demazure(i, mu, f)
+    space = f.space
+    step = space.x(i + 1) - space.x(i)
+    return mu, EFun(demazure_node(i, mu, f.node), qf_of_delta(step, mu) + f.qtype)
 
 
 def ell_class_from_presentation(pres: Presentation, start: EFun | None = None) -> EFun:
-    """The word's diamond steps, right to left, on ``start``, then the
+    """The word's typed steps, right to left, on ``start``, then the
     label twist.  Each step reads its parameter from the type the previous
     one left.  ``start`` defaults to ell_min of the pattern's size; a
     caller that substitutes x-free forms for u and the mu passes its
@@ -820,7 +803,7 @@ def ell_class_from_presentation(pres: Presentation, start: EFun | None = None) -
     f = ell_min(p.m, p.r) if start is None else start
     for step, i in enumerate(reversed(pres.word), 1):
         try:
-            f = demazure_diamond(i, f)
+            _, f = demazure(i, f)
         except (ValueError, ArithmeticError) as exc:
             exc.args = (f"step {step} of word {pres.word} (index {i}): {exc}",)
             raise

@@ -29,7 +29,6 @@ from .efun import (
     Product,
     ThetaLeaf,
     demazure,
-    demazure_diamond,
     demazure_node,
     draw,
     ell_class,
@@ -51,7 +50,7 @@ from .linkpattern import (
     transposition,
 )
 from .theta import ModularParams, delta, theta
-from .typecalc import VarSpace, admissible_mu
+from .typecalc import VarSpace
 
 
 class IdentityReport(Frozen):
@@ -236,19 +235,19 @@ def flip_sides(m: int, r: int, k: int, space: VarSpace | None = None) -> tuple[E
     """Both sides of the flip relation on the minimal class.
 
     LHS applies the operator at the target block, RHS at the source block
-    to the minimal class with its labels k and k+1 exchanged; purity forces
-    the parameter mu_k/mu_{k+1} on both.  Exchanging the labels first, of
-    the flat start class, equals exchanging those of the finished class,
-    and keeps the right side a shared DAG.
+    to the minimal class with its labels k and k+1 exchanged; each side
+    reads its parameter from the type it acts on, mu_k/mu_{k+1} on both.
+    Exchanging the labels first, of the flat start class, equals
+    exchanging those of the finished class, and keeps the right side a
+    shared DAG.
     """
     if not 1 <= k < r:
         raise ValueError(f"flip index k={k} outside 1..{r - 1}")
     if space is None:
         space = VarSpace(m, r)
     ell = ell_min(m, r, space)
-    lhs = demazure(k, space.mu(k) - space.mu(k + 1), ell)
-    swapped = mu_permuted(transposition(r, k), ell)
-    rhs = demazure(m - r + k, space.mu(k) - space.mu(k + 1), swapped)
+    _, lhs = demazure(k, ell)
+    _, rhs = demazure(m - r + k, mu_permuted(transposition(r, k), ell))
     return lhs, rhs
 
 
@@ -292,10 +291,10 @@ def _twisted_class(t: frozenset, sigma: tuple, first: dict, classes: dict) -> tu
 
 
 def _step(i: int, pair: tuple) -> tuple:
-    """D_i of (nu, C) at the parameter mu that C's type admits: (mu,) + nu."""
+    """D_i of (nu, C) at the mu it reads from C's type: ((mu,) + nu, D_i C)."""
     nus, f = pair
-    mu = admissible_mu(f.qtype, i)
-    return (mu,) + nus, demazure(i, mu, f)
+    mu, g = demazure(i, f)
+    return (mu,) + nus, g
 
 
 def edge_candidates(m: int, r: int, space: VarSpace) -> Iterator[tuple[frozenset, list]]:
@@ -390,13 +389,14 @@ def check_theta_laws(
 
 
 def vanishing_classes() -> tuple[EFun, EFun]:
-    """The loose-loose operator applied to the minimal (8, 2) class, and the
-    conjugated version applied to the permuted pattern: both are zero."""
+    """The typed loose-loose step on the minimal (8, 2) class, and the
+    conjugated step on the permuted pattern, each without the parameter it
+    read: both are zero."""
     space = VarSpace(8, 2)
-    zero1 = demazure_diamond(3, ell_min(8, 2, space))
+    _, zero1 = demazure(3, ell_min(8, 2, space))
     w = (3, 6, 1, 2, 5, 8, 4, 7)
     permuted = act_nodes(w, minimal_pattern(8, 2))
-    return zero1, demazure_diamond(1, ell_class(permuted, space))
+    return zero1, demazure(1, ell_class(permuted, space))[1]
 
 
 def check_vanishing(

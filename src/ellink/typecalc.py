@@ -27,19 +27,15 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-class TypeError_(ValueError):
-    """Base class for bundle-type bookkeeping failures."""
-
-
-class NotACharacter(TypeError_):
+class NotACharacter(ValueError):
     """The inferred parameter still involves x-symbols."""
 
 
-class TrivialCharacter(TypeError_):
+class TrivialCharacter(ValueError):
     """The inferred parameter is the zero form, where delta(., 1) poles."""
 
 
-class CrossTerm(TypeError_):
+class CrossTerm(ValueError):
     """The form has an x_i * x_j entry and cannot be node-decomposed."""
 
 

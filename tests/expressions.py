@@ -1,7 +1,7 @@
-"""Expression builders that only the tests use: a typed sum, a lazy
-x-twist, the s_i action on a type and the reduced Demazure operator, built
-with the engine's own purity error, twist composition and typed operator;
-the inverse of a permutation; the label permutation between two
+"""Expression builders that only the tests use: a typed sum with its own
+purity error, a lazy x-twist, the s_i action on a type and the reduced
+Demazure operator, built with the engine's twist composition and typed
+step; the inverse of a permutation; the label permutation between two
 labellings of one arc set, a reference for the sigma of a presentation;
 the W-image of a square pattern and the square pattern of a permutation;
 the origin shift rho and the inversion cocycle phi; and the restriction
@@ -15,7 +15,6 @@ from typing import Sequence
 
 from ellink.efun import (
     EFun,
-    ImpurityError,
     Sum,
     XPermuted,
     demazure,
@@ -26,6 +25,10 @@ from ellink.efun import (
 from ellink.linkpattern import LinkPattern, compose, identity_perm
 from ellink.schubert import _check_permutation_pattern, reduced_class, restrict_fixed_point
 from ellink.typecalc import LinearForm, QForm, VarSpace, transposition
+
+
+class ImpurityError(ValueError):
+    """Summands with different types: the result is not a section."""
 
 
 def efun_sum(*terms: EFun) -> EFun:
@@ -162,11 +165,12 @@ class ReducedUndefined(ValueError):
     """The reduced operator at parameter -h divides by delta(-h, h) = 0."""
 
 
-def demazure_reduced(i: int, mu: LinearForm, f: EFun) -> EFun:
-    """The operator rescaled by 1/delta(mu, h); undefined at mu = -h."""
-    space = f.space
-    h = space.h()
+def demazure_reduced(i: int, f: EFun) -> tuple[LinearForm, EFun]:
+    """The typed step (mu, D_i f) with D_i f rescaled by 1/delta(mu, h);
+    undefined at mu = -h."""
+    mu, step = demazure(i, f)
+    h = f.space.h()
     if mu == -h:
         raise ReducedUndefined("parameter -h: the normalising delta(-h, h) vanishes")
     inv_norm = efun_product(theta_leaf(mu), theta_leaf(h), inv_theta_leaf(mu + h))
-    return efun_product(inv_norm, demazure(i, mu, f))
+    return mu, efun_product(inv_norm, step)

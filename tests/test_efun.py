@@ -16,7 +16,6 @@ from ellink import efun
 from ellink.efun import (
     DeltaLeaf,
     EFun,
-    ImpurityError,
     PointAssignment,
     Product,
     Sum,
@@ -29,7 +28,7 @@ from ellink.efun import (
     cancel_theta_pairs,
     delta_leaf,
     demazure,
-    demazure_diamond,
+    demazure_node,
     distribute_products,
     efun_const,
     efun_product,
@@ -73,18 +72,20 @@ from ellink.linkpattern import (
 from ellink.schubert import reduced_class, restrict_fixed_point, weight_function
 from ellink.theta import ModularParams, PoleProximity, delta, theta
 from ellink.typecalc import (
+    NotACharacter,
     TrivialCharacter,
     VarSpace,
-    admissible_mu,
     decompose_type,
     qf_of_delta,
 )
 from expressions import (
+    ImpurityError,
     ReducedUndefined,
     arc_relabelling,
     demazure_reduced,
     efun_sum,
     inverse_perm,
+    rho,
     x_permuted,
 )
 
@@ -175,9 +176,8 @@ def test_demazure_on_symmetric_function():
     mu = -h, so the factor (and the result) vanish by antisymmetry."""
     sp = VarSpace(4, 1)
     f = delta_leaf(sp.u() + sp.x(3) - sp.x(4), sp.mu(1))
-    mu = admissible_mu(f.qtype, 1)
+    mu, g = demazure(1, f)
     assert mu == -sp.h()
-    g = demazure(1, mu, f)
     rng = Random(4)
     for _ in range(20):
         pt = random_point(sp, rng, P)
@@ -196,10 +196,9 @@ def test_demazure_quadratic_relation():
     """c_i^mu c_i^{1/mu} = delta(h, mu) delta(h, 1/mu) on an admissible pair."""
     sp = VarSpace(4, 2)
     f = ell_min(4, 2, sp)
-    mu = admissible_mu(f.qtype, 1)
-    g = demazure(1, mu, f)
-    gg = demazure(1, admissible_mu(g.qtype, 1), g)
-    assert admissible_mu(g.qtype, 1) == -mu
+    mu, g = demazure(1, f)
+    nu, gg = demazure(1, g)
+    assert nu == -mu
     rng = Random(5)
     worst = 0.0
     for _ in range(50):
@@ -216,7 +215,7 @@ def test_demazure_quadratic_relation():
 
 
 def test_demazure_kills_loose_loose_minimal():
-    zero = demazure_diamond(3, ell_min(8, 2, SP))
+    _, zero = demazure(3, ell_min(8, 2, SP))
     term = EFun(zero.node.children[0], zero.qtype)
     rng = Random(6)
     for _ in range(20):
@@ -225,11 +224,12 @@ def test_demazure_kills_loose_loose_minimal():
 
 
 def test_demazure_purity_enforced():
-    f = ell_min(8, 2, SP)
-    with pytest.raises(ImpurityError):
-        demazure(1, SP.mu(1), f)  # admissible parameter is mu1 - mu2
+    """A step refuses a type whose admissible parameter involves x or is
+    zero, where delta(., 1) poles; a sum refuses terms of two types."""
+    with pytest.raises(NotACharacter):
+        demazure(1, theta_leaf(SP.x(1)))
     with pytest.raises(TrivialCharacter):
-        demazure(1, SP.zero_form(), f)
+        demazure(1, EFun(Product(()), qf_of_delta(rho(SP), SP.h())))
     with pytest.raises(ImpurityError):
         efun_sum(theta_leaf(SP.x(1)), theta_leaf(SP.x(2)))
 
@@ -237,34 +237,36 @@ def test_demazure_purity_enforced():
 def test_demazure_reduced():
     sp = VarSpace(4, 2)
     f = ell_min(4, 2, sp)
-    mu = admissible_mu(f.qtype, 1)
-    g = demazure_reduced(1, mu, f)
+    mu, g = demazure_reduced(1, f)
     # inverse parameter gives the identity
-    g2 = demazure_reduced(1, admissible_mu(g.qtype, 1), g)
+    nu, g2 = demazure_reduced(1, g)
+    assert nu == -mu
     assert g2.qtype == f.qtype
     worst, _ = sample_agreement(g2.space, [[g2.node, f.node]], P, Random(7), 32)
     assert worst < 1e-8
     # type differs from the unreduced operator by -mu h
-    assert g.qtype == demazure(1, mu, f).qtype - qf_of_delta(mu, sp.h())
+    assert g.qtype == demazure(1, f)[1].qtype - qf_of_delta(mu, sp.h())
     # parameter -h is rejected
     with pytest.raises(ReducedUndefined):
-        demazure_reduced(3, admissible_mu(ell_min(8, 2, SP).qtype, 3), ell_min(8, 2, SP))
+        demazure_reduced(3, ell_min(8, 2, SP))
 
 
 def test_diamond_uses_inferred_character():
+    """The typed step reads mu1 - mu2 from ell_min's type and is the
+    untyped node at that parameter, typed as its first summand."""
     f = ell_min(8, 2, SP)
-    g = demazure_diamond(1, f)
-    expected = demazure(1, SP.mu(1) - SP.mu(2), f)
-    assert g.qtype == expected.qtype
-    worst, _ = sample_agreement(g.space, [[g.node, expected.node]], P, Random(8), 10)
-    assert worst == 0.0
+    mu, g = demazure(1, f)
+    assert mu == SP.mu(1) - SP.mu(2)
+    assert g.node == demazure_node(1, SP.mu(1) - SP.mu(2), f.node)
+    assert g.qtype == qf_of_delta(SP.x(2) - SP.x(1), mu) + f.qtype
 
 
 def test_diamond_braid_composite():
     sp = VarSpace(3, 1)
     f = ell_min(3, 1, sp)
-    lhs = demazure_diamond(1, demazure_diamond(2, demazure_diamond(1, f)))
-    rhs = demazure_diamond(2, demazure_diamond(1, demazure_diamond(2, f)))
+    step = lambda i, g: demazure(i, g)[1]
+    lhs = step(1, step(2, step(1, f)))
+    rhs = step(2, step(1, step(2, f)))
     assert lhs.qtype == rhs.qtype
     worst, _ = sample_agreement(lhs.space, [[lhs.node, rhs.node]], P, Random(9), 50)
     assert worst < 1e-8
@@ -356,7 +358,7 @@ def test_pole_proximity_identifies_leaf():
 def test_evaluate_many_shares_points():
     sp = VarSpace(4, 2)
     f = ell_min(4, 2, sp)
-    g = demazure_diamond(1, f)
+    _, g = demazure(1, f)
     rng = Random(15)
     pt = random_point(sp, rng, P)
     a, b = evaluate_many(joint_tape([f, g]), pt)
@@ -419,20 +421,16 @@ def test_word_independence_steps_per_down_edge_and_twist(monkeypatch, m, r, step
     the label twist only ever receives the flat start class."""
     built = []
 
-    def counted(i, mu, f):
+    def counted(i, f):
         built.append(i)
-        return demazure(i, mu, f)
-
-    def diamond(i, f):
-        built.append(i)
-        return demazure_diamond(i, f)
+        return demazure(i, f)
 
     def twisted(sigma, f):
         assert f == ell_min(m, r, f.space)
         return mu_permuted(sigma, f)
 
     monkeypatch.setattr("ellink.identities.demazure", counted)
-    monkeypatch.setattr("ellink.efun.demazure_diamond", diamond)
+    monkeypatch.setattr("ellink.efun.demazure", counted)
     monkeypatch.setattr("ellink.identities.mu_permuted", twisted)
     assert check_word_independence(m, r, samples=2).passed
     lat = orbit_lattice(m, r)
@@ -462,9 +460,9 @@ def test_lattice_classes_stay_shared(monkeypatch):
     class unfolds its DAG into a tree of about 2^level nodes instead."""
     built = []
 
-    def counted(i, mu, f):
+    def counted(i, f):
         built.append(i)
-        return demazure(i, mu, f)
+        return demazure(i, f)
 
     monkeypatch.setattr("ellink.identities.demazure", counted)
     roots = [cls.node for _, pairs in edge_candidates(6, 3, VarSpace(6, 3)) for _, cls in pairs]
@@ -656,26 +654,31 @@ def test_each_demazure_step_is_one_op():
 
 
 def test_each_demazure_step_is_one_type_add(monkeypatch):
-    """A typed step reads its purity from the divided difference and adds
-    one type: building the sample class makes 9 type adds for ell_min's
-    10 factors and one per step of its 16-letter word, and relabels or
-    subtracts no type (41 adds, 32 relabels and 16 subtractions when each
-    step built and compared both summands' types)."""
+    """A typed step reads its parameter from one divided difference and
+    adds one type: building the sample class makes one divided difference
+    per step of its 16-letter word, 9 type adds for ell_min's 10 factors
+    and one per step, and relabels or subtracts no type (32 divided
+    differences when each step read its parameter and then checked it)."""
+    from ellink import typecalc
     from ellink.typecalc import QForm
 
-    calls = {"__add__": 0, "__sub__": 0, "x_permute": 0}
-    for name in calls:
-        method = getattr(QForm, name)
+    calls = {"__add__": 0, "__sub__": 0, "x_permute": 0, "divided_difference": 0}
 
-        def counted(*args, name=name, method=method):
+    def counting(name, method):
+        def counted(*args):
             calls[name] += 1
             return method(*args)
 
-        monkeypatch.setattr(QForm, name, counted)
+        return counted
+
+    for name in ["__add__", "__sub__", "x_permute"]:
+        monkeypatch.setattr(QForm, name, counting(name, getattr(QForm, name)))
+    divided = typecalc.divided_difference
+    monkeypatch.setattr(typecalc, "divided_difference", counting("divided_difference", divided))
     pattern = parse_pattern("8,4:1>5,2>6,3>7,4>8")
     assert len(minimal_presentation(pattern).word) == 16
     ell_class(pattern)
-    assert calls == {"__add__": 25, "__sub__": 0, "x_permute": 0}
+    assert calls == {"__add__": 25, "__sub__": 0, "x_permute": 0, "divided_difference": 16}
 
 
 def test_two_term_restriction_replays_through_the_sum():
@@ -708,7 +711,7 @@ def test_label_twist_commutes_with_the_demazure_steps(pattern):
     p = pres.pattern
     first = mu_permuted(pres.sigma, ell_min(p.m, p.r))
     for i in reversed(pres.word):
-        first = demazure_diamond(i, first)
+        _, first = demazure(i, first)
     last = ell_class_from_presentation(pres)
     assert first.node == last.node
     assert first.qtype == last.qtype
@@ -852,11 +855,11 @@ def test_tape_matches_recursive_reference_many(k):
 
 def test_pole_error_names_the_argument_at_the_pole():
     """Under a twist the error names the leaf's argument with the twist
-    applied.  The swapped summand of demazure_diamond(1, ell_min(3, 1)) is
+    applied.  The swapped summand of demazure(1, ell_min(3, 1)) is
     delta(u + x1 - x3, mu1) under s_1, which x2 := x3 - u puts on a pole as
     delta(x2 - x3 + u, mu1); a twisted 1/theta(x1 - x3) at x2 := x3 is
     1/theta(x2 - x3)."""
-    f = demazure_diamond(1, ell_min(3, 1))
+    _, f = demazure(1, ell_min(3, 1))
     sp = f.space
     inv = x_permuted((2, 1, 3), inv_theta_leaf(sp.x(1) - sp.x(3)))
     pt = random_point(sp, Random(25), P)

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from ellink import identities
 from ellink.identities import (
     SUITES,
     IdentityReport,
@@ -27,6 +28,7 @@ from ellink.efun import (
     RESAMPLE_CAP,
     PointAssignment,
     _Compiler,
+    demazure,
     efun_product,
     ell_class,
     ell_min,
@@ -143,6 +145,32 @@ def test_monstrous_consistent_with_flip():
 def test_flip(m, r, k):
     rep = check_flip(m, r, k, 50, 1e-8, P, seed=0)
     assert rep.passed, rep
+
+
+# every flip (m, r, k) with 2 <= r, 2r <= m <= 8 and 1 <= k < r
+FLIP_CASES = [(m, r, k) for r in range(2, 5) for m in range(2 * r, 9) for k in range(1, r)]
+
+
+def test_flip_cases_cover_verify():
+    assert len(FLIP_CASES) == 14
+    assert {(4, 2, 1), (6, 3, 1), (6, 3, 2)} <= set(FLIP_CASES)
+
+
+@pytest.mark.parametrize("m,r,k", FLIP_CASES)
+def test_flip_sides_read_the_label_quotient(monkeypatch, m, r, k):
+    """Each side of the flip reads from its type the parameter
+    mu_k - mu_{k+1}, the quotient of the two labels the flip exchanges."""
+    read = []
+
+    def recording(i, f):
+        mu, g = demazure(i, f)
+        read.append(mu)
+        return mu, g
+
+    monkeypatch.setattr(identities, "demazure", recording)
+    space = VarSpace(m, r)
+    flip_sides(m, r, k, space)
+    assert read == [space.mu(k) - space.mu(k + 1)] * 2
 
 
 def test_flip_bad_index():

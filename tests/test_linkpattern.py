@@ -17,7 +17,6 @@ from ellink.linkpattern import (
     NoNodes,
     OrbitLattice,
     PatternError,
-    _lattice,
     PatternSyntaxError,
     act_nodes,
     all_minimal_presentations,
@@ -580,7 +579,7 @@ def test_one_pattern_builds_no_lattice():
     minimal word and never enumerates the lattice."""
     from ellink.efun import ell_class
 
-    _lattice.cache_clear()
+    orbit_lattice.cache_clear()
     p = parse_pattern("9,4:6>5,7>3,8>2,9>1")
     assert len(minimal_presentation(p).word) == orbit_lattice(9, 4).level(p.arc_set())
     ell_class(p)

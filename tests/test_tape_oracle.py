@@ -295,7 +295,8 @@ def test_exact_oracle_catches_a_missing_label_swap():
     """The (4, 2) flip right side without its label swap differs."""
     space = VarSpace(4, 2)
     lhs, _ = flip_sides(4, 2, 1, space)
-    unswapped = demazure(3, space.mu(2) - space.mu(1), ell_min(4, 2, space))
+    mu, unswapped = demazure(3, ell_min(4, 2, space))
+    assert mu == space.mu(2) - space.mu(1)
     for left, right in exact_values([lhs, unswapped], 1):
         assert left != right
 

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from ellink.efun import EFun, ImpurityError, Product, demazure
+from ellink.efun import EFun, Product, demazure
 from ellink.typecalc import (
     CrossTerm,
     LinearForm,
@@ -140,9 +140,9 @@ def _step_reads(monkeypatch, m, r):
     read = set()
     step = identities.demazure
 
-    def recording(i, mu, f):
+    def recording(i, f):
         read.add((i, f.qtype))
-        return step(i, mu, f)
+        return step(i, f)
 
     monkeypatch.setattr(identities, "demazure", recording)
     for _ in identities.edge_candidates(m, r, VarSpace(m, r)):
@@ -169,9 +169,10 @@ def test_divided_difference_is_exact(monkeypatch):
 
 
 def test_purity_is_one_equation():
-    """demazure's purity equation mu = d_i q - h against the types of its
-    two summands, built and compared whole: a step is refused exactly when
-    they differ, and otherwise has their common type."""
+    """The purity equation nu = d_i q - h that the typed step reads against
+    the types of its two summands, built and compared whole: they agree at
+    that nu, where the step returns nu and their common type or refuses a
+    nu that involves x or is zero, and differ at any other parameter."""
     rng = Random(10)
     sp = VarSpace(4, 2)
     h = sp.h()
@@ -182,18 +183,19 @@ def test_purity_is_one_equation():
         for i in range(1, sp.m):
             step = sp.x(i + 1) - sp.x(i)
             swapped = qf_of_delta(-step, h) + s_action(i, q)
-            mu = divided_difference(i, q) - h
-            for nu in [mu, mu + h, mu + sp.mu(1), _random_character(rng, sp)]:
-                if not nu.is_x_free() or nu.is_zero():
-                    continue
-                first = qf_of_delta(step, nu) + q
-                if first == swapped:
-                    assert demazure(i, nu, f).qtype == first
-                    accepted += 1
-                else:
-                    with pytest.raises(ImpurityError):
-                        demazure(i, nu, f)
-                    refused += 1
+            nu = divided_difference(i, q) - h
+            assert qf_of_delta(step, nu) + q == swapped
+            if nu.is_x_free() and not nu.is_zero():
+                mu, g = demazure(i, f)
+                assert (mu, g.qtype) == (nu, swapped)
+                accepted += 1
+            else:
+                with pytest.raises((NotACharacter, TrivialCharacter)):
+                    demazure(i, f)
+                refused += 1
+            for wrong in [nu + h, nu + sp.mu(1), _random_character(rng, sp)]:
+                if wrong != nu:
+                    assert qf_of_delta(step, wrong) + q != swapped
     assert accepted and refused
 
 
